@@ -7,7 +7,6 @@ from .base import (
     PromptRole,
     SufficiencyVerdict,
     parse_verdict,
-    sufficiency_probe,
 )
 from .http import HttpBackend, resolve_api_key
 from .mock import MockBackend
@@ -27,5 +26,4 @@ __all__ = [
     "parse_verdict",
     "render_prompt",
     "resolve_api_key",
-    "sufficiency_probe",
 ]

@@ -1,15 +1,15 @@
 """Abstract boundary to the vision-language model.
 
-Backends embed queries/documents and generate text with per-token
-probabilities.  Requests carry a prompt role that selects the template and
-the constrained output shape the pipeline parses.
+Backends embed queries and generate text with per-token probabilities.
+Requests carry a prompt role that selects the template and the constrained
+output shape the pipeline parses.
 """
 
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..errors import ProbabilityOutOfRangeError, UnparseableVerdictError
 from ..masking import Embedding
@@ -130,29 +130,5 @@ class ModelBackend(ABC):
         """Embed a textual query."""
 
     @abstractmethod
-    def embed_document(self, doc: DocRef) -> Embedding:
-        """Embed a document reference."""
-
-    @abstractmethod
     def generate(self, request: GenerationRequest) -> GenerationResult:
         """Run one generation request."""
-
-
-def sufficiency_probe(
-    backend: ModelBackend,
-    query: str,
-    docs: Sequence[DocRef],
-    iteration: int = 0,
-) -> SufficiencyVerdict:
-    """Ask the backend whether ``docs`` suffice to answer ``query``."""
-    if not docs:
-        raise ValueError("sufficiency probe needs at least one document")
-    result = backend.generate(
-        GenerationRequest(
-            prompt_role=PromptRole.SUFFICIENCY_PROBE,
-            query=query,
-            context_docs=tuple(docs),
-            iteration=iteration,
-        )
-    )
-    return parse_verdict(result.text)

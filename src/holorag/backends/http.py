@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from ..errors import BackendUnavailableError, ConfigError, MissingLogprobsError
 from ..masking import Embedding
-from .base import DocRef, GenerationRequest, GenerationResult, ModelBackend
+from .base import GenerationRequest, GenerationResult, ModelBackend
 from .prompts import render_prompt
 
 DEFAULT_API_KEY_ENV = "HOLORAG_API_KEY"
@@ -131,16 +131,10 @@ class HttpBackend(ModelBackend):
             finish = "error"
         return GenerationResult(text=text, token_probs=probs, finish_reason=finish)
 
-    def _embed(self, text: str) -> Embedding:
-        body = self._post("/embeddings", {"model": self.model, "input": text})
+    def embed_query(self, query: str) -> Embedding:
+        body = self._post("/embeddings", {"model": self.model, "input": query})
         try:
             vector: Sequence[float] = body["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailableError(f"malformed embedding response: {body!r}") from exc
         return Embedding(vector)
-
-    def embed_query(self, query: str) -> Embedding:
-        return self._embed(query)
-
-    def embed_document(self, doc: DocRef) -> Embedding:
-        return self._embed(doc.text if doc.text is not None else doc.doc_id)

@@ -9,13 +9,13 @@ never invents embeddings.
 import json
 import threading
 from pathlib import Path
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import CorpusParseError, FixtureMissError
 from ..masking import Embedding
-from .base import DocRef, GenerationRequest, GenerationResult, ModelBackend, PromptRole
+from .base import GenerationRequest, GenerationResult, ModelBackend, PromptRole
 
 GenKey = Tuple[str, str, FrozenSet[str], int]
 
@@ -99,12 +99,6 @@ class MockBackend(ModelBackend):
             raise ValueError(f"embedding kind must be 'query' or 'document', got {kind!r}")
         self._embeddings[(kind, key)] = np.asarray(vector, dtype=np.float64)
 
-    def update_from(self, other: "MockBackend") -> None:
-        """Absorb another backend's fixture tables (later entries win)."""
-        with self._lock:
-            self._generations.update(other._generations)
-            self._embeddings.update(other._embeddings)
-
     # -- ModelBackend interface --------------------------------------------
 
     def embed_query(self, query: str) -> Embedding:
@@ -112,13 +106,6 @@ class MockBackend(ModelBackend):
             vec = self._embeddings.get(("query", query))
         if vec is None:
             raise FixtureMissError(f"no query embedding fixture for {query!r}")
-        return Embedding(vec)
-
-    def embed_document(self, doc: DocRef) -> Embedding:
-        with self._lock:
-            vec = self._embeddings.get(("document", doc.doc_id))
-        if vec is None:
-            raise FixtureMissError(f"no document embedding fixture for {doc.doc_id!r}")
         return Embedding(vec)
 
     def generate(self, request: GenerationRequest) -> GenerationResult:

@@ -9,13 +9,14 @@ loss/gradient self-checks.  Exit codes: 0 success, 1 user or data error,
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, get_args
 
 from .backends.http import HttpBackend, resolve_api_key
 from .backends.mock import MockBackend
 from .checks import run_gradient_check, run_oracle_check
-from .config import RunConfig
+from .config import CHOICES, RunConfig
 from .errors import ConfigError, HoloRagError
 from .evaluation import evaluate_e2e, evaluate_retrieval, load_dataset
 from .index import ingest_corpus, load_snapshot, merge_pools, pools_by_name, save_snapshot, top_k
@@ -25,42 +26,20 @@ EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_BACKEND_ERROR = 2
 
-_CONFIG_FLAGS = (
-    ("tau", float),
-    ("alpha", float),
-    ("beta", float),
-    ("n_submasks", int),
-    ("h", float),
-    ("k", int),
-    ("max_iters", int),
-    ("pool_mode", str),
-    ("backend", str),
-    ("fixtures", str),
-    ("base_url", str),
-    ("model", str),
-    ("api_key_env", str),
-    ("timeout", float),
-    ("max_retries", int),
-    ("max_tokens", int),
-    ("seed", int),
-    ("parallelism", int),
-    ("scoring_mode", str),
-    ("eps", float),
-)
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per non-bool RunConfig field, plus --no-skip-on-error."""
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    for name, kind in _CONFIG_FLAGS:
-        flag = "--" + name.replace("_", "-")
-        if name == "pool_mode":
-            parser.add_argument(flag, choices=("single", "all"), dest=name)
-        elif name == "backend":
-            parser.add_argument(flag, choices=("mock", "http"), dest=name)
-        elif name == "scoring_mode":
-            parser.add_argument(flag, choices=("cosine", "masked"), dest=name)
+    for f in fields(RunConfig):
+        if f.type is bool:
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if f.name in CHOICES:
+            parser.add_argument(flag, choices=CHOICES[f.name], dest=f.name)
         else:
-            parser.add_argument(flag, type=kind, dest=name)
+            # Optional[str] fields take a str
+            kind = f.type if isinstance(f.type, type) else get_args(f.type)[0]
+            parser.add_argument(flag, type=kind, dest=f.name)
     parser.add_argument(
         "--no-skip-on-error",
         action="store_const",
@@ -71,8 +50,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {name: getattr(args, name, None) for name, _ in _CONFIG_FLAGS}
-    overrides["skip_on_error"] = getattr(args, "skip_on_error", None)
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return RunConfig.from_sources(getattr(args, "config", None), overrides)
 
 

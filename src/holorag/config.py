@@ -1,25 +1,25 @@
 """Run configuration with a flags-over-file-over-defaults override chain."""
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
 from .errors import ConfigError
 
-POOL_MODES = ("single", "all")
-BACKENDS = ("mock", "http")
-SCORING_MODES = ("cosine", "masked")
+# Allowed values of the string fields that select a mode.
+CHOICES = {
+    "pool_mode": ("single", "all"),
+    "backend": ("mock", "http"),
+    "scoring_mode": ("cosine", "masked"),
+}
 
 
 @dataclass
 class RunConfig:
     """Every tunable in one place; echoed into every report and trace."""
 
-    tau: float = 0.01
     alpha: float = 0.5
-    beta: float = 1.0
-    n_submasks: int = 2
     h: float = 0.8
     k: int = 3
     max_iters: int = 3
@@ -32,7 +32,6 @@ class RunConfig:
     timeout: float = 30.0
     max_retries: int = 2
     max_tokens: int = 256
-    seed: int = 0
     parallelism: int = 1
     scoring_mode: str = "cosine"
     eps: float = 1e-8
@@ -40,24 +39,15 @@ class RunConfig:
     fallback_on_probe_error: bool = False
 
     def validate(self) -> "RunConfig":
-        if self.tau <= 0:
-            raise ConfigError("tau must be > 0")
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
-        if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
-        if self.n_submasks < 1:
-            raise ConfigError("n_submasks must be >= 1")
         if not (0.0 < self.h < 1.0):
             raise ConfigError("h must be in (0, 1)")
         if self.k < 1 or self.max_iters < 1 or self.max_tokens < 1:
             raise ConfigError("k, max_iters, and max_tokens must be >= 1")
-        if self.pool_mode not in POOL_MODES:
-            raise ConfigError(f"pool_mode must be one of {POOL_MODES}")
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}")
-        if self.scoring_mode not in SCORING_MODES:
-            raise ConfigError(f"scoring_mode must be one of {SCORING_MODES}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
         if self.eps <= 0:

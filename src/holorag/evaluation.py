@@ -225,9 +225,10 @@ def _single_pool_for(example: QaExample, by_name: Dict[str, Pool]) -> Pool:
 
 
 def _check_gold_present(dataset: Sequence[QaExample], pools: Sequence[Pool]) -> None:
-    known = {(rec.pool_name, rec.doc_id) for pool in pools for rec in pool.records}
     for example in dataset:
-        missing = example.gold_doc_ids - known
+        missing = {
+            key for key in example.gold_doc_ids if not any(key in p.by_key for p in pools)
+        }
         if missing:
             raise MissingGoldDocumentError(
                 f"example {example.query_id!r} references missing documents "

@@ -6,6 +6,7 @@ deterministic tie-breaking so rankings are reproducible.
 """
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -85,15 +86,19 @@ class RankedResult:
 
 @dataclass(frozen=True, eq=False)
 class Pool:
-    """Named, immutable collection of document records sharing one dimension."""
+    """Named, immutable collection of document records sharing one dimension.
+
+    ``by_key`` maps each record's (pool_name, doc_id) to the record.
+    """
 
     name: str
     dimension: int
     records: Tuple[DocumentRecord, ...]
+    by_key: Dict[Tuple[str, str], DocumentRecord] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        seen = set()
+        by_key = {}
         for rec in self.records:
             if rec.embedding.dimension != self.dimension:
                 raise DimensionMismatchError(
@@ -101,9 +106,10 @@ class Pool:
                     f"pool declares {self.dimension}"
                 )
             key = (rec.pool_name, rec.doc_id)
-            if key in seen:
+            if key in by_key:
                 raise DuplicateIdError(f"duplicate document key {key!r}")
-            seen.add(key)
+            by_key[key] = rec
+        object.__setattr__(self, "by_key", by_key)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -268,16 +274,8 @@ def merge_pools(pools: Sequence[Pool]) -> Pool:
     if len(dimensions) > 1:
         raise DimensionMismatchError(f"pools have mixed dimensions {sorted(dimensions)}")
     dimension = dimensions.pop() if dimensions else 0
-    records = []
-    seen = set()
-    for pool in pools:
-        for rec in pool.records:
-            key = (rec.pool_name, rec.doc_id)
-            if key in seen:
-                raise DuplicateIdError(f"duplicate document key {key!r} across pools")
-            seen.add(key)
-            records.append(rec)
-    return Pool(name=MERGED_POOL_NAME, dimension=dimension, records=tuple(records))
+    records = tuple(rec for pool in pools for rec in pool.records)
+    return Pool(name=MERGED_POOL_NAME, dimension=dimension, records=records)
 
 
 def save_snapshot(pool: Pool, path: Union[str, Path]) -> None:
@@ -285,7 +283,9 @@ def save_snapshot(pool: Pool, path: Union[str, Path]) -> None:
 
     The header line carries format version, dimension, count, and pool name;
     records follow in order with canonically sorted keys, so identical pools
-    produce byte-identical files.
+    produce byte-identical files.  The file is written beside ``path`` and
+    renamed over it, so an interrupted save leaves any previous snapshot
+    intact.
     """
     path = Path(path)
     header = {
@@ -296,7 +296,13 @@ def save_snapshot(pool: Pool, path: Union[str, Path]) -> None:
     }
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(json.dumps(rec.to_dict(), sort_keys=True) for rec in pool.records)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_snapshot(path: Union[str, Path]) -> Pool:

@@ -21,14 +21,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    TemperatureNonPositiveError,
-    ZeroVectorError,
-)
+from .errors import DimensionMismatchError, TemperatureNonPositiveError
 from .masking import (
     DEFAULT_ALPHA,
     DEFAULT_EPS,
+    MASK_LEVELS,
     Embedding,
     HybridMask,
     SubmaskSet,
@@ -38,8 +35,6 @@ from .masking import (
     partition_mask,
     standardize_sigmoid,
 )
-
-MASK_LEVELS = (0.0, 0.5, 1.0)
 
 
 class ZeroSimilarityWarning(UserWarning):
@@ -158,48 +153,6 @@ def build_batch(
     return Batch.from_parts(embs_q, embs_d, masks, subs)
 
 
-def _vector_of(v) -> np.ndarray:
-    if isinstance(v, Embedding):
-        return v.values
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D vector")
-    return arr
-
-
-def cosine_sim(a, b) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
-
-    Raises:
-        ZeroVectorError: if either vector is all zero.
-        DimensionMismatchError: if the dimensions differ.
-    """
-    av = _vector_of(a)
-    bv = _vector_of(b)
-    if av.shape != bv.shape:
-        raise DimensionMismatchError(f"dimensions {av.shape[0]} and {bv.shape[0]} differ")
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine similarity of an all-zero vector is undefined")
-    return float(np.clip(np.dot(av, bv) / (na * nb), -1.0, 1.0))
-
-
-def _safe_sims(anchor: np.ndarray, cands: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Cosines of one anchor against candidate rows; zero vectors score 0.
-
-    Returns the similarity row and the number of zero-vector fallbacks taken.
-    """
-    an = np.linalg.norm(anchor)
-    cn = np.linalg.norm(cands, axis=1)
-    sims = np.zeros(cands.shape[0])
-    zeros = int(np.count_nonzero(cn == 0.0)) + (cands.shape[0] if an == 0.0 else 0)
-    if an > 0.0:
-        valid = cn > 0.0
-        sims[valid] = (cands[valid] @ anchor) / (cn[valid] * an)
-    return sims, zeros
-
-
 def _softmax_loss_rows(sims: np.ndarray, tau: float) -> np.ndarray:
     """Row-wise -log softmax probability of the diagonal entry, max-shifted."""
     z = sims / tau
@@ -249,26 +202,6 @@ def _check_tau(tau: float) -> None:
         raise TemperatureNonPositiveError(f"temperature must be > 0, got {tau}")
 
 
-def info_nce(anchor_index: int, anchors, candidates, tau: float) -> float:
-    """Contrastive loss of one anchor against its candidate list.
-
-    The positive is ``candidates[anchor_index]``; every other candidate is a
-    negative.  Computed in max-shifted log-sum-exp form so temperatures as low
-    as 0.01 stay finite.
-    """
-    _check_tau(tau)
-    anchor_rows = np.stack([_vector_of(a) for a in anchors])
-    cand_rows = np.stack([_vector_of(c) for c in candidates])
-    if not 0 <= anchor_index < anchor_rows.shape[0]:
-        raise IndexError(f"anchor_index {anchor_index} out of range")
-    sims, zeros = _safe_sims(anchor_rows[anchor_index], cand_rows)
-    _warn_zero_sims(zeros)
-    z = sims / tau
-    m = float(z.max())
-    lse = m + float(np.log(np.exp(z - m).sum()))
-    return lse - float(z[anchor_index])
-
-
 def _forward(
     queries: np.ndarray,
     documents: np.ndarray,
@@ -297,22 +230,6 @@ def _forward(
     l_sin = float((sparse_rows / n_parts).mean())
 
     return l_in, l_din, l_sin, z0 + z1 + z2 + z3
-
-
-def dense_loss(batch: Batch, tau: float) -> float:
-    """Symmetrized masked matching loss averaged over the batch."""
-    _check_tau(tau)
-    _, l_din, _, zeros = _forward(batch.queries, batch.positives, batch.masks, batch.submasks, tau)
-    _warn_zero_sims(zeros)
-    return l_din
-
-
-def sparse_loss(batch: Batch, tau: float) -> float:
-    """Submask-averaged matching loss averaged over the batch."""
-    _check_tau(tau)
-    _, _, l_sin, zeros = _forward(batch.queries, batch.positives, batch.masks, batch.submasks, tau)
-    _warn_zero_sims(zeros)
-    return l_sin
 
 
 def total_loss(batch: Batch, tau: float, beta: float) -> LossReport:
@@ -453,4 +370,4 @@ def finite_difference_check(
                 an = grads[idx]
                 err = abs(fd - an) / max(1.0, abs(fd), abs(an))
                 worst = max(worst, err)
-    return worst
+    return float(worst)

@@ -6,7 +6,6 @@ band passes salient dimensions through, the middle band keeps detail
 dimensions at half strength, and everything below the lower band is dropped.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -136,10 +135,6 @@ class SubmaskSet:
     @property
     def n_parts(self) -> int:
         return len(self.parts)
-
-    def combined(self) -> np.ndarray:
-        """Elementwise maximum over all parts."""
-        return np.max(np.stack(self.parts), axis=0)
 
 
 def l2_normalize(v: VectorLike) -> Embedding:

@@ -12,7 +12,7 @@ Every run produces an AnswerTrace whose agent log uses logical step counters
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .backends.base import (
@@ -23,6 +23,7 @@ from .backends.base import (
     PromptRole,
     parse_verdict,
 )
+from .config import RunConfig
 from .errors import EmptySequenceError, HoloRagError, ProbabilityOutOfRangeError
 from .index import Pool, RankedResult, top_k
 
@@ -344,26 +345,21 @@ def summarize(
     return result.text
 
 
-def run_pipeline(query: str, pool: Pool, config, backend: ModelBackend) -> AnswerTrace:
+def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBackend) -> AnswerTrace:
     """Run the whole retrieve-prune-judge-generate pipeline for one query.
 
     Stage failures do not raise: the trace records the error event and comes
-    back without a final answer.  ``config`` is any object with the RunConfig
-    fields (k, h, max_iters, alpha, eps, scoring_mode, max_tokens,
-    fallback_on_probe_error optional).
+    back without a final answer.  An empty pool raises ValueError and an
+    invalid ``config`` raises ConfigError before any backend call.  The trace
+    echoes ``config.to_dict()``.
     """
     if not pool.records:
         raise ValueError("pipeline needs a nonempty pool")
-    if not (0.0 < config.h < 1.0):
-        raise ValueError(f"uncertainty threshold must be in (0, 1), got {config.h}")
-    if config.k < 1 or config.max_iters < 1:
-        raise ValueError("k and max_iters must be >= 1")
-
-    config_echo = config.to_dict() if hasattr(config, "to_dict") else dict(vars(config))
-    records = {(rec.pool_name, rec.doc_id): rec for rec in pool.records}
+    config.validate()
+    config_echo = config.to_dict()
 
     def resolve(pool_name: str, doc_id: str) -> DocRef:
-        rec = records[(pool_name, doc_id)]
+        rec = pool.by_key[(pool_name, doc_id)]
         text = rec.metadata.get("text")
         image = rec.metadata.get("image")
         return DocRef(doc_id=doc_id, text=text, image=image)
@@ -401,7 +397,7 @@ def run_pipeline(query: str, pool: Pool, config, backend: ModelBackend) -> Answe
             config.k,
             backend,
             resolve=resolve,
-            fallback_on_probe_error=getattr(config, "fallback_on_probe_error", False),
+            fallback_on_probe_error=config.fallback_on_probe_error,
             log=log,
         )
 

@@ -30,18 +30,19 @@ def demo_pool(name: str = "charts", dim: int = 4) -> Pool:
     return Pool(name=name, dimension=dim, records=records)
 
 
-def scripted_scenario(kind: str, query: str | None = None):
+def scripted_scenario(kind: str, query: str | None = None, mock: MockBackend | None = None):
     """Build a (query, pool, config, backend, expected) scripted pipeline run.
 
     Kinds: "lqp" (prune stops at 2), "lqp_first" (prune stops at 1),
     "hqp_early" (one decoupler iteration), "hqp_two" (two iterations),
     "hqp_max" (never answerable, hits max_iters=3), "failure" (missing
-    summarize fixture aborts mid-pipeline).
+    summarize fixture aborts mid-pipeline).  Fixtures go into ``mock`` when
+    given, so several scenarios can share one backend.
     """
     query = query or f"query::{kind}"
     pool = demo_pool()
     config = RunConfig(k=3, h=0.8, max_iters=3).validate()
-    mock = MockBackend()
+    mock = mock if mock is not None else MockBackend()
     mock.add_embedding("query", query, [1.0, 0.05, 0.02, 0.01])
     initial = f"measured-initial::{kind}::do-not-reuse"
     final = f"final::{kind}"

@@ -15,7 +15,6 @@ from holorag.backends import (
     load_template,
     parse_verdict,
     render_prompt,
-    sufficiency_probe,
 )
 from holorag.errors import (
     BackendUnavailableError,
@@ -140,7 +139,7 @@ class TestMockBackend:
     def test_embedding_miss_always_errors(self):
         mock = MockBackend(strict=False)
         with pytest.raises(FixtureMissError):
-            mock.embed_document(DocRef("nope"))
+            mock.embed_query("nope")
 
     def test_from_file_and_determinism(self, tmp_path):
         lines = [
@@ -156,12 +155,6 @@ class TestMockBackend:
             backend = MockBackend.from_file(path)
             outputs.append((backend.generate(request), tuple(backend.embed_query("q1").values)))
         assert outputs[0] == outputs[1]
-
-    def test_sufficiency_probe_helper(self):
-        mock = MockBackend()
-        mock.add_generation("sufficiency_probe", "q", ["d1", "d2"], 2, "YES - enough", [1.0])
-        verdict = sufficiency_probe(mock, "q", [DocRef("d1"), DocRef("d2")], iteration=2)
-        assert verdict.sufficient
 
 
 def http_backend(transcript_name):

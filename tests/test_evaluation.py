@@ -198,8 +198,9 @@ def e2e_setup(kinds_and_scores):
     judge_backend = MockBackend()
     dataset = []
     for i, (kind, score) in enumerate(kinds_and_scores):
-        query, _, config, mock, expected = scripted_scenario(kind, query=f"q{i:02d}::{kind}")
-        answer_backend.update_from(mock)
+        query, _, config, _, _ = scripted_scenario(
+            kind, query=f"q{i:02d}::{kind}", mock=answer_backend
+        )
         dataset.append(
             QaExample(
                 query_id=f"q{i:02d}",

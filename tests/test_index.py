@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,3 +299,22 @@ class TestSnapshots:
         path = tmp_path / "void.snap"
         save_snapshot(pool, path)
         assert load_snapshot(path) == pool
+
+    def test_interrupted_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        old = self._big_pool()
+        path = tmp_path / "pool.snap"
+        save_snapshot(old, path)
+        before = path.read_bytes()
+
+        def write_half_then_fail(self, data, encoding=None, errors=None, newline=None):
+            with open(self, "w", encoding=encoding) as handle:
+                handle.write(data[: len(data) // 2])
+            raise OSError("simulated interruption mid-write")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="simulated"):
+            save_snapshot(make_pool("snap", [("new", [1.0, 0.0])]), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_snapshot(path) == old
+        assert [p.name for p in tmp_path.iterdir()] == ["pool.snap"]
