@@ -1,9 +1,9 @@
 """Scripted mock backend for deterministic tests and offline runs.
 
 Generation fixtures are keyed by (role, query, doc-id set, iteration);
-embedding fixtures by (kind, key).  Strict mode errors on any miss; lenient
-mode answers generation misses with a role-appropriate canned response but
-never invents embeddings.
+query embedding fixtures by query text.  Strict mode errors on any miss;
+lenient mode answers generation misses with a role-appropriate canned
+response but never invents embeddings.
 """
 
 import json
@@ -36,7 +36,7 @@ class MockBackend(ModelBackend):
         self.strict = strict
         self._lock = threading.Lock()
         self._generations: Dict[GenKey, GenerationResult] = {}
-        self._embeddings: Dict[Tuple[str, str], np.ndarray] = {}
+        self._embeddings: Dict[str, np.ndarray] = {}
 
     # -- fixture loading ---------------------------------------------------
 
@@ -45,8 +45,8 @@ class MockBackend(ModelBackend):
         """Load fixtures from a JSON-lines file.
 
         Generation lines: {"role", "query", "docs": [ids], "iteration",
-        "text", "token_probs"}.  Embedding lines: {"embed": "query" |
-        "document", "key", "vector"}.
+        "text", "token_probs"}.  Embedding lines: {"embed": "query", "key",
+        "vector"}.  A malformed line raises CorpusParseError with its number.
         """
         backend = cls(strict=strict)
         path = Path(path)
@@ -77,6 +77,10 @@ class MockBackend(ModelBackend):
                     raise CorpusParseError(
                         f"line {line_number}: missing fixture field {exc}", line_number
                     ) from exc
+                except (TypeError, ValueError) as exc:
+                    raise CorpusParseError(
+                        f"line {line_number}: bad fixture ({exc})", line_number
+                    ) from exc
         return backend
 
     def add_generation(
@@ -95,15 +99,15 @@ class MockBackend(ModelBackend):
         )
 
     def add_embedding(self, kind: str, key: str, vector: Sequence[float]) -> None:
-        if kind not in ("query", "document"):
-            raise ValueError(f"embedding kind must be 'query' or 'document', got {kind!r}")
-        self._embeddings[(kind, key)] = np.asarray(vector, dtype=np.float64)
+        if kind != "query":
+            raise ValueError(f"embedding kind must be 'query', got {kind!r}")
+        self._embeddings[key] = np.asarray(vector, dtype=np.float64)
 
     # -- ModelBackend interface --------------------------------------------
 
     def embed_query(self, query: str) -> Embedding:
         with self._lock:
-            vec = self._embeddings.get(("query", query))
+            vec = self._embeddings.get(query)
         if vec is None:
             raise FixtureMissError(f"no query embedding fixture for {query!r}")
         return Embedding(vec)

@@ -15,6 +15,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .config import CHOICES
 from .errors import (
     CorpusParseError,
     DimensionMismatchError,
@@ -223,7 +224,7 @@ def top_k(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if scoring not in ("cosine", "masked"):
+    if scoring not in CHOICES["scoring_mode"]:
         raise ValueError(f"unknown scoring mode {scoring!r}")
     q = query.values if isinstance(query, Embedding) else np.asarray(query, dtype=np.float64)
     if not pool.records:

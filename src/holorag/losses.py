@@ -27,13 +27,8 @@ from .masking import (
     DEFAULT_EPS,
     MASK_LEVELS,
     Embedding,
-    HybridMask,
-    SubmaskSet,
-    correlation,
-    hybrid_mask,
-    l2_normalize,
+    mask_pipeline,
     partition_mask,
-    standardize_sigmoid,
 )
 
 
@@ -84,27 +79,6 @@ class Batch:
     def n_submasks(self) -> int:
         return int(self.submasks.shape[1])
 
-    @classmethod
-    def from_parts(
-        cls,
-        queries: Sequence[Embedding],
-        positives: Sequence[Embedding],
-        masks: Sequence[HybridMask],
-        submask_sets: Sequence[SubmaskSet],
-    ) -> "Batch":
-        """Assemble a batch from the typed per-pair objects."""
-        if not (len(queries) == len(positives) == len(masks) == len(submask_sets)):
-            raise ValueError("queries, positives, masks, and submask sets must align")
-        n_parts = {s.n_parts for s in submask_sets}
-        if len(n_parts) != 1:
-            raise ValueError("every submask set must have the same part count")
-        return cls(
-            queries=np.stack([e.values for e in queries]),
-            positives=np.stack([e.values for e in positives]),
-            masks=np.stack([m.weights for m in masks]),
-            submasks=np.stack([np.stack(s.parts) for s in submask_sets]),
-        )
-
 
 @dataclass(frozen=True)
 class LossReport:
@@ -141,16 +115,19 @@ def build_batch(
     Pair i's partition uses seed + i so distinct pairs randomize independently
     while the whole batch stays reproducible.
     """
-    embs_q = [v if isinstance(v, Embedding) else Embedding(v) for v in queries]
-    embs_d = [v if isinstance(v, Embedding) else Embedding(v) for v in documents]
-    masks = []
-    subs = []
-    for i, (q, d) in enumerate(zip(embs_q, embs_d)):
-        c = correlation(l2_normalize(q.values), l2_normalize(d.values))
-        m = hybrid_mask(standardize_sigmoid(c, eps), alpha, eps)
-        masks.append(m)
-        subs.append(partition_mask(m, n_parts, seed + i))
-    return Batch.from_parts(embs_q, embs_d, masks, subs)
+    if len(queries) != len(documents):
+        raise ValueError("queries and documents must align")
+    qs = [v.values if isinstance(v, Embedding) else v for v in queries]
+    ds = [v.values if isinstance(v, Embedding) else v for v in documents]
+    masks = [mask_pipeline(q, d, alpha, eps) for q, d in zip(qs, ds)]
+    return Batch(
+        queries=np.stack(qs),
+        positives=np.stack(ds),
+        masks=np.stack([m.weights for m in masks]),
+        submasks=np.stack(
+            [np.stack(partition_mask(m, n_parts, seed + i).parts) for i, m in enumerate(masks)]
+        ),
+    )
 
 
 def _softmax_loss_rows(sims: np.ndarray, tau: float) -> np.ndarray:
@@ -161,31 +138,31 @@ def _softmax_loss_rows(sims: np.ndarray, tau: float) -> np.ndarray:
     return lse - np.diagonal(z)
 
 
-def _pairwise_sims(anchors: np.ndarray, cands: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Cosine matrix between anchor rows and candidate rows; zeros score 0."""
+def _masked_sims(
+    anchors: np.ndarray, cands: np.ndarray, mask_rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """sims[i, j] = cos(a_i, c_j * m_i); a pair with a zero vector scores 0.
+
+    Also returns the anchor norms (B,), the masked candidate norms
+    |c_j * m_i| as a (B, B) matrix, and the (B, B) boolean matrix of pairs
+    whose vectors are both nonzero.
+    """
     an = np.linalg.norm(anchors, axis=1)
-    cn = np.linalg.norm(cands, axis=1)
-    denom = np.outer(an, cn)
-    zeros = int(np.count_nonzero(an == 0.0) * cands.shape[0])
-    zeros += int(np.count_nonzero(cn == 0.0) * np.count_nonzero(an > 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = np.where(denom > 0.0, (anchors @ cands.T) / np.where(denom > 0, denom, 1.0), 0.0)
-    return sims, zeros
+    # dot(a_i, c_j * m_i) == dot(a_i * m_i, c_j); |c_j * m_i|^2 == m_i^2 . c_j^2
+    dots = (anchors * mask_rows) @ cands.T
+    cn = np.sqrt(np.square(mask_rows) @ np.square(cands).T)
+    denom = an[:, None] * cn
+    valid = denom > 0.0
+    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=valid)
+    return sims, an, cn, valid
 
 
-def _anchor_masked_sims(
-    queries: np.ndarray, documents: np.ndarray, mask_rows: np.ndarray
+def _term_rows(
+    anchors: np.ndarray, cands: np.ndarray, mask_rows: np.ndarray, tau: float
 ) -> Tuple[np.ndarray, int]:
-    """sims[i, j] = cos(q_i, d_j * mask_rows[i]) with the zero convention."""
-    qn = np.linalg.norm(queries, axis=1)
-    # dot(q_i, d_j * m_i) == dot(q_i * m_i, d_j); candidate norms need m_i^2 x d_j^2
-    dots = (queries * mask_rows) @ documents.T
-    cand_norms = np.sqrt(np.square(mask_rows) @ np.square(documents).T)
-    denom = qn[:, None] * cand_norms
-    zeros = int(np.count_nonzero(denom == 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = np.where(denom > 0.0, dots / np.where(denom > 0, denom, 1.0), 0.0)
-    return sims, zeros
+    """Per-anchor loss of one contrastive term and its count of zero-vector pairs."""
+    sims, _, _, valid = _masked_sims(anchors, cands, mask_rows)
+    return _softmax_loss_rows(sims, tau), int(valid.size - np.count_nonzero(valid))
 
 
 def _warn_zero_sims(count: int) -> None:
@@ -210,26 +187,17 @@ def _forward(
     tau: float,
 ) -> Tuple[float, float, float, int]:
     """Vectorized (l_in, l_din, l_sin, zero_count) for one batch."""
-    sims_plain, z0 = _pairwise_sims(queries, documents)
-    l_in = float(_softmax_loss_rows(sims_plain, tau).mean())
-
-    sims_fwd, z1 = _anchor_masked_sims(queries, documents, masks)
-    masked_docs = documents * masks
-    sims_bwd, z2 = _pairwise_sims(masked_docs, queries)
-    l_din = float(
-        (0.5 * (_softmax_loss_rows(sims_fwd, tau) + _softmax_loss_rows(sims_bwd, tau))).mean()
-    )
-
-    n_parts = submasks.shape[1]
-    sparse_rows = np.zeros(queries.shape[0])
-    z3 = 0
-    for s in range(n_parts):
-        sims_s, zs = _anchor_masked_sims(queries, documents, submasks[:, s, :])
-        z3 += zs
-        sparse_rows += _softmax_loss_rows(sims_s, tau)
-    l_sin = float((sparse_rows / n_parts).mean())
-
-    return l_in, l_din, l_sin, z0 + z1 + z2 + z3
+    ones = np.ones_like(queries)
+    plain, z0 = _term_rows(queries, documents, ones, tau)
+    fwd, z1 = _term_rows(queries, documents, masks, tau)
+    bwd, z2 = _term_rows(documents * masks, queries, ones, tau)
+    sparse = [
+        _term_rows(queries, documents, submasks[:, s], tau) for s in range(submasks.shape[1])
+    ]
+    l_in = float(plain.mean())
+    l_din = float((0.5 * (fwd + bwd)).mean())
+    l_sin = float((sum(rows for rows, _ in sparse) / len(sparse)).mean())
+    return l_in, l_din, l_sin, z0 + z1 + z2 + sum(z for _, z in sparse)
 
 
 def total_loss(batch: Batch, tau: float, beta: float) -> LossReport:
@@ -251,37 +219,33 @@ def total_loss(batch: Batch, tau: float, beta: float) -> LossReport:
     )
 
 
-def _term_grads(
-    anchor: np.ndarray, cands: np.ndarray, pos: int, tau: float
+def _term_backward(
+    anchors: np.ndarray, cands: np.ndarray, mask_rows: np.ndarray, tau: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Gradients of -log softmax_pos(cos(anchor, cands)/tau) w.r.t. both sides.
+    """Gradients of the summed `_term_rows` loss w.r.t. anchors and candidates.
 
-    Returns (d_anchor, d_cands); rows of all-zero vectors contribute nothing
-    (their similarity is the constant 0).
+    With S from `_masked_sims`, coef = (softmax(S / tau) - I) / tau is the
+    gradient w.r.t. S, W = coef / (|a_i| |c_j m_i|) and V = coef S / |c_j m_i|^2:
+
+        d_anchors = M (W C) - rowsum(coef S) A / |A|^2
+        d_cands = W^T (M A) - C (V^T M^2)
+
+    Products of same-shape arrays are elementwise.  Pairs with a zero vector
+    have the constant similarity 0 and pass no gradient.
     """
-    b, dim = cands.shape
-    an = float(np.linalg.norm(anchor))
-    cn = np.linalg.norm(cands, axis=1)
-    sims = np.zeros(b)
-    valid = cn > 0.0
-    if an > 0.0:
-        sims[valid] = (cands[valid] @ anchor) / (cn[valid] * an)
+    sims, an, cn, valid = _masked_sims(anchors, cands, mask_rows)
     z = sims / tau
-    p = np.exp(z - z.max())
-    p /= p.sum()
-    coef = p / tau
-    coef[pos] -= 1.0 / tau
-
-    d_anchor = np.zeros(dim)
-    d_cands = np.zeros((b, dim))
-    if an > 0.0 and np.any(valid):
-        a_hat = anchor / an
-        c_hat = cands[valid] / cn[valid, None]
-        cv = coef[valid, None]
-        sv = sims[valid, None]
-        d_anchor = (cv * (c_hat - sv * a_hat)).sum(axis=0) / an
-        d_cands[valid] = cv * (a_hat[None, :] - sv * c_hat) / cn[valid, None]
-    return d_anchor, d_cands
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    coef = (p - np.eye(p.shape[0])) / tau
+    coef_s = coef * sims
+    w = np.divide(coef, an[:, None] * cn, out=np.zeros_like(coef), where=valid)
+    v = np.divide(coef_s, np.square(cn), out=np.zeros_like(coef), where=valid)
+    an_sq = np.square(an)
+    radial = coef_s.sum(axis=1) / np.where(an_sq > 0.0, an_sq, 1.0)
+    d_anchors = mask_rows * (w @ cands) - radial[:, None] * anchors
+    d_cands = w.T @ (mask_rows * anchors) - cands * (v.T @ np.square(mask_rows))
+    return d_anchors, d_cands
 
 
 def loss_gradients(batch: Batch, tau: float, beta: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -293,32 +257,25 @@ def loss_gradients(batch: Batch, tau: float, beta: float) -> Tuple[np.ndarray, n
     _check_tau(tau)
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    q, d = batch.queries, batch.positives
-    m, s = batch.masks, batch.submasks
-    b = batch.size
-    n = batch.n_submasks
-    grad_q = np.zeros_like(q)
-    grad_d = np.zeros_like(d)
-    w_dense = 0.5 / b
-    w_sparse = beta / (b * n)
+    q, d, m = batch.queries, batch.positives, batch.masks
+    w_dense = 0.5 / batch.size
 
-    masked_docs = d * m
-    for i in range(b):
-        # dense, query anchor: candidates are documents under pair i's mask
-        da, dc = _term_grads(q[i], d * m[i], i, tau)
-        grad_q[i] += w_dense * da
-        grad_d += w_dense * dc * m[i]
+    # dense, query anchors: candidates are the documents under the anchor pair's mask
+    da, dc = _term_backward(q, d, m, tau)
+    grad_q = w_dense * da
+    grad_d = w_dense * dc
 
-        # dense, masked-document anchor: candidates are the raw queries
-        da, dc = _term_grads(masked_docs[i], q, i, tau)
-        grad_d[i] += w_dense * da * m[i]
-        grad_q += w_dense * dc
+    # dense, masked-document anchors: candidates are the raw queries
+    da, dc = _term_backward(d * m, q, np.ones_like(q), tau)
+    grad_d += w_dense * da * m
+    grad_q += w_dense * dc
 
-        if beta > 0:
-            for part in range(n):
-                da, dc = _term_grads(q[i], d * s[i, part], i, tau)
-                grad_q[i] += w_sparse * da
-                grad_d += w_sparse * dc * s[i, part]
+    if beta > 0:
+        w_sparse = beta / (batch.size * batch.n_submasks)
+        for s in range(batch.n_submasks):
+            da, dc = _term_backward(q, d, batch.submasks[:, s], tau)
+            grad_q += w_sparse * da
+            grad_d += w_sparse * dc
     return grad_q, grad_d
 
 
@@ -326,7 +283,7 @@ def finite_difference_check(
     point: Batch,
     tau: float,
     beta: float,
-    step: float = 1e-4,
+    step: float,
     _gradients: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> float:
     """Worst central-difference discrepancy of the analytic gradients.

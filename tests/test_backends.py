@@ -18,6 +18,7 @@ from holorag.backends import (
 )
 from holorag.errors import (
     BackendUnavailableError,
+    CorpusParseError,
     FixtureMissError,
     MissingLogprobsError,
     ProbabilityOutOfRangeError,
@@ -140,6 +141,29 @@ class TestMockBackend:
         mock = MockBackend(strict=False)
         with pytest.raises(FixtureMissError):
             mock.embed_query("nope")
+
+    def test_document_embedding_kind_rejected(self):
+        with pytest.raises(ValueError, match="'query'"):
+            MockBackend().add_embedding("document", "d1", [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"embed": "document", "key": "d1", "vector": [1.0, 0.0]}',
+            '{"role": "oracle", "query": "q1", "docs": ["d1"], "text": "42", '
+            '"token_probs": [1.0]}',
+        ],
+        ids=["document-kind", "unknown-role"],
+    )
+    def test_from_file_bad_line_reports_line_number(self, tmp_path, bad_line):
+        path = tmp_path / "fixtures.jsonl"
+        path.write_text(
+            '{"embed": "query", "key": "q1", "vector": [1.0, 0.0]}\n' + bad_line + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusParseError, match="line 2") as info:
+            MockBackend.from_file(path)
+        assert info.value.line_number == 2
 
     def test_from_file_and_determinism(self, tmp_path):
         lines = [

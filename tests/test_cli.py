@@ -98,6 +98,14 @@ def test_removed_config_keys_rejected(key, retrieve_args, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_malformed_fixture_line_exits_user_error(retrieve_args, tmp_path, capsys):
+    fixtures = tmp_path / "fixtures.jsonl"
+    with fixtures.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"embed": "document", "key": "d1", "vector": [1.0]}) + "\n")
+    assert main(retrieve_args) == EXIT_USER_ERROR
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_loss_check_default_arguments_pass(capsys):
     assert main(["loss-check", "--seed", "0"]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out

@@ -5,6 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from holorag.checks import random_batch
 from holorag.errors import DimensionMismatchError, TemperatureNonPositiveError
@@ -16,6 +19,7 @@ from holorag.losses import (
     loss_gradients,
     total_loss,
 )
+from holorag.masking import MASK_LEVELS
 from holorag.reference import ref_info_nce, ref_losses
 
 # frozen via the naive reference recomputation (see reference.ref_losses);
@@ -36,6 +40,10 @@ CRAFTED_TOTAL = 1.1048358811520922
 INFONCE_B2_TAU1 = 0.31326168751822286  # -log(e / (e + 1))
 
 
+# vector entries on a quarter grid: exact zeros are common and no norm underflows
+GRID = st.integers(-8, 8).map(lambda k: k / 4.0)
+
+
 def crafted_batch() -> Batch:
     return Batch(
         queries=np.array(CRAFTED_QUERIES),
@@ -43,6 +51,85 @@ def crafted_batch() -> Batch:
         masks=np.array(CRAFTED_MASKS),
         submasks=np.array(CRAFTED_SUBMASKS),
     )
+
+
+def loop_term_grads(anchor, cands, pos, tau):
+    """Per-anchor gradients of -log softmax_pos(cos(anchor, cands)/tau).
+
+    Returns (d_anchor, d_cands); rows of all-zero vectors contribute nothing
+    (their similarity is the constant 0).
+    """
+    b, dim = cands.shape
+    an = float(np.linalg.norm(anchor))
+    cn = np.linalg.norm(cands, axis=1)
+    sims = np.zeros(b)
+    valid = cn > 0.0
+    if an > 0.0:
+        sims[valid] = (cands[valid] @ anchor) / (cn[valid] * an)
+    z = sims / tau
+    p = np.exp(z - z.max())
+    p /= p.sum()
+    coef = p / tau
+    coef[pos] -= 1.0 / tau
+
+    d_anchor = np.zeros(dim)
+    d_cands = np.zeros((b, dim))
+    if an > 0.0 and np.any(valid):
+        a_hat = anchor / an
+        c_hat = cands[valid] / cn[valid, None]
+        cv = coef[valid, None]
+        sv = sims[valid, None]
+        d_anchor = (cv * (c_hat - sv * a_hat)).sum(axis=0) / an
+        d_cands[valid] = cv * (a_hat[None, :] - sv * c_hat) / cn[valid, None]
+    return d_anchor, d_cands
+
+
+def loop_loss_gradients(batch, tau, beta):
+    """Gradient oracle for `loss_gradients`: one `loop_term_grads` call per anchor and term."""
+    q, d = batch.queries, batch.positives
+    m, s = batch.masks, batch.submasks
+    b = batch.size
+    n = batch.n_submasks
+    grad_q = np.zeros_like(q)
+    grad_d = np.zeros_like(d)
+    w_dense = 0.5 / b
+    w_sparse = beta / (b * n)
+
+    masked_docs = d * m
+    for i in range(b):
+        # dense, query anchor: candidates are documents under pair i's mask
+        da, dc = loop_term_grads(q[i], d * m[i], i, tau)
+        grad_q[i] += w_dense * da
+        grad_d += w_dense * dc * m[i]
+
+        # dense, masked-document anchor: candidates are the raw queries
+        da, dc = loop_term_grads(masked_docs[i], q, i, tau)
+        grad_d[i] += w_dense * da * m[i]
+        grad_q += w_dense * dc
+
+        if beta > 0:
+            for part in range(n):
+                da, dc = loop_term_grads(q[i], d * s[i, part], i, tau)
+                grad_q[i] += w_sparse * da
+                grad_d += w_sparse * dc * s[i, part]
+    return grad_q, grad_d
+
+
+@st.composite
+def degenerate_batches(draw):
+    """Small batches on GRID whose query, positive, mask and submask rows are
+    each zeroed with probability 1/2, so zero-vector pairs are common."""
+    b = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 3))
+    levels = st.sampled_from(MASK_LEVELS)
+    queries = draw(arrays(np.float64, (b, d), elements=GRID))
+    positives = draw(arrays(np.float64, (b, d), elements=GRID))
+    masks = draw(arrays(np.float64, (b, d), elements=levels))
+    submasks = draw(arrays(np.float64, (b, n, d), elements=levels))
+    for arr, rows in ((queries, b), (positives, b), (masks, b), (submasks, (b, n))):
+        arr[draw(arrays(np.bool_, rows))] = 0.0
+    return Batch(queries=queries, positives=positives, masks=masks, submasks=submasks)
 
 
 class TestInfoNce:
@@ -228,6 +315,20 @@ class TestGradients:
         assert bad > 10 * good
         assert bad > 1e-6
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batch=degenerate_batches(),
+        tau=st.sampled_from([0.01, 0.1, 1.0]),
+        beta=st.sampled_from([0.0, 0.7, 2.0]),
+    )
+    def test_matches_per_anchor_loop(self, batch, tau, beta):
+        # zero vectors make the loss discontinuous, so finite differences
+        # cannot check these points; the per-anchor loop can
+        got = loss_gradients(batch, tau, beta)
+        want = loop_loss_gradients(batch, tau, beta)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-10 * max(1.0, float(np.abs(w).max()))
+
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             finite_difference_check(crafted_batch(), 0.5, 1.0, step=0.0)
@@ -251,6 +352,10 @@ class TestBatchConstruction:
                 masks=np.array([[0.3, 1.0]]),
                 submasks=np.ones((1, 1, 2)),
             )
+
+    def test_build_batch_length_mismatch(self):
+        with pytest.raises(ValueError, match="align"):
+            build_batch([[1.0, 2.0, 3.0]] * 2, [[3.0, 1.0, 2.0]], n_parts=1)
 
     def test_build_batch_round_trip(self):
         rng = np.random.default_rng(37)
