@@ -5,7 +5,7 @@ retriever tuning, exact cosine retrieval, and a four-agent answer pipeline."""
 __version__ = "0.1.0"
 
 from .config import RunConfig
-from .masking import Embedding, HybridMask, l2_normalize
+from .masking import Embedding
 from .index import Pool, ingest_corpus, load_snapshot, merge_pools, save_snapshot, top_k
 from .losses import Batch, LossReport, total_loss
 from .pipeline import AnswerTrace, run_pipeline
@@ -14,13 +14,11 @@ __all__ = [
     "AnswerTrace",
     "Batch",
     "Embedding",
-    "HybridMask",
     "LossReport",
     "Pool",
     "RunConfig",
     "__version__",
     "ingest_corpus",
-    "l2_normalize",
     "load_snapshot",
     "merge_pools",
     "run_pipeline",

@@ -23,7 +23,7 @@ from .errors import (
     FormatVersionMismatchError,
     ZeroVectorError,
 )
-from .masking import DEFAULT_ALPHA, DEFAULT_EPS, Embedding, apply_mask, mask_pipeline
+from .masking import DEFAULT_ALPHA, DEFAULT_EPS, Embedding, mask_pipeline
 
 SNAPSHOT_FORMAT_VERSION = 1
 
@@ -218,9 +218,11 @@ def top_k(
 ) -> RankedResult:
     """Exact top-k retrieval by cosine similarity.
 
-    Ties break by ascending doc_id, then pool name.  Records with an all-zero
-    embedding score 0.  ``scoring="masked"`` is the experimental mode that
-    applies the per-pair hybrid mask to each document before scoring.
+    ``scoring="masked"`` first multiplies every document by its hybrid mask
+    against the query (`mask_pipeline`, one call over the whole pool), then
+    takes the cosine.  In both modes a record whose embedding norm is 0,
+    all-zero or underflowed, scores 0, as does a document its mask zeroes.
+    Ties break by ascending doc_id, then pool name.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -237,20 +239,19 @@ def top_k(
     if qn == 0.0:
         raise ZeroVectorError("query embedding is all zero")
 
+    norms = pool._norms
+    live = norms > 0.0
     if scoring == "cosine":
         dots = pool._matrix @ q
-        norms = pool._norms
-        scores = np.where(norms > 0.0, dots / (np.where(norms > 0.0, norms, 1.0) * qn), 0.0)
+        scores = np.where(live, dots / (np.where(live, norms, 1.0) * qn), 0.0)
     else:
+        docs = pool._matrix[live]
+        masked = docs * mask_pipeline(q, docs, alpha, eps)
+        # row-wise reductions, not a matrix product, so equal rows score equal
+        dots = (masked * q).sum(axis=1)
+        mn = np.linalg.norm(masked, axis=1)
         scores = np.zeros(len(pool.records))
-        for i, rec in enumerate(pool.records):
-            vals = rec.embedding.values
-            if not np.any(vals):
-                continue
-            masked = apply_mask(vals, mask_pipeline(q, vals, alpha, eps).weights)
-            mn = float(np.linalg.norm(masked))
-            if mn > 0.0:
-                scores[i] = float(np.dot(q, masked) / (qn * mn))
+        scores[live] = np.divide(dots, qn * mn, out=np.zeros_like(mn), where=mn > 0.0)
 
     order = sorted(
         range(len(pool.records)),

@@ -114,19 +114,22 @@ def build_batch(
 
     Pair i's partition uses seed + i so distinct pairs randomize independently
     while the whole batch stays reproducible.
+
+    Raises:
+        ZeroVectorError: if any query or document has zero norm.
+        PartitionTooFineError: if ``n_parts`` exceeds a pair's mask support.
+        ValueError: if alpha <= 0, eps <= 0, or the two lists differ in length.
     """
     if len(queries) != len(documents):
         raise ValueError("queries and documents must align")
-    qs = [v.values if isinstance(v, Embedding) else v for v in queries]
-    ds = [v.values if isinstance(v, Embedding) else v for v in documents]
-    masks = [mask_pipeline(q, d, alpha, eps) for q, d in zip(qs, ds)]
+    qs = np.stack([v.values if isinstance(v, Embedding) else v for v in queries])
+    ds = np.stack([v.values if isinstance(v, Embedding) else v for v in documents])
+    masks = mask_pipeline(qs, ds, alpha, eps)
     return Batch(
-        queries=np.stack(qs),
-        positives=np.stack(ds),
-        masks=np.stack([m.weights for m in masks]),
-        submasks=np.stack(
-            [np.stack(partition_mask(m, n_parts, seed + i).parts) for i, m in enumerate(masks)]
-        ),
+        queries=qs,
+        positives=ds,
+        masks=masks,
+        submasks=np.stack([partition_mask(m, n_parts, seed + i) for i, m in enumerate(masks)]),
     )
 
 

@@ -1,13 +1,15 @@
-"""Correlation-based hybrid masking over query-document embedding pairs.
+"""Correlation-based hybrid masking, computed row-wise over embedding arrays.
 
-The mask assigns each embedding dimension a weight in {0, 0.5, 1} from a
-two-threshold test on the standardized query-document correlation: the upper
-band passes salient dimensions through, the middle band keeps detail
-dimensions at half strength, and everything below the lower band is dropped.
+`mask_pipeline` pairs query rows with document rows.  For each pair it takes
+the absolute elementwise product of the two unit vectors, squashes it into
+(0, 1) with a z-scored sigmoid, and gives each dimension a weight from a
+two-threshold test at mu +/- alpha * sigma of that squashed row: 1 above the
+upper band (salient), 0.5 inside it (detail at half strength), 0 below it.
+One call masks a whole document matrix against a query, or a whole batch of
+pairs, so retrieval and batch construction share the same arithmetic.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -16,37 +18,23 @@ from .errors import DimensionMismatchError, PartitionTooFineError, ZeroVectorErr
 DEFAULT_EPS = 1e-8
 DEFAULT_ALPHA = 0.5
 
-# Tolerance on the unit-norm invariant of normalized embeddings.
-NORM_TOLERANCE = 1e-6
-
 MASK_LEVELS = (0.0, 0.5, 1.0)
-
-VectorLike = Union[Sequence[float], np.ndarray]
-
-
-def _as_vector(values: VectorLike) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty 1-D real vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Fixed-dimension real vector with an explicit normalization flag."""
+    """Nonempty, finite, read-only 1-D real vector."""
 
     values: np.ndarray
-    is_normalized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_vector(self.values))
-        if self.is_normalized:
-            norm = float(np.linalg.norm(self.values))
-            if abs(norm - 1.0) > NORM_TOLERANCE:
-                raise ValueError(f"embedding flagged normalized but has norm {norm:.9f}")
+        arr = np.array(self.values, dtype=np.float64)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("expected a nonempty 1-D real vector")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("vector entries must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @property
     def dimension(self) -> int:
@@ -55,207 +43,84 @@ class Embedding:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Embedding):
             return NotImplemented
-        return (
-            self.is_normalized == other.is_normalized
-            and self.values.shape == other.values.shape
-            and bool(np.all(self.values == other.values))
+        return self.values.shape == other.values.shape and bool(
+            np.all(self.values == other.values)
         )
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationVector:
-    """Per-dimension correlation between a query and a document.
-
-    ``raw`` holds the nonnegative elementwise correlations with their mean and
-    population standard deviation; ``standardized`` is the sigmoid-scaled
-    version in (0, 1), absent until `standardize_sigmoid` runs.
-    """
-
-    raw: np.ndarray
-    mean: float
-    std: float
-    standardized: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "raw", _as_vector(self.raw))
-        if np.any(self.raw < 0):
-            raise ValueError("raw correlations must be nonnegative")
-        if self.standardized is not None:
-            std = _as_vector(self.standardized)
-            if std.shape != self.raw.shape:
-                raise DimensionMismatchError("raw and standardized dimensions differ")
-            if np.any(std <= 0.0) or np.any(std >= 1.0):
-                raise ValueError("standardized correlations must lie strictly in (0, 1)")
-            object.__setattr__(self, "standardized", std)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.raw.shape[0])
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    if not np.all(norms > 0.0):
+        raise ZeroVectorError("cannot normalize a vector with zero norm")
+    return rows / norms
 
 
-@dataclass(frozen=True, eq=False)
-class HybridMask:
-    """Per-dimension weights in {0, 0.5, 1} plus the band-width parameter used."""
-
-    weights: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _as_vector(self.weights))
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if not np.all(np.isin(self.weights, MASK_LEVELS)):
-            raise ValueError("mask weights must be 0, 0.5, or 1")
-
-    @property
-    def dimension(self) -> int:
-        return int(self.weights.shape[0])
-
-    def support(self) -> np.ndarray:
-        """Indices of nonzero weights."""
-        return np.flatnonzero(self.weights)
-
-
-@dataclass(frozen=True, eq=False)
-class SubmaskSet:
-    """Disjoint parts of a hybrid mask whose elementwise max rebuilds it."""
-
-    parts: tuple
-    seed: int
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("a submask set needs at least one part")
-        parts = tuple(_as_vector(p) for p in self.parts)
-        dim = parts[0].shape[0]
-        if any(p.shape[0] != dim for p in parts):
-            raise DimensionMismatchError("all submask parts must share one dimension")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def n_parts(self) -> int:
-        return len(self.parts)
-
-
-def l2_normalize(v: VectorLike) -> Embedding:
-    """Scale a vector to unit Euclidean norm, preserving its direction.
-
-    Raises:
-        ZeroVectorError: if every entry is zero (no direction to preserve).
-    """
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty 1-D real vector")
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
-        raise ZeroVectorError("cannot normalize an all-zero vector")
-    return Embedding(arr / norm, is_normalized=True)
-
-
-def correlation(vq_n: Embedding, vd_n: Embedding) -> CorrelationVector:
-    """Absolute elementwise product of two normalized embeddings.
-
-    Records the mean and population standard deviation of the raw vector for
-    the later sigmoid standardization.
-    """
-    if not (vq_n.is_normalized and vd_n.is_normalized):
-        raise ValueError("correlation requires normalized embeddings")
-    if vq_n.dimension != vd_n.dimension:
-        raise DimensionMismatchError(
-            f"query dimension {vq_n.dimension} != document dimension {vd_n.dimension}"
-        )
-    raw = np.abs(vq_n.values * vd_n.values)
-    return CorrelationVector(raw=raw, mean=float(raw.mean()), std=float(raw.std()))
-
-
-def standardize_sigmoid(c: CorrelationVector, eps: float = DEFAULT_EPS) -> CorrelationVector:
-    """Squash raw correlations into (0, 1) via a z-scored sigmoid.
-
-    Each entry becomes 1 / (1 + exp(-(raw - mean) / (std + eps))); ``eps``
-    keeps the division defined when the correlations are constant, in which
-    case every output is exactly 0.5.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    z = (c.raw - c.mean) / (c.std + eps)
-    standardized = 1.0 / (1.0 + np.exp(-z))
-    return CorrelationVector(raw=c.raw, mean=c.mean, std=c.std, standardized=standardized)
-
-
-def hybrid_mask(
-    c_std: CorrelationVector,
+def mask_pipeline(
+    queries: np.ndarray,
+    documents: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
     eps: float = DEFAULT_EPS,
-) -> HybridMask:
-    """Two-threshold mask over standardized correlations.
+) -> np.ndarray:
+    """Hybrid mask weights in {0, 0.5, 1} for every query-document row pair.
 
-    With mu and sigma the mean and population standard deviation of the
-    standardized vector, an entry scores (1[c > mu - alpha*sigma] +
-    1[c > mu + alpha*sigma]) / 2, so weights land in {0, 0.5, 1}.  Both
-    inequalities are strict; threshold ties fall to the lower level.
+    ``queries`` is one (d,) row broadcast over (n, d) ``documents``, or a
+    (B, d) array paired row by row with (B, d) ``documents``; the weights
+    have the documents' shape.  Per pair, with c = |q/|q| * x/|x||:
 
-    A constant standardized vector (sigma < eps) carries no correlation
-    signal; strict thresholds would zero the whole mask and annihilate the
-    document embedding, so the all-ones mask is returned instead.
+        s = sigmoid((c - mean(c)) / (std(c) + eps))
+        w = (1[s > mu - alpha*sigma] + 1[s > mu + alpha*sigma]) / 2
+
+    where mu and sigma are the mean and population standard deviation of s.
+    Both inequalities are strict, so threshold ties fall to the lower level.
+    A row with sigma < eps carries no correlation signal; strict thresholds
+    would zero it and annihilate the document, so it gets all ones instead.
+
+    Raises:
+        ValueError: if alpha <= 0 or eps <= 0.
+        DimensionMismatchError: if the shapes do not pair up.
+        ZeroVectorError: if any query or document row has zero norm.
     """
-    if c_std.standardized is None:
-        raise ValueError("standardized correlations required; run standardize_sigmoid first")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    s = c_std.standardized
-    mu = float(s.mean())
-    sigma = float(s.std())
-    if sigma < eps:
-        return HybridMask(np.ones_like(s), alpha)
-    lower = s > (mu - alpha * sigma)
-    upper = s > (mu + alpha * sigma)
-    weights = (lower.astype(np.float64) + upper.astype(np.float64)) / 2.0
-    return HybridMask(weights, alpha)
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
+    q = np.asarray(queries, dtype=np.float64)
+    d = np.asarray(documents, dtype=np.float64)
+    if q.shape[-1:] != d.shape[-1:] or (q.ndim > 1 and q.shape != d.shape):
+        raise DimensionMismatchError(
+            f"query shape {q.shape} does not pair with document shape {d.shape}"
+        )
+    raw = np.abs(_unit_rows(q) * _unit_rows(d))
+    z = (raw - raw.mean(axis=-1, keepdims=True)) / (raw.std(axis=-1, keepdims=True) + eps)
+    s = 1.0 / (1.0 + np.exp(-z))
+    mu = s.mean(axis=-1, keepdims=True)
+    sigma = s.std(axis=-1, keepdims=True)
+    weights = ((s > mu - alpha * sigma).astype(np.float64) + (s > mu + alpha * sigma)) / 2.0
+    weights[sigma[..., 0] < eps] = 1.0
+    return weights
 
 
-def partition_mask(m: HybridMask, n_parts: int, seed: int) -> SubmaskSet:
-    """Split a mask into ``n_parts`` disjoint submasks at randomized positions.
+def partition_mask(weights: np.ndarray, n_parts: int, seed: int) -> np.ndarray:
+    """Split one mask row into ``n_parts`` disjoint submasks at randomized positions.
 
     The nonzero support is shuffled with a seeded generator and cut into
-    contiguous chunks as equal as possible, so every part is nonempty, the
-    parts are pairwise disjoint, and their elementwise max rebuilds ``m``
-    exactly.  Identical (mask, n_parts, seed) always produce the same split.
+    contiguous chunks as equal as possible, so every part (a row of the
+    returned (n_parts, d) array) is nonempty, the parts are pairwise
+    disjoint, and their elementwise max rebuilds ``weights`` exactly.
+    Identical (weights, n_parts, seed) always produce the same split.
 
     Raises:
         PartitionTooFineError: if ``n_parts`` exceeds the nonzero support size.
     """
     if n_parts < 1:
         raise ValueError("n_parts must be >= 1")
-    support = m.support()
+    support = np.flatnonzero(weights)
     if n_parts > support.size:
         raise PartitionTooFineError(
             f"cannot split {support.size} nonzero coordinates into {n_parts} parts"
         )
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(support)
-    parts = []
-    for chunk in np.array_split(order, n_parts):
-        part = np.zeros(m.dimension, dtype=np.float64)
-        part[chunk] = m.weights[chunk]
-        parts.append(part)
-    return SubmaskSet(parts=tuple(parts), seed=seed)
-
-
-def apply_mask(values: VectorLike, weights: VectorLike) -> np.ndarray:
-    """Elementwise product of an embedding with mask weights."""
-    v = np.asarray(values, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if v.shape != w.shape:
-        raise DimensionMismatchError(f"vector shape {v.shape} != mask shape {w.shape}")
-    return v * w
-
-
-def mask_pipeline(
-    query: VectorLike,
-    document: VectorLike,
-    alpha: float = DEFAULT_ALPHA,
-    eps: float = DEFAULT_EPS,
-) -> HybridMask:
-    """Full mask derivation for one pair: normalize, correlate, standardize, threshold."""
-    c = correlation(l2_normalize(query), l2_normalize(document))
-    return hybrid_mask(standardize_sigmoid(c, eps), alpha, eps)
+    order = np.random.default_rng(seed).permutation(support)
+    parts = np.zeros((n_parts, weights.shape[0]))
+    for part, chunk in zip(parts, np.array_split(order, n_parts)):
+        part[chunk] = weights[chunk]
+    return parts

@@ -6,6 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import mask_oracle
 
 from holorag.errors import (
     CorpusParseError,
@@ -161,13 +166,18 @@ class TestTopK:
         with pytest.raises(ZeroVectorError):
             top_k(pool, Embedding([0.0, 0.0]), k=1)
 
-    def test_zero_document_scores_zero(self):
-        pool = make_pool("p", [("zero", [0.0, 0.0]), ("real", [-1.0, 0.0])])
-        result = top_k(pool, Embedding([1.0, 0.0]), k=2)
+    @pytest.mark.parametrize("scoring", ["cosine", "masked"])
+    def test_zero_document_scores_zero(self, scoring):
+        # "tiny" is nonzero, but its squared entries underflow to a zero norm
+        pool = make_pool(
+            "p", [("zero", [0.0, 0.0]), ("real", [-1.0, 0.0]), ("tiny", [1e-200, 2e-200])]
+        )
+        result = top_k(pool, Embedding([1.0, 0.0]), k=3, scoring=scoring)
         scores = {e.doc_id: e.score for e in result.entries}
         assert scores["zero"] == 0.0
+        assert scores["tiny"] == 0.0
         assert scores["real"] == pytest.approx(-1.0)
-        assert [e.doc_id for e in result.entries] == ["zero", "real"]
+        assert [e.doc_id for e in result.entries] == ["tiny", "zero", "real"]
 
     def test_matches_full_scan_oracle(self):
         rng = np.random.default_rng(13)
@@ -202,6 +212,49 @@ class TestTopK:
         second = top_k(pool, query, k=5, scoring="masked")
         assert [e.doc_id for e in first.entries] == [e.doc_id for e in second.entries]
         assert all(-1.0 - 1e-12 <= e.score <= 1.0 + 1e-12 for e in first.entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 8), n=st.integers(1, 12))
+    def test_masked_matches_per_record_loop(self, data, d, n):
+        # entries on a quarter grid; zero rows are kept
+        grid = st.integers(-8, 8)
+        distinct = data.draw(arrays(np.int8, (n, d), elements=grid)) / 4.0
+        # record i stores row picks[i], so equal picks are exact duplicates;
+        # doc_ids are shuffled so pool order is not doc_id order
+        picks = [data.draw(st.integers(0, i)) for i in range(n)]
+        ids = data.draw(st.permutations([f"d{i:02d}" for i in range(n)]))
+        query = data.draw(arrays(np.int8, d, elements=grid)) / 4.0
+        query[-1] = query[-1] or 1.0
+        k = data.draw(st.integers(1, n))
+        pool = make_pool("p", [(ids[i], distinct[j]) for i, j in enumerate(picks)])
+
+        got = top_k(pool, Embedding(query), k=k, scoring="masked")
+        want = mask_oracle.loop_top_k_masked(pool, query, k)
+        assert got.doc_keys() == want.doc_keys()
+        for g, w in zip(got.entries, want.entries):
+            assert abs(g.score - w.score) <= 1e-12
+
+        every = top_k(pool, Embedding(query), k=n, scoring="masked").entries
+        by_row = {}
+        for e in every:
+            by_row.setdefault(picks[ids.index(e.doc_id)], set()).add(e.score)
+        assert all(len(scores) == 1 for scores in by_row.values())
+
+    def test_masked_duplicates_tie_exactly(self):
+        # Gaussian entries: a matrix-vector product may round equal rows
+        # differently, which would break the doc_id order among duplicates
+        rng = np.random.default_rng(16)
+        for d in (5, 37, 128):
+            vectors = rng.normal(size=(41, d))
+            copies = [1, 6, 13, 22, 39, 40]
+            vectors[copies] = vectors[0]
+            pool = make_pool("p", [(f"d{40 - i:02d}", v) for i, v in enumerate(vectors)])
+            entries = top_k(pool, Embedding(rng.normal(size=d)), k=41, scoring="masked").entries
+            tied = [e for e in entries if e.doc_id in {f"d{40 - i:02d}" for i in [0] + copies}]
+            assert len({e.score for e in tied}) == 1
+            ranks = [entries.index(e) for e in tied]
+            assert ranks == list(range(ranks[0], ranks[0] + len(tied)))
+            assert [e.doc_id for e in tied] == sorted(e.doc_id for e in tied)
 
     def test_unknown_scoring_mode(self):
         pool = make_pool("p", [("a", [1.0])])

@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mask_oracle
 from holorag.checks import random_batch
-from holorag.errors import DimensionMismatchError, TemperatureNonPositiveError
+from holorag.errors import (
+    DimensionMismatchError,
+    PartitionTooFineError,
+    TemperatureNonPositiveError,
+    ZeroVectorError,
+)
 from holorag.losses import (
     Batch,
     ZeroSimilarityWarning,
@@ -356,6 +362,49 @@ class TestBatchConstruction:
     def test_build_batch_length_mismatch(self):
         with pytest.raises(ValueError, match="align"):
             build_batch([[1.0, 2.0, 3.0]] * 2, [[3.0, 1.0, 2.0]], n_parts=1)
+
+    @pytest.mark.parametrize("zero", ["query", "document"])
+    def test_build_batch_zero_vector(self, zero):
+        rng = np.random.default_rng(38)
+        queries, documents = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
+        (queries if zero == "query" else documents)[2] = 0.0
+        with pytest.raises(ZeroVectorError):
+            build_batch(queries, documents, n_parts=1)
+
+    def test_build_batch_partition_too_fine(self):
+        # a 2-d mask has at most 2 nonzero coordinates to split
+        with pytest.raises(PartitionTooFineError):
+            build_batch([[1.0, 2.0], [2.0, 1.0]], [[2.0, 1.0], [1.0, 3.0]], n_parts=3)
+
+    @pytest.mark.parametrize("alpha, eps", [(0.0, 1e-8), (-0.5, 1e-8), (0.5, 0.0), (0.5, -1.0)])
+    def test_build_batch_nonpositive_alpha_or_eps(self, alpha, eps):
+        with pytest.raises(ValueError):
+            build_batch([[1.0, 2.0, 3.0]], [[3.0, 1.0, 2.0]], alpha=alpha, n_parts=1, eps=eps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        b=st.integers(1, 5),
+        d=st.integers(1, 16),
+        n_parts=st.integers(1, 3),
+        seed=st.integers(0, 2**31),
+        alpha=st.sampled_from([0.25, 0.5, 2.0]),
+    )
+    def test_build_batch_matches_per_pair_build(self, data, b, d, n_parts, seed, alpha):
+        quarters = st.integers(-8, 8)
+        queries = data.draw(arrays(np.int8, (b, d), elements=quarters)) / 4.0
+        documents = data.draw(arrays(np.int8, (b, d), elements=quarters)) / 4.0
+        for rows in (queries, documents):
+            rows[~np.any(rows, axis=1), 0] = 1.0
+        try:
+            want = mask_oracle.loop_build_batch(queries, documents, alpha, n_parts, seed)
+        except PartitionTooFineError:
+            with pytest.raises(PartitionTooFineError):
+                build_batch(queries, documents, alpha, n_parts, seed)
+            return
+        got = build_batch(queries, documents, alpha, n_parts, seed)
+        for name in ("queries", "positives", "masks", "submasks"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_build_batch_round_trip(self):
         rng = np.random.default_rng(37)

@@ -1,19 +1,25 @@
-"""Unit and property tests for normalization, correlation, and hybrid masks."""
+"""Tests for the row-wise hybrid mask and the per-pair staged oracle it replaced.
+
+The staged classes (`TestL2Normalize` to `TestHybridMask`) pin the hand cases
+of the mask math on `mask_oracle`, and `TestMaskPipeline` requires the
+row-wise `mask_pipeline` to reproduce that oracle bit for bit.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import mask_oracle
 from holorag.errors import DimensionMismatchError, PartitionTooFineError, ZeroVectorError
-from holorag.masking import (
+from holorag.masking import mask_pipeline, partition_mask
+from mask_oracle import (
     CorrelationVector,
     Embedding,
-    HybridMask,
     correlation,
     hybrid_mask,
     l2_normalize,
-    partition_mask,
     standardize_sigmoid,
 )
 
@@ -207,21 +213,21 @@ class TestHybridMask:
 
 class TestPartitionMask:
     def _mask(self, weights):
-        return HybridMask(np.asarray(weights, dtype=np.float64), alpha=0.5)
+        return np.asarray(weights, dtype=np.float64)
 
     def test_single_part_identity(self):
         mask = self._mask([1.0, 0.5, 0.0, 1.0])
-        parts = partition_mask(mask, 1, seed=3).parts
-        assert len(parts) == 1
-        np.testing.assert_array_equal(parts[0], mask.weights)
+        parts = partition_mask(mask, 1, seed=3)
+        assert parts.shape == (1, 4)
+        np.testing.assert_array_equal(parts[0], mask)
 
     def test_two_parts_disjoint_and_reconstruct(self):
         mask = self._mask([1.0, 0.5, 0.0, 1.0])
-        sub = partition_mask(mask, 2, seed=9)
-        assert len(sub.parts) == 2
-        np.testing.assert_array_equal(sub.parts[0] * sub.parts[1], np.zeros(4))
-        np.testing.assert_array_equal(np.stack(sub.parts).max(axis=0), mask.weights)
-        assert all(np.any(p) for p in sub.parts)
+        parts = partition_mask(mask, 2, seed=9)
+        assert parts.shape == (2, 4)
+        np.testing.assert_array_equal(parts[0] * parts[1], np.zeros(4))
+        np.testing.assert_array_equal(parts.max(axis=0), mask)
+        assert all(np.any(p) for p in parts)
 
     def test_empty_support(self):
         with pytest.raises(PartitionTooFineError):
@@ -237,10 +243,9 @@ class TestPartitionMask:
 
     def test_determinism(self):
         mask = self._mask([1.0, 0.5, 1.0, 0.0, 0.5, 1.0])
-        first = partition_mask(mask, 3, seed=123)
-        second = partition_mask(mask, 3, seed=123)
-        for p, q in zip(first.parts, second.parts):
-            np.testing.assert_array_equal(p, q)
+        np.testing.assert_array_equal(
+            partition_mask(mask, 3, seed=123), partition_mask(mask, 3, seed=123)
+        )
 
     def test_random_partitions_lawful(self):
         rng = np.random.default_rng(33)
@@ -250,10 +255,98 @@ class TestPartitionMask:
             if not np.any(levels):
                 levels[0] = 1.0
             mask = self._mask(levels)
-            n = int(rng.integers(1, min(4, mask.support().size) + 1))
-            sub = partition_mask(mask, n, seed=int(rng.integers(1 << 31)))
-            stacked = np.stack(sub.parts)
-            np.testing.assert_array_equal(stacked.max(axis=0), mask.weights)
+            n = int(rng.integers(1, min(4, np.count_nonzero(mask)) + 1))
+            stacked = partition_mask(mask, n, seed=int(rng.integers(1 << 31)))
+            np.testing.assert_array_equal(stacked.max(axis=0), mask)
             for i in range(n):
                 for j in range(i + 1, n):
                     assert not np.any(stacked[i] * stacked[j])
+
+    def test_matches_staged_oracle(self):
+        rng = np.random.default_rng(34)
+        for _ in range(100):
+            levels = rng.choice([0.0, 0.5, 1.0], size=int(rng.integers(1, 32)))
+            levels[0] = 1.0
+            n = int(rng.integers(1, np.count_nonzero(levels) + 1))
+            seed = int(rng.integers(1 << 31))
+            want = mask_oracle.partition_mask(mask_oracle.HybridMask(levels, 0.5), n, seed)
+            np.testing.assert_array_equal(partition_mask(levels, n, seed), np.stack(want.parts))
+
+
+@st.composite
+def grid_rows(draw, count, d):
+    """(count, d) nonzero rows on a quarter grid in [-2, 2]; some are constant,
+    some repeat the row before.  Sums of squares of grid values are exact, so
+    a row's norm does not depend on summation order, and equal entries, which
+    tie at any threshold together, are common."""
+    out = draw(arrays(np.int8, (count, d), elements=st.integers(-8, 8))) / 4.0
+    kinds = draw(st.lists(st.integers(0, 2), min_size=count, max_size=count))
+    for i, kind in enumerate(kinds):
+        if kind == 1:
+            out[i] = out[i, 0]
+        elif kind == 2 and i > 0:
+            out[i] = out[i - 1]
+    out[~np.any(out, axis=1), -1] = 1.0
+    return out
+
+
+def assert_rows_match_oracle(queries, documents, weights, alpha=0.5):
+    paired = np.broadcast_to(queries, documents.shape)
+    for q, d, w in zip(paired, documents, weights):
+        np.testing.assert_array_equal(w, mask_oracle.mask_pipeline(q, d, alpha).weights)
+
+
+class TestMaskPipeline:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 64), n=st.integers(1, 6), one_query=st.booleans())
+    def test_matches_staged_oracle_bitwise(self, data, d, n, one_query):
+        documents = data.draw(grid_rows(n, d))
+        queries = data.draw(grid_rows(1, d))[0] if one_query else data.draw(grid_rows(n, d))
+        alpha = data.draw(st.sampled_from((0.25, 0.5, 1.0, 2.0)))
+        weights = mask_pipeline(queries, documents, alpha)
+        assert weights.shape == documents.shape
+        assert_rows_match_oracle(queries, documents, weights, alpha)
+
+    def test_gaussian_rows_match_staged_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            d = int(rng.integers(2, 200))
+            documents = rng.normal(size=(int(rng.integers(1, 40)), d))
+            documents[1::5] = documents[0]
+            for queries in (rng.normal(size=d), rng.normal(size=documents.shape)):
+                assert_rows_match_oracle(queries, documents, mask_pipeline(queries, documents))
+
+    def test_three_band_hand_case(self):
+        # c = [0.6, 0.3, 0] z-scores to [1.22, 0, -1.22]: one entry per band
+        weights = mask_pipeline([1.0, 1.0, 1.0], [[0.6, 0.3, 0.0]], alpha=0.5)
+        np.testing.assert_array_equal(weights, [[1.0, 0.5, 0.0]])
+
+    def test_constant_correlation_gives_all_ones(self):
+        # |q * d| is the same in every dimension of both rows
+        weights = mask_pipeline([1.0, -2.0, 0.5], [[2.0, 1.0, 4.0], [-1.0, 0.5, -2.0]])
+        np.testing.assert_array_equal(weights, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("zero", ["query", "document"])
+    def test_any_zero_row_raises(self, zero):
+        queries = np.ones((3, 2))
+        documents = np.ones((3, 2))
+        (queries if zero == "query" else documents)[1] = 0.0
+        with pytest.raises(ZeroVectorError):
+            mask_pipeline(queries, documents)
+
+    def test_underflowing_row_raises(self):
+        with pytest.raises(ZeroVectorError):
+            mask_pipeline([1.0, 1.0, 1.0], [[1.0, 0.0, 0.0], [1e-200, 1e-200, 2e-200]])
+
+    @pytest.mark.parametrize("alpha, eps", [(0.0, 1e-8), (-1.0, 1e-8), (0.5, 0.0), (0.5, -1e-8)])
+    def test_alpha_and_eps_positive(self, alpha, eps):
+        with pytest.raises(ValueError):
+            mask_pipeline([1.0, 2.0], [[2.0, 1.0]], alpha=alpha, eps=eps)
+
+    @pytest.mark.parametrize(
+        "queries, documents",
+        [([1.0, 0.0], [[1.0, 0.0, 0.0]]), ([[1.0, 0.0]] * 2, [[1.0, 0.0]] * 3)],
+    )
+    def test_shapes_must_pair(self, queries, documents):
+        with pytest.raises(DimensionMismatchError):
+            mask_pipeline(queries, documents)
