@@ -9,7 +9,7 @@ is injectable so recorded wire transcripts can be replayed in tests.
 import math
 import os
 import time
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..errors import BackendUnavailableError, ConfigError, MissingLogprobsError
 from ..masking import Embedding
@@ -134,7 +134,6 @@ class HttpBackend(ModelBackend):
     def embed_query(self, query: str) -> Embedding:
         body = self._post("/embeddings", {"model": self.model, "input": query})
         try:
-            vector: Sequence[float] = body["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
+            return Embedding(body["data"][0]["embedding"])
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendUnavailableError(f"malformed embedding response: {body!r}") from exc
-        return Embedding(vector)

@@ -22,7 +22,7 @@ from .errors import (
     UnparseableScoreError,
 )
 from .index import Pool, merge_pools, pools_by_name, top_k
-from .pipeline import ROUTE_HQP, ROUTE_LQP, AnswerTrace, run_pipeline
+from .pipeline import ROUTE_HQP, ROUTE_LQP, run_pipeline
 
 NDCG_K = 5
 CORRECT_THRESHOLD = 4
@@ -227,7 +227,7 @@ def _single_pool_for(example: QaExample, by_name: Dict[str, Pool]) -> Pool:
 def _check_gold_present(dataset: Sequence[QaExample], pools: Sequence[Pool]) -> None:
     for example in dataset:
         missing = {
-            key for key in example.gold_doc_ids if not any(key in p.by_key for p in pools)
+            key for key in example.gold_doc_ids if not any(key in p.rows for p in pools)
         }
         if missing:
             raise MissingGoldDocumentError(
@@ -312,16 +312,13 @@ def evaluate_e2e(
     by_name = pools_by_name(pools)
     merged = merge_pools(pools) if config.pool_mode == "all" else None
 
-    def worker(example: QaExample) -> Tuple[ExampleResult, Optional[AnswerTrace]]:
+    def worker(example: QaExample) -> ExampleResult:
         pool = merged if config.pool_mode == "all" else _single_pool_for(example, by_name)
         trace = run_pipeline(example.query, pool, config, answer_backend)
         if trace.failed:
             if not config.skip_on_error:
                 raise HoloRagError(f"example {example.query_id!r} failed: {trace.error}")
-            return (
-                ExampleResult(query_id=example.query_id, error=trace.error),
-                trace,
-            )
+            return ExampleResult(query_id=example.query_id, error=trace.error)
         try:
             score, correct = judge_accuracy(
                 trace.final_answer, example.gold_answer, judge_backend, query=example.query
@@ -329,29 +326,22 @@ def evaluate_e2e(
         except HoloRagError as exc:
             if not config.skip_on_error:
                 raise
-            return (
-                ExampleResult(
-                    query_id=example.query_id,
-                    route=trace.route.kind if trace.route else None,
-                    error=f"{type(exc).__name__}: {exc}",
-                ),
-                trace,
-            )
-        return (
-            ExampleResult(
+            return ExampleResult(
                 query_id=example.query_id,
-                judge_score=score,
-                correct=correct,
                 route=trace.route.kind if trace.route else None,
-                iterations=len(trace.fineprint_iterations),
-                answer=trace.final_answer,
-            ),
-            trace,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        return ExampleResult(
+            query_id=example.query_id,
+            judge_score=score,
+            correct=correct,
+            route=trace.route.kind if trace.route else None,
+            iterations=len(trace.fineprint_iterations),
+            answer=trace.final_answer,
         )
 
-    outcomes = _run_parallel(worker, list(dataset), config.parallelism)
-    outcomes.sort(key=lambda pair: pair[0].query_id)
-    results = tuple(result for result, _ in outcomes)
+    results = _run_parallel(worker, list(dataset), config.parallelism)
+    results = tuple(sorted(results, key=lambda r: r.query_id))
 
     judged = [r for r in results if r.judge_score is not None]
     routed = [r for r in results if r.route is not None]

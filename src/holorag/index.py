@@ -1,17 +1,19 @@
 """Document embedding store with exact cosine top-k retrieval.
 
-Pools are immutable after construction; ingestion and merging build new
-pools.  Retrieval is an exact full scan (corpora here are desk scale), with
-deterministic tie-breaking so rankings are reproducible.
+A pool is stored as columns: one read-only (n, d) float64 matrix holding
+every embedding once, and beside it the (pool_name, doc_id) key and the
+metadata of each row.  Pools are immutable after construction; ingestion and
+merging build new pools.  Retrieval is an exact full scan (corpora here are
+desk scale): both scoring modes share one row-wise cosine formula and one
+sort, so equal rows score equal and ties break by doc_id, then pool name.
 """
 
 import json
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -29,33 +31,7 @@ SNAPSHOT_FORMAT_VERSION = 1
 
 MERGED_POOL_NAME = "all"
 
-
-@dataclass(frozen=True, eq=False)
-class DocumentRecord:
-    """One stored document: identity, provenance pool, embedding, metadata."""
-
-    doc_id: str
-    pool_name: str
-    embedding: Embedding
-    metadata: dict = field(default_factory=dict)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DocumentRecord):
-            return NotImplemented
-        return (
-            self.doc_id == other.doc_id
-            and self.pool_name == other.pool_name
-            and self.embedding == other.embedding
-            and self.metadata == other.metadata
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "embedding": [float(x) for x in self.embedding.values],
-            "metadata": self.metadata,
-            "pool": self.pool_name,
-        }
+Key = Tuple[str, str]
 
 
 class RankedEntry(NamedTuple):
@@ -87,81 +63,127 @@ class RankedResult:
 
 @dataclass(frozen=True, eq=False)
 class Pool:
-    """Named, immutable collection of document records sharing one dimension.
+    """Named, immutable set of documents stored as columns.
 
-    ``by_key`` maps each record's (pool_name, doc_id) to the record.
+    Row i of the read-only (n, d) ``matrix`` is the embedding of the document
+    keyed ``keys[i]``, a (pool_name, doc_id) pair, whose metadata is
+    ``metadata[i]``.  ``rows`` maps each key to its row.  The matrix is
+    copied on construction; every row must be finite with a finite norm.
     """
 
     name: str
-    dimension: int
-    records: Tuple[DocumentRecord, ...]
-    by_key: Dict[Tuple[str, str], DocumentRecord] = field(init=False, repr=False)
+    matrix: np.ndarray
+    keys: Tuple[Key, ...]
+    metadata: Tuple[dict, ...]
+    rows: Dict[Key, int] = field(init=False, repr=False)
+    _live: np.ndarray = field(init=False, repr=False)
+    _tie_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        by_key = {}
-        for rec in self.records:
-            if rec.embedding.dimension != self.dimension:
-                raise DimensionMismatchError(
-                    f"record {rec.doc_id!r} has dimension {rec.embedding.dimension}, "
-                    f"pool declares {self.dimension}"
-                )
-            key = (rec.pool_name, rec.doc_id)
-            if key in by_key:
+        matrix = np.array(self.matrix, dtype=np.float64)
+        keys, metadata = tuple(self.keys), tuple(self.metadata)
+        if matrix.ndim != 2 or not (matrix.shape[0] == len(keys) == len(metadata)):
+            raise DimensionMismatchError(
+                f"matrix of shape {matrix.shape} does not match "
+                f"{len(keys)} keys and {len(metadata)} metadata entries"
+            )
+        rows = {}
+        for i, key in enumerate(keys):
+            if key in rows:
                 raise DuplicateIdError(f"duplicate document key {key!r}")
-            by_key[key] = rec
-        object.__setattr__(self, "by_key", by_key)
+            rows[key] = i
+        with np.errstate(over="ignore"):
+            squared_norms = np.einsum("ij,ij->i", matrix, matrix)
+        if not np.all(np.isfinite(squared_norms)):
+            raise ValueError("embedding rows must be finite with a finite norm")
+        # rank of each row by (doc_id, pool_name), the tie-break of top_k
+        by_doc_id = sorted(range(len(keys)), key=lambda i: (keys[i][1], keys[i][0]))
+        tie_rank = np.empty(len(keys), dtype=np.intp)
+        tie_rank[by_doc_id] = np.arange(len(keys))
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "metadata", metadata)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_live", squared_norms > 0.0)
+        object.__setattr__(self, "_tie_rank", tie_rank)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.matrix.shape[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pool):
             return NotImplemented
         return (
             self.name == other.name
-            and self.dimension == other.dimension
-            and self.records == other.records
+            and self.keys == other.keys
+            and self.metadata == other.metadata
+            and np.array_equal(self.matrix, other.matrix)
         )
 
-    @cached_property
-    def _matrix(self) -> np.ndarray:
-        if not self.records:
-            return np.zeros((0, self.dimension))
-        return np.stack([rec.embedding.values for rec in self.records])
 
-    @cached_property
-    def _norms(self) -> np.ndarray:
-        return np.linalg.norm(self._matrix, axis=1)
+def _line_error(line_number: int, message: str) -> CorpusParseError:
+    return CorpusParseError(f"line {line_number}: {message}", line_number)
 
 
-def _record_from_dict(data: dict, line_number: int, expect_dim: Optional[int]) -> DocumentRecord:
-    if not isinstance(data, dict):
-        raise CorpusParseError(f"line {line_number}: expected a JSON object", line_number)
-    try:
-        doc_id = data["doc_id"]
-        pool_name = data["pool"]
-        embedding = data["embedding"]
-    except KeyError as exc:
-        raise CorpusParseError(f"line {line_number}: missing field {exc}", line_number) from exc
-    if not isinstance(doc_id, str) or not isinstance(pool_name, str):
-        raise CorpusParseError(f"line {line_number}: doc_id and pool must be strings", line_number)
-    if not isinstance(embedding, list) or not embedding:
-        raise CorpusParseError(
-            f"line {line_number}: embedding must be a nonempty array", line_number
-        )
-    if expect_dim is not None and len(embedding) != expect_dim:
-        raise DimensionMismatchError(
-            f"line {line_number}: embedding length {len(embedding)} != expected {expect_dim}"
-        )
-    metadata = data.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise CorpusParseError(f"line {line_number}: metadata must be an object", line_number)
-    try:
-        emb = Embedding(embedding)
-    except (ValueError, TypeError) as exc:
-        raise CorpusParseError(f"line {line_number}: bad embedding ({exc})", line_number) from exc
-    return DocumentRecord(doc_id=doc_id, pool_name=pool_name, embedding=emb, metadata=metadata)
+def _read_rows(
+    handle: TextIO, first_line: int, dimension: Optional[int], one_pool: bool
+) -> Tuple[List[Key], List[dict], np.ndarray]:
+    """Parse JSON-lines documents into key, metadata and matrix columns.
+
+    Each nonblank line is {"doc_id": str, "pool": str, "embedding": [floats],
+    "metadata": object}.  Every embedding must pass `Embedding`'s check and
+    have ``dimension`` entries, or as many as the first one when
+    ``dimension`` is None.  With ``one_pool`` every line must name the same
+    pool.  Parse errors name the line, counted from ``first_line``; a
+    repeated key is left to `Pool`.
+    """
+    keys: List[Key] = []
+    metadata: List[dict] = []
+    rows: List[np.ndarray] = []
+    for line_number, line in enumerate(handle, start=first_line):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise _line_error(line_number, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(data, dict):
+            raise _line_error(line_number, "expected a JSON object")
+        try:
+            doc_id = data["doc_id"]
+            pool_name = data["pool"]
+            embedding = data["embedding"]
+        except KeyError as exc:
+            raise _line_error(line_number, f"missing field {exc}") from exc
+        if not isinstance(doc_id, str) or not isinstance(pool_name, str):
+            raise _line_error(line_number, "doc_id and pool must be strings")
+        try:
+            values = Embedding(embedding).values
+        except (ValueError, TypeError) as exc:
+            raise _line_error(line_number, f"bad embedding ({exc})") from exc
+        if dimension is not None and len(values) != dimension:
+            raise DimensionMismatchError(
+                f"line {line_number}: embedding length {len(values)} != expected {dimension}"
+            )
+        meta = data.get("metadata", {})
+        if not isinstance(meta, dict):
+            raise _line_error(line_number, "metadata must be an object")
+        if one_pool and keys and pool_name != keys[0][0]:
+            raise _line_error(
+                line_number,
+                f"pool {pool_name!r} differs from {keys[0][0]!r}; one corpus file holds one pool",
+            )
+        dimension = len(values)
+        keys.append((pool_name, doc_id))
+        metadata.append(meta)
+        rows.append(values)
+    matrix = np.stack(rows) if rows else np.zeros((0, dimension or 0))
+    return keys, metadata, matrix
 
 
 def ingest_corpus(path: Union[str, Path]) -> Pool:
@@ -173,39 +195,12 @@ def ingest_corpus(path: Union[str, Path]) -> Pool:
     yields an empty pool and a warning.
     """
     path = Path(path)
-    records = []
-    pool_name: Optional[str] = None
-    dimension: Optional[int] = None
-    keys = set()
     with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusParseError(
-                    f"line {line_number}: invalid JSON ({exc.msg})", line_number
-                ) from exc
-            record = _record_from_dict(data, line_number, dimension)
-            if pool_name is None:
-                pool_name = record.pool_name
-                dimension = record.embedding.dimension
-            elif record.pool_name != pool_name:
-                raise CorpusParseError(
-                    f"line {line_number}: pool {record.pool_name!r} differs from "
-                    f"{pool_name!r}; one corpus file holds one pool",
-                    line_number,
-                )
-            key = (record.pool_name, record.doc_id)
-            if key in keys:
-                raise DuplicateIdError(f"line {line_number}: duplicate doc_id {record.doc_id!r}")
-            keys.add(key)
-            records.append(record)
-    if not records:
+        keys, metadata, matrix = _read_rows(handle, 1, None, one_pool=True)
+    if not keys:
         warnings.warn(f"corpus file {path} contained no records")
-        return Pool(name=path.stem, dimension=0, records=())
-    return Pool(name=pool_name, dimension=dimension, records=tuple(records))
+        return Pool(name=path.stem, matrix=matrix, keys=(), metadata=())
+    return Pool(name=keys[0][0], matrix=matrix, keys=keys, metadata=metadata)
 
 
 def top_k(
@@ -219,17 +214,19 @@ def top_k(
     """Exact top-k retrieval by cosine similarity.
 
     ``scoring="masked"`` first multiplies every document by its hybrid mask
-    against the query (`mask_pipeline`, one call over the whole pool), then
-    takes the cosine.  In both modes a record whose embedding norm is 0,
-    all-zero or underflowed, scores 0, as does a document its mask zeroes.
-    Ties break by ascending doc_id, then pool name.
+    against the query (`mask_pipeline`, one call over the whole pool).  Both
+    modes then score each row with the same row-wise formula,
+    dot(q, x) / (|q| |x|), so exact duplicate rows score bit-identically.
+    A record whose embedding norm is 0, all-zero or underflowed, scores 0,
+    as does a document its mask zeroes.  One sort ranks scores descending,
+    ties by ascending doc_id, then pool name.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if scoring not in CHOICES["scoring_mode"]:
         raise ValueError(f"unknown scoring mode {scoring!r}")
     q = query.values if isinstance(query, Embedding) else np.asarray(query, dtype=np.float64)
-    if not pool.records:
+    if len(pool) == 0:
         return RankedResult(entries=(), k=k)
     if q.shape != (pool.dimension,):
         raise DimensionMismatchError(
@@ -239,27 +236,22 @@ def top_k(
     if qn == 0.0:
         raise ZeroVectorError("query embedding is all zero")
 
-    norms = pool._norms
-    live = norms > 0.0
-    if scoring == "cosine":
-        dots = pool._matrix @ q
-        scores = np.where(live, dots / (np.where(live, norms, 1.0) * qn), 0.0)
-    else:
-        docs = pool._matrix[live]
-        masked = docs * mask_pipeline(q, docs, alpha, eps)
-        # row-wise reductions, not a matrix product, so equal rows score equal
-        dots = (masked * q).sum(axis=1)
-        mn = np.linalg.norm(masked, axis=1)
-        scores = np.zeros(len(pool.records))
-        scores[live] = np.divide(dots, qn * mn, out=np.zeros_like(mn), where=mn > 0.0)
+    rows, docs = slice(None), pool.matrix
+    if scoring == "masked":
+        # the mask needs a direction: rows of norm 0 (all-zero or underflowed)
+        # are left out and score 0, as the `where` below scores them in cosine
+        rows = pool._live
+        docs = docs[rows]
+        docs = docs * mask_pipeline(q, docs, alpha, eps)
+    # per-row sums of products, not a BLAS product, so equal rows score equal
+    dots = np.einsum("ij,j->i", docs, q)
+    norms = np.sqrt(np.einsum("ij,ij->i", docs, docs))
+    scores = np.zeros(len(pool))
+    scores[rows] = np.divide(dots, qn * norms, out=np.zeros_like(norms), where=norms > 0.0)
 
-    order = sorted(
-        range(len(pool.records)),
-        key=lambda i: (-scores[i], pool.records[i].doc_id, pool.records[i].pool_name),
-    )
+    order = np.lexsort((pool._tie_rank, -scores))[:k]
     entries = tuple(
-        RankedEntry(pool.records[i].doc_id, pool.records[i].pool_name, float(scores[i]))
-        for i in order[: min(k, len(pool.records))]
+        RankedEntry(pool.keys[i][1], pool.keys[i][0], float(scores[i])) for i in order
     )
     return RankedResult(entries=entries, k=k)
 
@@ -272,12 +264,16 @@ def merge_pools(pools: Sequence[Pool]) -> Pool:
     """
     if not pools:
         raise ValueError("merge_pools needs at least one pool")
-    dimensions = {p.dimension for p in pools if p.records}
+    filled = [p for p in pools if len(p)]
+    dimensions = {p.dimension for p in filled}
     if len(dimensions) > 1:
         raise DimensionMismatchError(f"pools have mixed dimensions {sorted(dimensions)}")
-    dimension = dimensions.pop() if dimensions else 0
-    records = tuple(rec for pool in pools for rec in pool.records)
-    return Pool(name=MERGED_POOL_NAME, dimension=dimension, records=records)
+    return Pool(
+        name=MERGED_POOL_NAME,
+        matrix=np.concatenate([p.matrix for p in filled]) if filled else np.zeros((0, 0)),
+        keys=tuple(key for p in filled for key in p.keys),
+        metadata=tuple(meta for p in filled for meta in p.metadata),
+    )
 
 
 def save_snapshot(pool: Pool, path: Union[str, Path]) -> None:
@@ -291,16 +287,23 @@ def save_snapshot(pool: Pool, path: Union[str, Path]) -> None:
     """
     path = Path(path)
     header = {
-        "count": len(pool.records),
+        "count": len(pool),
         "dimension": pool.dimension,
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "name": pool.name,
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(rec.to_dict(), sort_keys=True) for rec in pool.records)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.write(json.dumps(header, sort_keys=True) + "\n")
+            for (pool_name, doc_id), metadata, row in zip(pool.keys, pool.metadata, pool.matrix):
+                record = {
+                    "doc_id": doc_id,
+                    "embedding": row.tolist(),
+                    "metadata": metadata,
+                    "pool": pool_name,
+                }
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -329,22 +332,12 @@ def load_snapshot(path: Union[str, Path]) -> Pool:
             count = int(header["count"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusParseError(f"snapshot header malformed: {exc}") from exc
-        records = []
-        for line_number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusParseError(
-                    f"line {line_number}: invalid JSON ({exc.msg})", line_number
-                ) from exc
-            records.append(_record_from_dict(data, line_number, dimension if count else None))
-    if len(records) != count:
+        keys, metadata, matrix = _read_rows(handle, 2, dimension, one_pool=False)
+    if len(keys) != count:
         raise CorpusParseError(
-            f"snapshot declares {count} records but contains {len(records)}"
+            f"snapshot declares {count} records but contains {len(keys)}"
         )
-    return Pool(name=name, dimension=dimension, records=tuple(records))
+    return Pool(name=name, matrix=matrix, keys=keys, metadata=metadata)
 
 
 def pools_by_name(pools: Sequence[Pool]) -> Dict[str, Pool]:

@@ -23,7 +23,7 @@ MASK_LEVELS = (0.0, 0.5, 1.0)
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Nonempty, finite, read-only 1-D real vector."""
+    """Nonempty, finite, read-only 1-D real vector whose L2 norm is finite."""
 
     values: np.ndarray
 
@@ -31,21 +31,13 @@ class Embedding:
         arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("expected a nonempty 1-D real vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("vector entries must be finite")
+        # a NaN or infinite entry, or an overflowing square, makes this non-finite
+        with np.errstate(over="ignore"):
+            squared_norm = arr @ arr
+        if not np.isfinite(squared_norm):
+            raise ValueError("vector entries and L2 norm must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.values.shape[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Embedding):
-            return NotImplemented
-        return self.values.shape == other.values.shape and bool(
-            np.all(self.values == other.values)
-        )
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:

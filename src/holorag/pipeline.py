@@ -353,16 +353,14 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
     invalid ``config`` raises ConfigError before any backend call.  The trace
     echoes ``config.to_dict()``.
     """
-    if not pool.records:
+    if len(pool) == 0:
         raise ValueError("pipeline needs a nonempty pool")
     config.validate()
     config_echo = config.to_dict()
 
     def resolve(pool_name: str, doc_id: str) -> DocRef:
-        rec = pool.by_key[(pool_name, doc_id)]
-        text = rec.metadata.get("text")
-        image = rec.metadata.get("image")
-        return DocRef(doc_id=doc_id, text=text, image=image)
+        metadata = pool.metadata[pool.rows[(pool_name, doc_id)]]
+        return DocRef(doc_id=doc_id, text=metadata.get("text"), image=metadata.get("image"))
 
     log: List[dict] = []
     ranked: Optional[RankedResult] = None

@@ -4,18 +4,30 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from holorag.backends import MockBackend
 from holorag.config import RunConfig
 from holorag.errors import BackendUnavailableError
-from holorag.index import DocumentRecord, Pool
-from holorag.masking import Embedding
+from holorag.index import Pool
 
 DATA_DIR = Path(__file__).parent / "data"
 
 INV_E = 1.0 / math.e
 
 
-def demo_pool(name: str = "charts", dim: int = 4) -> Pool:
+def make_pool(name: str, vectors, metadata=None) -> Pool:
+    """Pool ``name`` from (doc_id, vector) pairs; ``metadata`` maps a doc_id to its dict."""
+    metadata = metadata or {}
+    return Pool(
+        name=name,
+        matrix=np.array([vec for _, vec in vectors], dtype=np.float64),
+        keys=tuple((name, doc_id) for doc_id, _ in vectors),
+        metadata=tuple(metadata.get(doc_id, {}) for doc_id, _ in vectors),
+    )
+
+
+def demo_pool(name: str = "charts") -> Pool:
     """Four orthogonal documents; a query along axis 0 ranks d1, d2, d3, d4."""
     vectors = {
         "d1": [1.0, 0.0, 0.0, 0.0],
@@ -23,11 +35,8 @@ def demo_pool(name: str = "charts", dim: int = 4) -> Pool:
         "d3": [0.25, 0.0, 0.9682458365518543, 0.0],
         "d4": [0.1, 0.0, 0.0, 0.99498743710662],
     }
-    records = tuple(
-        DocumentRecord(doc_id, name, Embedding(vec), {"text": f"page {doc_id} of {name}"})
-        for doc_id, vec in vectors.items()
-    )
-    return Pool(name=name, dimension=dim, records=records)
+    texts = {doc_id: {"text": f"page {doc_id} of {name}"} for doc_id in vectors}
+    return make_pool(name, list(vectors.items()), texts)
 
 
 def scripted_scenario(kind: str, query: str | None = None, mock: MockBackend | None = None):
@@ -46,7 +55,7 @@ def scripted_scenario(kind: str, query: str | None = None, mock: MockBackend | N
     mock.add_embedding("query", query, [1.0, 0.05, 0.02, 0.01])
     initial = f"measured-initial::{kind}::do-not-reuse"
     final = f"final::{kind}"
-    docs_texts = {rec.doc_id: rec.metadata["text"] for rec in pool.records}
+    docs_texts = {doc_id: meta["text"] for (_, doc_id), meta in zip(pool.keys, pool.metadata)}
     expected = {"query": query, "final": final, "initial": initial, "kind": kind}
 
     def probe(doc_ids, n, verdict):

@@ -1,10 +1,11 @@
-"""Per-pair staged mask derivation and the per-record masked scan.
+"""Per-pair staged mask derivation and the per-row top-k scans.
 
 This is the code `holorag.masking` and the masked branch of
 `holorag.index.top_k` ran before the mask math became one row-wise
 `mask_pipeline`: one query-document pair at a time, through frozen
 intermediate objects.  It is kept, arithmetic unchanged, as the reference
-the row-wise code is tested against.
+the row-wise code is tested against.  The cosine scan beside it scores one
+row at a time, and both scans rank with a Python sort.
 """
 
 from dataclasses import dataclass
@@ -260,6 +261,31 @@ def mask_pipeline(
     return hybrid_mask(standardize_sigmoid(c, eps), alpha, eps)
 
 
+def _rank_rows(pool, scores: np.ndarray, k: int) -> RankedResult:
+    """Rows by score descending, then doc_id, then pool name, with a Python sort."""
+    order = sorted(
+        range(len(pool)),
+        key=lambda i: (-scores[i], pool.keys[i][1], pool.keys[i][0]),
+    )
+    entries = tuple(
+        RankedEntry(pool.keys[i][1], pool.keys[i][0], float(scores[i]))
+        for i in order[: min(k, len(pool))]
+    )
+    return RankedResult(entries=entries, k=k)
+
+
+def loop_top_k_cosine(pool, query: np.ndarray, k: int) -> RankedResult:
+    """Cosine top-k as one dot product per row of ``pool.matrix``, in a Python loop."""
+    q = np.asarray(query, dtype=np.float64)
+    qn = float(np.linalg.norm(q))
+    scores = np.zeros(len(pool))
+    for i, vals in enumerate(pool.matrix):
+        norm = float(np.linalg.norm(vals))
+        if norm > 0.0:
+            scores[i] = float(np.dot(q, vals) / (qn * norm))
+    return _rank_rows(pool, scores, k)
+
+
 def loop_top_k_masked(
     pool,
     query: np.ndarray,
@@ -267,28 +293,18 @@ def loop_top_k_masked(
     alpha: float = DEFAULT_ALPHA,
     eps: float = DEFAULT_EPS,
 ) -> RankedResult:
-    """Masked top-k as one `mask_pipeline` call per record, in a Python loop."""
+    """Masked top-k as one `mask_pipeline` call per row of ``pool.matrix``, in a Python loop."""
     q = np.asarray(query, dtype=np.float64)
     qn = float(np.linalg.norm(q))
-    scores = np.zeros(len(pool.records))
-    for i, rec in enumerate(pool.records):
-        vals = rec.embedding.values
+    scores = np.zeros(len(pool))
+    for i, vals in enumerate(pool.matrix):
         if not np.any(vals):
             continue
         masked = apply_mask(vals, mask_pipeline(q, vals, alpha, eps).weights)
         mn = float(np.linalg.norm(masked))
         if mn > 0.0:
             scores[i] = float(np.dot(q, masked) / (qn * mn))
-
-    order = sorted(
-        range(len(pool.records)),
-        key=lambda i: (-scores[i], pool.records[i].doc_id, pool.records[i].pool_name),
-    )
-    entries = tuple(
-        RankedEntry(pool.records[i].doc_id, pool.records[i].pool_name, float(scores[i]))
-        for i in order[: min(k, len(pool.records))]
-    )
-    return RankedResult(entries=entries, k=k)
+    return _rank_rows(pool, scores, k)
 
 
 def loop_build_batch(

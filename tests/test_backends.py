@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from helpers import TranscriptTransport, load_transcript
+from helpers import TranscriptTransport, demo_pool, load_transcript
 from holorag.backends import (
     DocRef,
     GenerationRequest,
@@ -24,6 +24,8 @@ from holorag.errors import (
     ProbabilityOutOfRangeError,
     UnparseableVerdictError,
 )
+from holorag.config import RunConfig
+from holorag.pipeline import run_pipeline
 
 
 class TestRequestAndResultTypes:
@@ -264,3 +266,24 @@ class TestHttpBackend:
         )
         with pytest.raises(BackendUnavailableError, match="malformed"):
             backend.generate(any_request())
+
+    @staticmethod
+    def embedding_backend(vector):
+        body = {"data": [{"object": "embedding", "index": 0, "embedding": vector}]}
+        transport = TranscriptTransport([{"status": 200, "body": body}])
+        return HttpBackend(
+            base_url="https://rag.example/v1", model="m", transport=transport, retry_wait=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "vector", [[], [None, 1.0], ["x", 1.0], [1e200, 1.0]], ids=["empty", "null", "str", "huge"]
+    )
+    def test_malformed_embedding_vector(self, vector):
+        with pytest.raises(BackendUnavailableError, match="malformed embedding response"):
+            self.embedding_backend(vector).embed_query("q")
+
+    def test_malformed_embedding_fails_the_trace(self):
+        trace = run_pipeline("q", demo_pool(), RunConfig(), self.embedding_backend(["x", 1.0]))
+        assert trace.failed
+        assert trace.final_answer is None
+        assert "malformed embedding response" in trace.error

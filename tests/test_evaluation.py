@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from helpers import demo_pool, scripted_scenario
+from helpers import demo_pool, make_pool, scripted_scenario
 from holorag.backends import DocRef, MockBackend
 from holorag.config import RunConfig
 from holorag.errors import HoloRagError, MissingGoldDocumentError, UnparseableScoreError
@@ -16,8 +17,6 @@ from holorag.evaluation import (
     load_dataset,
     ndcg_at_k,
 )
-from holorag.index import DocumentRecord, Pool
-from holorag.masking import Embedding
 
 NDCG_RANK2 = 0.6309297535714575  # 1 / log2(3)
 HANDCRAFTED_MEAN = 0.5327324383928644  # (1 + 1/log2(3) + 0.5 + 0) / 4
@@ -96,16 +95,8 @@ class TestJudgeAccuracy:
 
 
 def angle_pool(name, spec):
-    records = tuple(
-        DocumentRecord(
-            doc_id,
-            name,
-            Embedding([math.cos(math.radians(a)), math.sin(math.radians(a))]),
-            {},
-        )
-        for doc_id, a in spec
-    )
-    return Pool(name=name, dimension=2, records=records)
+    rad = {doc_id: math.radians(a) for doc_id, a in spec}
+    return make_pool(name, [(doc_id, [math.cos(r), math.sin(r)]) for doc_id, r in rad.items()])
 
 
 def embed_backend(queries):
@@ -117,14 +108,7 @@ def embed_backend(queries):
 
 class TestEvaluateRetrieval:
     def test_constructed_optimum(self):
-        pool = Pool(
-            name="p",
-            dimension=3,
-            records=tuple(
-                DocumentRecord(f"g{i}", "p", Embedding(axis), {})
-                for i, axis in enumerate(([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]))
-            ),
-        )
+        pool = make_pool("p", [(f"g{i}", axis) for i, axis in enumerate(np.eye(3))])
         mock = MockBackend()
         dataset = []
         for i, axis in enumerate(([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0])):

@@ -2,7 +2,6 @@
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mask_oracle
-
+from helpers import DATA_DIR, make_pool
 from holorag.errors import (
     CorpusParseError,
     DimensionMismatchError,
@@ -20,7 +19,6 @@ from holorag.errors import (
     ZeroVectorError,
 )
 from holorag.index import (
-    DocumentRecord,
     Pool,
     ingest_corpus,
     load_snapshot,
@@ -33,19 +31,6 @@ from holorag.masking import Embedding
 
 def write_corpus(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-
-
-def make_pool(name, vectors, texts=None):
-    records = tuple(
-        DocumentRecord(
-            doc_id,
-            name,
-            Embedding(vec),
-            {"text": texts[doc_id]} if texts and doc_id in texts else {},
-        )
-        for doc_id, vec in vectors
-    )
-    return Pool(name=name, dimension=len(records[0].embedding.values), records=records)
 
 
 class TestIngest:
@@ -112,6 +97,19 @@ class TestIngest:
         )
         with pytest.raises(CorpusParseError, match="one pool"):
             ingest_corpus(path)
+
+    def test_overflowing_norm_names_line(self, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        write_corpus(
+            path,
+            [
+                {"doc_id": "a", "pool": "p", "embedding": [1.0, 1.0]},
+                {"doc_id": "b", "pool": "p", "embedding": [1e200, 1.0]},
+            ],
+        )
+        with pytest.raises(CorpusParseError, match="norm") as info:
+            ingest_corpus(path)
+        assert info.value.line_number == 2
 
 
 class TestTopK:
@@ -214,33 +212,49 @@ class TestTopK:
         assert all(-1.0 - 1e-12 <= e.score <= 1.0 + 1e-12 for e in first.entries)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), d=st.integers(1, 8), n=st.integers(1, 12))
-    def test_masked_matches_per_record_loop(self, data, d, n):
+    @given(
+        data=st.data(),
+        d=st.integers(1, 8),
+        n=st.integers(1, 12),
+        scoring=st.sampled_from(["cosine", "masked"]),
+    )
+    def test_matches_per_record_loop(self, data, d, n, scoring):
         # entries on a quarter grid; zero rows are kept
         grid = st.integers(-8, 8)
         distinct = data.draw(arrays(np.int8, (n, d), elements=grid)) / 4.0
-        # record i stores row picks[i], so equal picks are exact duplicates;
-        # doc_ids are shuffled so pool order is not doc_id order
+        # row i stores row picks[i], so equal picks are exact duplicates;
+        # doc_ids are shuffled so row order is not doc_id order
         picks = [data.draw(st.integers(0, i)) for i in range(n)]
         ids = data.draw(st.permutations([f"d{i:02d}" for i in range(n)]))
         query = data.draw(arrays(np.int8, d, elements=grid)) / 4.0
         query[-1] = query[-1] or 1.0
         k = data.draw(st.integers(1, n))
-        pool = make_pool("p", [(ids[i], distinct[j]) for i, j in enumerate(picks)])
+        # rows from `split` on form pool "p", which reuses the doc_ids of pool
+        # "q" stored before it, so equal rows can tie on doc_id and fall back
+        # to the pool name
+        split = data.draw(st.integers(1, n))
+        pools = [make_pool("q", [(ids[i], distinct[picks[i]]) for i in range(split)])]
+        if split < n:
+            pools.append(
+                make_pool("p", [(ids[i - split], distinct[picks[i]]) for i in range(split, n)])
+            )
+        pool = merge_pools(pools)
+        loop = {"cosine": mask_oracle.loop_top_k_cosine, "masked": mask_oracle.loop_top_k_masked}
 
-        got = top_k(pool, Embedding(query), k=k, scoring="masked")
-        want = mask_oracle.loop_top_k_masked(pool, query, k)
+        got = top_k(pool, Embedding(query), k=k, scoring=scoring)
+        want = loop[scoring](pool, query, k)
         assert got.doc_keys() == want.doc_keys()
         for g, w in zip(got.entries, want.entries):
             assert abs(g.score - w.score) <= 1e-12
 
-        every = top_k(pool, Embedding(query), k=n, scoring="masked").entries
+        pick_of = dict(zip(pool.keys, picks))
         by_row = {}
-        for e in every:
-            by_row.setdefault(picks[ids.index(e.doc_id)], set()).add(e.score)
+        for e in top_k(pool, Embedding(query), k=n, scoring=scoring).entries:
+            by_row.setdefault(pick_of[(e.pool_name, e.doc_id)], set()).add(e.score)
         assert all(len(scores) == 1 for scores in by_row.values())
 
-    def test_masked_duplicates_tie_exactly(self):
+    @pytest.mark.parametrize("scoring", ["cosine", "masked"])
+    def test_duplicates_tie_exactly(self, scoring):
         # Gaussian entries: a matrix-vector product may round equal rows
         # differently, which would break the doc_id order among duplicates
         rng = np.random.default_rng(16)
@@ -249,7 +263,7 @@ class TestTopK:
             copies = [1, 6, 13, 22, 39, 40]
             vectors[copies] = vectors[0]
             pool = make_pool("p", [(f"d{40 - i:02d}", v) for i, v in enumerate(vectors)])
-            entries = top_k(pool, Embedding(rng.normal(size=d)), k=41, scoring="masked").entries
+            entries = top_k(pool, Embedding(rng.normal(size=d)), k=41, scoring=scoring).entries
             tied = [e for e in entries if e.doc_id in {f"d{40 - i:02d}" for i in [0] + copies}]
             assert len({e.score for e in tied}) == 1
             ranks = [entries.index(e) for e in tied]
@@ -267,7 +281,9 @@ class TestMergePools:
         pool = make_pool("p", [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
         merged = merge_pools([pool])
         assert merged.name == "all"
-        assert merged.records == pool.records
+        assert merged.keys == pool.keys
+        assert merged.metadata == pool.metadata
+        np.testing.assert_array_equal(merged.matrix, pool.matrix)
 
     def test_merge_sizes_add_up(self):
         p1 = make_pool("p1", [("a", [1.0]), ("b", [2.0])])
@@ -300,16 +316,9 @@ class TestMergePools:
 class TestSnapshots:
     def _big_pool(self):
         rng = np.random.default_rng(99)
-        records = tuple(
-            DocumentRecord(
-                f"doc{i:03d}",
-                "snap",
-                Embedding(rng.normal(size=6)),
-                {"text": f"body {i}", "page": i},
-            )
-            for i in range(100)
-        )
-        return Pool(name="snap", dimension=6, records=records)
+        ids = [f"doc{i:03d}" for i in range(100)]
+        metadata = {doc_id: {"text": f"body {i}", "page": i} for i, doc_id in enumerate(ids)}
+        return make_pool("snap", list(zip(ids, rng.normal(size=(100, 6)))), metadata)
 
     def test_round_trip_equality(self, tmp_path):
         pool = self._big_pool()
@@ -348,26 +357,34 @@ class TestSnapshots:
             load_snapshot(path)
 
     def test_empty_pool_round_trip(self, tmp_path):
-        pool = Pool(name="void", dimension=0, records=())
+        pool = Pool(name="void", matrix=np.zeros((0, 0)), keys=(), metadata=())
         path = tmp_path / "void.snap"
         save_snapshot(pool, path)
         assert load_snapshot(path) == pool
 
-    def test_interrupted_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+    def test_golden_v1_snapshot_round_trips_bytes(self, tmp_path):
+        # holds -0.0, 5e-324, 1e20, 0.1, non-ASCII metadata and one doc_id in two pools
+        golden = DATA_DIR / "snapshot_v1.jsonl"
+        pool = load_snapshot(golden)
+        assert pool.keys == (("charts", "p1"), ("charts", "p2"), ("slides", "p1"))
+        assert pool.matrix[0].tolist() == [-0.0, 5e-324, 1e20]
+        assert np.signbit(pool.matrix[0, 0])
+        path = tmp_path / "copy.snap"
+        save_snapshot(pool, path)
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_interrupted_save_keeps_previous_snapshot(self, tmp_path):
         old = self._big_pool()
         path = tmp_path / "pool.snap"
         save_snapshot(old, path)
         before = path.read_bytes()
 
-        def write_half_then_fail(self, data, encoding=None, errors=None, newline=None):
-            with open(self, "w", encoding=encoding) as handle:
-                handle.write(data[: len(data) // 2])
-            raise OSError("simulated interruption mid-write")
-
-        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-        with pytest.raises(OSError, match="simulated"):
-            save_snapshot(make_pool("snap", [("new", [1.0, 0.0])]), path)
-        monkeypatch.undo()
+        # the last row's metadata cannot be serialized, so the save fails
+        # after the rows before it were written
+        rows = [(f"new{i:03d}", np.ones(6)) for i in range(100)]
+        bad = make_pool("snap", rows, {"new099": {"tags": {"not", "json"}}})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_snapshot(bad, path)
         assert path.read_bytes() == before
         assert load_snapshot(path) == old
         assert [p.name for p in tmp_path.iterdir()] == ["pool.snap"]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mask_oracle
+from holorag import masking
 from holorag.errors import DimensionMismatchError, PartitionTooFineError, ZeroVectorError
 from holorag.masking import mask_pipeline, partition_mask
 from mask_oracle import (
@@ -25,6 +26,17 @@ from mask_oracle import (
 
 SIGMOID_PLUS_ONE = 0.7310585786300049
 SIGMOID_MINUS_ONE = 0.2689414213699951
+
+
+class TestEmbedding:
+    def test_large_finite_norm_accepted(self):
+        assert masking.Embedding([1e150, 1.0]).values[0] == 1e150
+
+    @pytest.mark.parametrize("values", [[1e200, 1.0], [1e154, 1e154, 1e154]])
+    def test_overflowing_norm_rejected(self, values):
+        # the suite turns RuntimeWarning into errors, so the check must not warn
+        with pytest.raises(ValueError, match="norm must be finite"):
+            masking.Embedding(values)
 
 
 class TestL2Normalize:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,7 +272,7 @@ class TestRunPipeline:
 
     def test_empty_pool_rejected(self):
         _, _, config, mock, _ = scripted_scenario("lqp")
-        empty = Pool(name="void", dimension=4, records=())
+        empty = Pool(name="void", matrix=np.zeros((0, 4)), keys=(), metadata=())
         with pytest.raises(ValueError):
             run_pipeline("q", empty, config, mock)
 
