@@ -1,10 +1,11 @@
 """Abstract boundary to the vision-language model.
 
-Backends embed queries and generate text with per-token probabilities.
+Backends embed queries and generate text with per-token log-probabilities.
 Requests carry a prompt role that selects the template and the constrained
 output shape the pipeline parses.
 """
 
+import math
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -78,18 +79,21 @@ class GenerationRequest:
 
 @dataclass(frozen=True)
 class GenerationResult:
-    """Generated text plus the probability the model gave each emitted token."""
+    """Generated text plus the natural-log probability of each emitted token.
+
+    The one check on token confidence: each logprob is finite and <= 0, unclamped.
+    """
 
     text: str
-    token_probs: Tuple[float, ...]
+    token_logprobs: Tuple[float, ...]
     finish_reason: str = "stop"
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.token_probs)
-        for p in probs:
-            if not (0.0 < p <= 1.0):
-                raise ProbabilityOutOfRangeError(f"token probability {p} outside (0, 1]")
-        object.__setattr__(self, "token_probs", probs)
+        logprobs = tuple(float(lp) for lp in self.token_logprobs)
+        for lp in logprobs:
+            if not (math.isfinite(lp) and lp <= 0.0):
+                raise ProbabilityOutOfRangeError(f"token logprob {lp} is not finite and <= 0")
+        object.__setattr__(self, "token_logprobs", logprobs)
         if self.finish_reason not in FINISH_REASONS:
             raise ValueError(f"finish_reason must be one of {FINISH_REASONS}")
 

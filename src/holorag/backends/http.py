@@ -1,12 +1,12 @@
 """OpenAI-compatible chat-completions backend.
 
 Generation posts to ``{base_url}/chat/completions`` at temperature 0 with
-per-token log-probabilities requested; probabilities come back as
-exp(logprob).  Embeddings post to ``{base_url}/embeddings``.  The transport
-is injectable so recorded wire transcripts can be replayed in tests.
+per-token log-probabilities requested, passed on unchanged; a missing,
+non-numeric, non-finite or positive one raises MissingLogprobsError.
+Embeddings post to ``{base_url}/embeddings``.  Transport failures, 429 and 5xx
+are retried.  The transport is injectable so wire transcripts replay in tests.
 """
 
-import math
 import os
 import time
 from typing import Callable, Optional, Tuple
@@ -82,21 +82,18 @@ class HttpBackend(ModelBackend):
         url = f"{self.base_url}{path}"
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
+            if attempt:
+                time.sleep(self.retry_wait * attempt)
             try:
                 status, body = self._transport(url, payload, self._headers(), self.timeout)
             except BackendUnavailableError as exc:
                 last_error = exc
-                if attempt < self.max_retries:
-                    time.sleep(self.retry_wait * (attempt + 1))
                 continue
-            if status >= 500:
-                last_error = BackendUnavailableError(f"{url} returned status {status}")
-                if attempt < self.max_retries:
-                    time.sleep(self.retry_wait * (attempt + 1))
-                continue
-            if status >= 400:
-                raise BackendUnavailableError(f"{url} returned status {status}: {body}")
-            return body
+            if status < 400:
+                return body
+            last_error = BackendUnavailableError(f"{url} returned status {status}: {body}")
+            if status < 500 and status != 429:
+                raise last_error
         raise BackendUnavailableError(
             f"{url} failed after {self.max_retries + 1} attempts: {last_error}"
         )
@@ -122,14 +119,14 @@ class HttpBackend(ModelBackend):
                 "backend returned no token log-probabilities; entropy routing "
                 "cannot run (enable logprobs support or use the mock backend)"
             )
-        try:
-            probs = tuple(min(1.0, math.exp(float(t["logprob"]))) for t in content)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MissingLogprobsError(f"malformed logprob entries: {content!r}") from exc
         finish = choice.get("finish_reason", "stop")
         if finish not in ("stop", "length"):
             finish = "error"
-        return GenerationResult(text=text, token_probs=probs, finish_reason=finish)
+        try:
+            token_logprobs = tuple(t["logprob"] for t in content)
+            return GenerationResult(text, token_logprobs, finish)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MissingLogprobsError(f"malformed logprob entries ({exc}): {content!r}") from exc
 
     def embed_query(self, query: str) -> Embedding:
         body = self._post("/embeddings", {"model": self.model, "input": query})

@@ -7,6 +7,7 @@ response but never invents embeddings.
 """
 
 import json
+import math
 import threading
 from pathlib import Path
 from typing import Dict, FrozenSet, Sequence, Tuple, Union
@@ -22,11 +23,11 @@ GenKey = Tuple[str, str, FrozenSet[str], int]
 
 def _canned_result(role: PromptRole) -> GenerationResult:
     if role == PromptRole.SUFFICIENCY_PROBE:
-        return GenerationResult(text="NO - unscripted probe", token_probs=(1.0,))
+        return GenerationResult(text="NO - unscripted probe", token_logprobs=(0.0,))
     if role == PromptRole.JUDGE_SCORE:
-        return GenerationResult(text="unscripted judgement\n1", token_probs=(1.0,))
+        return GenerationResult(text="unscripted judgement\n1", token_logprobs=(0.0,))
     # low-confidence filler: entropy high enough to land on the deep path
-    return GenerationResult(text="unknown", token_probs=(0.5, 0.5))
+    return GenerationResult(text="unknown", token_logprobs=(math.log(0.5),) * 2)
 
 
 class MockBackend(ModelBackend):
@@ -45,8 +46,9 @@ class MockBackend(ModelBackend):
         """Load fixtures from a JSON-lines file.
 
         Generation lines: {"role", "query", "docs": [ids], "iteration",
-        "text", "token_probs"}.  Embedding lines: {"embed": "query", "key",
-        "vector"}.  A malformed line raises CorpusParseError with its number.
+        "text", "token_probs"}; each probability in (0, 1] becomes a logprob.
+        Embedding lines: {"embed": "query", "key", "vector"}.  A malformed line
+        or a probability outside (0, 1] raises CorpusParseError with its number.
         """
         backend = cls(strict=strict)
         path = Path(path)
@@ -94,9 +96,8 @@ class MockBackend(ModelBackend):
         finish_reason: str = "stop",
     ) -> None:
         key = (PromptRole(role).value, query, frozenset(doc_ids), int(iteration))
-        self._generations[key] = GenerationResult(
-            text=text, token_probs=tuple(token_probs), finish_reason=finish_reason
-        )
+        logprobs = tuple(math.log(p) for p in token_probs)
+        self._generations[key] = GenerationResult(text, logprobs, finish_reason)
 
     def add_embedding(self, kind: str, key: str, vector: Sequence[float]) -> None:
         if kind != "query":

@@ -30,7 +30,7 @@ class EmptySequenceError(HoloRagError, ValueError):
 
 
 class ProbabilityOutOfRangeError(HoloRagError, ValueError):
-    """A token probability fell outside the half-open interval (0, 1]."""
+    """A token log-probability was not a finite number <= 0."""
 
 
 class CorpusParseError(HoloRagError, ValueError):
@@ -69,9 +69,9 @@ class MissingLogprobsError(HoloRagError, RuntimeError):
     """The backend response carried no per-token log-probabilities."""
 
 
-class UnparseableVerdictError(HoloRagError, ValueError):
+class UnparseableVerdictError(HoloRagError, RuntimeError):
     """A sufficiency response did not start with a clear yes or no."""
 
 
-class UnparseableScoreError(HoloRagError, ValueError):
+class UnparseableScoreError(HoloRagError, RuntimeError):
     """A judge response did not end with a bare integer score in 1..5."""

@@ -213,6 +213,7 @@ def top_k(
 ) -> RankedResult:
     """Exact top-k retrieval by cosine similarity.
 
+    A plain-sequence query gets `Embedding`'s checks, so a NaN raises ValueError.
     ``scoring="masked"`` first multiplies every document by its hybrid mask
     against the query (`mask_pipeline`, one call over the whole pool).  Both
     modes then score each row with the same row-wise formula,
@@ -225,7 +226,7 @@ def top_k(
         raise ValueError("k must be >= 1")
     if scoring not in CHOICES["scoring_mode"]:
         raise ValueError(f"unknown scoring mode {scoring!r}")
-    q = query.values if isinstance(query, Embedding) else np.asarray(query, dtype=np.float64)
+    q = (query if isinstance(query, Embedding) else Embedding(query)).values
     if len(pool) == 0:
         return RankedResult(entries=(), k=k)
     if q.shape != (pool.dimension,):

@@ -24,12 +24,8 @@ from .backends.base import (
     parse_verdict,
 )
 from .config import RunConfig
-from .errors import EmptySequenceError, HoloRagError, ProbabilityOutOfRangeError
+from .errors import EmptySequenceError, HoloRagError
 from .index import Pool, RankedResult, top_k
-
-# Each summand -p*ln(p) peaks at p = 1/e, so the average entropy of any
-# token-probability sequence is bounded by 1/e; scaling by e normalizes.
-ENTROPY_CEILING = 1.0 / math.e
 
 ROUTE_LQP = "LQP"
 ROUTE_HQP = "HQP"
@@ -129,21 +125,21 @@ class AnswerTrace:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
 
-def answer_entropy(token_probs: Sequence[float]) -> UncertaintyScore:
+def answer_entropy(result: GenerationResult) -> UncertaintyScore:
     """Average entropy of the emitted tokens, normalized to [0, 1].
 
-    raw = -(1/L) * sum(p * ln p); the normalized value is e * raw, clamped
-    against floating-point overshoot of the 1/e ceiling.
+    raw = -(1/L) * sum(e^lp * lp) over the result's token logprobs, which
+    GenerationResult has already checked to be finite and <= 0.  Each term
+    -p ln p peaks at p = 1/e, so raw is at most 1/e and e * raw normalizes it,
+    clamped against floating-point overshoot.  A term tends to 0 as
+    lp -> -inf, so a very unlikely token adds 0 instead of failing.
     """
-    probs = [float(p) for p in token_probs]
-    if not probs:
+    logprobs = result.token_logprobs
+    if not logprobs:
         raise EmptySequenceError("entropy of an empty token sequence is undefined")
-    for p in probs:
-        if not (0.0 < p <= 1.0):
-            raise ProbabilityOutOfRangeError(f"token probability {p} outside (0, 1]")
-    raw = -sum(p * math.log(p) for p in probs) / len(probs)
+    raw = -sum(math.exp(lp) * lp for lp in logprobs) / len(logprobs)
     normalized = min(1.0, max(0.0, math.e * raw))
-    return UncertaintyScore(raw_entropy=raw, normalized=normalized, token_count=len(probs))
+    return UncertaintyScore(raw_entropy=raw, normalized=normalized, token_count=len(logprobs))
 
 
 def decide_route(normalized: float, h: float) -> str:
@@ -155,7 +151,7 @@ def classify_pair(result: GenerationResult, h: float) -> RouteDecision:
     """Classify a measured initial answer against the uncertainty threshold."""
     if not (0.0 < h < 1.0):
         raise ValueError(f"uncertainty threshold must be in (0, 1), got {h}")
-    score = answer_entropy(result.token_probs)
+    score = answer_entropy(result)
     return RouteDecision(kind=decide_route(score.normalized, h), threshold=h, score=score)
 
 

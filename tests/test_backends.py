@@ -25,7 +25,16 @@ from holorag.errors import (
     UnparseableVerdictError,
 )
 from holorag.config import RunConfig
-from holorag.pipeline import run_pipeline
+from holorag.pipeline import ROUTE_HQP, ROUTE_LQP, classify_pair, run_pipeline
+
+# The two answer shapes of perfbench/stub_server.py, copied: six tokens at
+# LOW_ENTROPY_LOGPROB route LQP, six at HIGH_ENTROPY_LOGPROB route HQP.  An
+# entropy change that breaks answer-http-2k's route checks fails here first.
+STUB_ANSWER_SHAPES = [(-0.001, ROUTE_LQP), (math.log(0.5), ROUTE_HQP)]
+STUB_ANSWER_TOKENS = 6
+
+BAD_LOGPROBS = [math.nan, math.inf, -math.inf, 0.3, True]
+BAD_LOGPROB_IDS = ["nan", "inf", "-inf", "positive", "true"]
 
 
 class TestRequestAndResultTypes:
@@ -38,15 +47,16 @@ class TestRequestAndResultTypes:
         assert req.context_docs == ()
 
     def test_probability_range_enforced(self):
-        with pytest.raises(ProbabilityOutOfRangeError):
-            GenerationResult(text="x", token_probs=(0.5, 0.0))
-        with pytest.raises(ProbabilityOutOfRangeError):
-            GenerationResult(text="x", token_probs=(1.5,))
-        assert GenerationResult(text="x", token_probs=(1.0,)).token_probs == (1.0,)
+        # logprobs must be finite and <= 0; nothing is clamped
+        for bad in (math.nan, math.inf, -math.inf, 0.3):
+            with pytest.raises(ProbabilityOutOfRangeError):
+                GenerationResult(text="x", token_logprobs=(-0.5, bad))
+        result = GenerationResult(text="x", token_logprobs=(0.0, -800.0))
+        assert result.token_logprobs == (0.0, -800.0)
 
     def test_finish_reason_constrained(self):
         with pytest.raises(ValueError):
-            GenerationResult(text="x", token_probs=(1.0,), finish_reason="done")
+            GenerationResult(text="x", token_logprobs=(0.0,), finish_reason="done")
 
 
 class TestVerdictParsing:
@@ -105,7 +115,7 @@ class TestMockBackend:
             GenerationRequest(PromptRole.ANSWER, "q1", (DocRef("d1"),))
         )
         assert result.text == "42"
-        assert result.token_probs == (0.9, 0.95)
+        assert result.token_logprobs == (math.log(0.9), math.log(0.95))
 
     def test_doc_order_does_not_matter(self):
         mock = MockBackend()
@@ -154,8 +164,12 @@ class TestMockBackend:
             '{"embed": "document", "key": "d1", "vector": [1.0, 0.0]}',
             '{"role": "oracle", "query": "q1", "docs": ["d1"], "text": "42", '
             '"token_probs": [1.0]}',
+            '{"role": "answer", "query": "q1", "docs": ["d1"], "text": "42", '
+            '"token_probs": [0.5, 0.0]}',
+            '{"role": "answer", "query": "q1", "docs": ["d1"], "text": "42", '
+            '"token_probs": [1.5]}',
         ],
-        ids=["document-kind", "unknown-role"],
+        ids=["document-kind", "unknown-role", "zero-prob", "prob-above-one"],
     )
     def test_from_file_bad_line_reports_line_number(self, tmp_path, bad_line):
         path = tmp_path / "fixtures.jsonl"
@@ -183,19 +197,43 @@ class TestMockBackend:
         assert outputs[0] == outputs[1]
 
 
-def http_backend(transcript_name):
-    transport = TranscriptTransport(load_transcript(transcript_name))
+def any_request():
+    return GenerationRequest(PromptRole.ANSWER, "q", (DocRef("d1", text="body"),))
+
+
+def completion(text, logprobs):
+    """A 200 chat-completion response whose tokens carry ``logprobs``."""
+    content = [{"token": "t", "logprob": lp} for lp in logprobs]
+    choice = {"message": {"content": text}, "logprobs": {"content": content}}
+    return {"status": 200, "body": {"choices": [choice]}}
+
+
+def scripted_http(entries, max_retries=2, retry_wait=0.0):
+    transport = TranscriptTransport(entries)
     backend = HttpBackend(
         base_url="https://rag.example/v1",
-        model="doc-vlm-mini",
+        model="m",
         transport=transport,
-        retry_wait=0.0,
+        max_retries=max_retries,
+        retry_wait=retry_wait,
     )
     return backend, transport
 
 
-def any_request():
-    return GenerationRequest(PromptRole.ANSWER, "q", (DocRef("d1", text="body"),))
+def http_backend(transcript_name):
+    return scripted_http(load_transcript(transcript_name))
+
+
+def pipeline_over_http(answer_logprobs):
+    """run_pipeline on the demo pool: embed, one YES probe, the answer, a summary."""
+    embedding = {"status": 200, "body": {"data": [{"embedding": [1.0, 0.05, 0.02, 0.01]}]}}
+    entries = [
+        embedding,
+        completion("YES - covered", [0.0]),
+        completion("initial", answer_logprobs),
+        completion("final", [0.0]),
+    ]
+    return run_pipeline("q", demo_pool(), RunConfig(), scripted_http(entries)[0])
 
 
 class TestHttpBackend:
@@ -204,9 +242,7 @@ class TestHttpBackend:
         result = backend.generate(any_request())
         assert result.text == "42"
         assert result.finish_reason == "stop"
-        assert result.token_probs == pytest.approx(
-            (math.exp(-0.105360515657826), math.exp(-0.051293294387551))
-        )
+        assert result.token_logprobs == (-0.105360515657826, -0.051293294387551)
         payload = transport.calls[0]["payload"]
         assert payload["temperature"] == 0
         assert payload["logprobs"] is True
@@ -228,28 +264,58 @@ class TestHttpBackend:
         assert result.finish_reason == "length"
         assert len(transport.calls) == 2
 
-    def test_client_error_no_retry(self):
-        transport = TranscriptTransport(
-            [{"status": 401, "body": {"error": {"message": "bad key"}}}]
+    def test_extreme_logprob_routes(self):
+        # e^-800 underflows to 0; the token adds 0 entropy instead of failing
+        backend, _ = scripted_http([completion("42", [-800.0, 0.0])])
+        assert backend.generate(any_request()).token_logprobs == (-800.0, 0.0)
+        trace = pipeline_over_http([-800.0, 0.0])
+        assert trace.error is None
+        assert trace.route.kind == ROUTE_LQP
+        assert trace.route.score.raw_entropy == 0.0
+        assert trace.final_answer == "final"
+
+    @pytest.mark.parametrize("bad", BAD_LOGPROBS, ids=BAD_LOGPROB_IDS)
+    def test_bad_logprob_is_a_backend_error(self, bad):
+        backend, _ = scripted_http([completion("42", [-0.1, bad])])
+        with pytest.raises(MissingLogprobsError, match="malformed logprob entries"):
+            backend.generate(any_request())
+        trace = pipeline_over_http([-0.1, bad])
+        assert trace.failed
+        assert trace.route is None
+        assert trace.final_answer is None
+        assert "MissingLogprobsError" in trace.error
+
+    @pytest.mark.parametrize("logprob, route", STUB_ANSWER_SHAPES, ids=["lqp", "hqp"])
+    def test_stub_answer_shapes_route(self, logprob, route):
+        backend, _ = scripted_http([completion("initial", [logprob] * STUB_ANSWER_TOKENS)])
+        assert classify_pair(backend.generate(any_request()), RunConfig().h).kind == route
+
+    def test_rate_limit_then_success(self):
+        backend, transport = scripted_http(
+            [{"status": 429, "body": {"error": {"message": "slow down"}}}, completion("42", [0.0])]
         )
-        backend = HttpBackend(
-            base_url="https://rag.example/v1", model="m", transport=transport, retry_wait=0.0
+        assert backend.generate(any_request()).text == "42"
+        assert len(transport.calls) == 2
+
+    def test_rate_limit_exhausts_retries(self, monkeypatch):
+        waits = []
+        monkeypatch.setattr("holorag.backends.http.time.sleep", waits.append)
+        backend, transport = scripted_http([{"status": 429, "body": {}}] * 3, retry_wait=0.5)
+        with pytest.raises(BackendUnavailableError, match="after 3 attempts.*429"):
+            backend.generate(any_request())
+        assert len(transport.calls) == 3
+        assert waits == [0.5, 1.0]
+
+    def test_client_error_no_retry(self):
+        backend, transport = scripted_http(
+            [{"status": 401, "body": {"error": {"message": "bad key"}}}]
         )
         with pytest.raises(BackendUnavailableError, match="401"):
             backend.generate(any_request())
         assert len(transport.calls) == 1
 
     def test_transport_failures_exhaust_retries(self):
-        transport = TranscriptTransport(
-            [{"raise": "boom"}, {"raise": "boom"}, {"raise": "boom"}]
-        )
-        backend = HttpBackend(
-            base_url="https://rag.example/v1",
-            model="m",
-            transport=transport,
-            max_retries=2,
-            retry_wait=0.0,
-        )
+        backend, _ = scripted_http([{"raise": "boom"}] * 3, max_retries=2)
         with pytest.raises(BackendUnavailableError, match="after 3 attempts"):
             backend.generate(any_request())
 
@@ -260,20 +326,14 @@ class TestHttpBackend:
         assert transport.calls[0]["url"].endswith("/embeddings")
 
     def test_malformed_body(self):
-        transport = TranscriptTransport([{"status": 200, "body": {"nope": True}}])
-        backend = HttpBackend(
-            base_url="https://rag.example/v1", model="m", transport=transport, retry_wait=0.0
-        )
+        backend, _ = scripted_http([{"status": 200, "body": {"nope": True}}])
         with pytest.raises(BackendUnavailableError, match="malformed"):
             backend.generate(any_request())
 
     @staticmethod
     def embedding_backend(vector):
         body = {"data": [{"object": "embedding", "index": 0, "embedding": vector}]}
-        transport = TranscriptTransport([{"status": 200, "body": body}])
-        return HttpBackend(
-            base_url="https://rag.example/v1", model="m", transport=transport, retry_wait=0.0
-        )
+        return scripted_http([{"status": 200, "body": body}])[0]
 
     @pytest.mark.parametrize(
         "vector", [[], [None, 1.0], ["x", 1.0], [1e200, 1.0]], ids=["empty", "null", "str", "huge"]

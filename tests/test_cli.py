@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import demo_pool
-from holorag.cli import EXIT_OK, EXIT_USER_ERROR, main
+from holorag.cli import EXIT_BACKEND_ERROR, EXIT_OK, EXIT_USER_ERROR, main
 from holorag.config import CHOICES, RunConfig
 from holorag.errors import ConfigError
 from holorag.index import save_snapshot
@@ -104,6 +104,40 @@ def test_malformed_fixture_line_exits_user_error(retrieve_args, tmp_path, capsys
         handle.write(json.dumps({"embed": "document", "key": "d1", "vector": [1.0]}) + "\n")
     assert main(retrieve_args) == EXIT_USER_ERROR
     assert "line 2" in capsys.readouterr().err
+
+
+def test_garbled_judge_reply_exits_backend_error(tmp_path, capsys):
+    """An unparseable judge reply is bad backend output (exit 2), not a user error."""
+    snapshot = tmp_path / "charts.snap"
+    save_snapshot(demo_pool(), snapshot)
+    dataset = tmp_path / "dataset.jsonl"
+    example = {
+        "query_id": "e1",
+        "query": "q",
+        "gold_doc_ids": [{"pool": "charts", "doc_id": "d1"}],
+        "gold_answer": "42",
+    }
+    dataset.write_text(json.dumps(example) + "\n", encoding="utf-8")
+
+    def generation(role, docs, text, iteration=0):
+        fields = dict(role=role, query="q", docs=docs, iteration=iteration, text=text)
+        return {**fields, "token_probs": [1.0]}
+
+    judged = ["prediction", "gold"]
+    lines = [
+        {"embed": "query", "key": "q", "vector": [1.0, 0.05, 0.02, 0.01]},
+        generation("sufficiency_probe", ["d1"], "YES - covered", iteration=1),
+        generation("answer", ["d1"], "initial"),
+        generation("summarize", ["d1"], "final"),
+        generation("judge_score", judged, "looks right\nscore: excellent"),
+        generation("judge_score", judged, "still prose", iteration=1),
+    ]
+    fixtures = tmp_path / "fixtures.jsonl"
+    fixtures.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    args = ["eval", str(snapshot), "--dataset", str(dataset), "--mode", "e2e"]
+    args += ["--fixtures", str(fixtures), "--no-skip-on-error"]
+    assert main(args) == EXIT_BACKEND_ERROR
+    assert "expected a bare 1-5" in capsys.readouterr().err
 
 
 def test_loss_check_default_arguments_pass(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,14 @@ class TestTopK:
         pool = make_pool("p", [("a", [1.0, 0.0])])
         with pytest.raises(ZeroVectorError):
             top_k(pool, Embedding([0.0, 0.0]), k=1)
+
+    @pytest.mark.parametrize("query", [[1e200, 1.0], [math.nan, 1.0]], ids=["overflow", "nan"])
+    def test_plain_sequence_query_checked(self, query):
+        pool = make_pool("p", [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                top_k(pool, query, k=2)
 
     @pytest.mark.parametrize("scoring", ["cosine", "masked"])
     def test_zero_document_scores_zero(self, scoring):

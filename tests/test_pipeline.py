@@ -27,63 +27,91 @@ from holorag.pipeline import (
 )
 
 NORMALIZED_HALF_HALF = 0.94208469268186  # e * 0.5 * ln 2
+LOG_HALF = math.log(0.5)
+LOG_INV_E = -1.0
+
+
+def generated(*logprobs):
+    return GenerationResult("a", logprobs)
 
 
 class TestAnswerEntropy:
     def test_certain_tokens_zero(self):
-        score = answer_entropy([1.0, 1.0, 1.0])
+        score = answer_entropy(generated(0.0, 0.0, 0.0))
         assert score.raw_entropy == 0.0
         assert score.normalized == 0.0
 
     def test_inverse_e_maximizes(self):
-        score = answer_entropy([INV_E, INV_E])
+        score = answer_entropy(generated(LOG_INV_E, LOG_INV_E))
         assert score.raw_entropy == pytest.approx(INV_E, abs=1e-15)
         assert score.normalized == 1.0
 
     def test_half_half(self):
-        score = answer_entropy([0.5, 0.5])
+        score = answer_entropy(generated(LOG_HALF, LOG_HALF))
         assert score.raw_entropy == pytest.approx(0.5 * math.log(2), abs=1e-15)
         assert score.normalized == pytest.approx(NORMALIZED_HALF_HALF, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequenceError):
-            answer_entropy([])
+            answer_entropy(generated())
 
     def test_out_of_range_rejected(self):
+        # p = 0 is lp = -inf and p > 1 is lp > 0: neither reaches the entropy
         with pytest.raises(ProbabilityOutOfRangeError):
-            answer_entropy([0.5, 0.0])
+            answer_entropy(generated(LOG_HALF, -math.inf))
         with pytest.raises(ProbabilityOutOfRangeError):
-            answer_entropy([1.0001])
+            answer_entropy(generated(math.log(1.0001)))
+
+    def test_unlikely_token_adds_nothing(self):
+        # e^-800 underflows to 0, and 0 * -800 is 0: no failure, no warning
+        score = answer_entropy(generated(-800.0, 0.0))
+        assert score.raw_entropy == 0.0
+        assert score.token_count == 2
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
-            st.floats(min_value=1e-12, max_value=1.0, allow_nan=False), min_size=1, max_size=64
+            st.floats(min_value=-1000.0, max_value=0.0, allow_nan=False), min_size=1, max_size=64
         )
     )
-    def test_bounds_hypothesis(self, probs):
-        score = answer_entropy(probs)
+    def test_bounds_hypothesis(self, logprobs):
+        score = answer_entropy(generated(*logprobs))
         assert 0.0 <= score.raw_entropy <= INV_E + 1e-12
         assert 0.0 <= score.normalized <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=math.log(1e-300), max_value=0.0, allow_nan=False),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    def test_matches_probability_formula(self, logprobs):
+        # the same entropy written over probabilities p = e^lp
+        probs = [math.exp(lp) for lp in logprobs]
+        by_probs = -sum(p * math.log(p) for p in probs) / len(probs)
+        score = answer_entropy(generated(*logprobs))
+        assert score.raw_entropy == pytest.approx(by_probs, rel=0.0, abs=1e-12)
 
 
 class TestRouting:
     def test_low_entropy_goes_direct(self):
-        decision = classify_pair(GenerationResult("a", (1.0,)), h=0.8)
+        decision = classify_pair(generated(0.0), h=0.8)
         assert decision.kind == ROUTE_LQP
 
     def test_max_entropy_goes_deep(self):
-        decision = classify_pair(GenerationResult("a", (INV_E,)), h=0.8)
+        decision = classify_pair(generated(LOG_INV_E), h=0.8)
         assert decision.kind == ROUTE_HQP
 
     def test_tie_goes_deep(self):
-        score = answer_entropy([0.5, 0.5])
-        decision = classify_pair(GenerationResult("a", (0.5, 0.5)), h=score.normalized)
+        result = generated(LOG_HALF, LOG_HALF)
+        decision = classify_pair(result, h=answer_entropy(result).normalized)
         assert decision.kind == ROUTE_HQP
 
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
-            classify_pair(GenerationResult("a", (1.0,)), h=1.0)
+            classify_pair(generated(0.0), h=1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -275,6 +303,11 @@ class TestRunPipeline:
         empty = Pool(name="void", matrix=np.zeros((0, 4)), keys=(), metadata=())
         with pytest.raises(ValueError):
             run_pipeline("q", empty, config, mock)
+
+    @pytest.mark.parametrize("kind", ALL_SCENARIOS)
+    def test_scenario_route(self, kind):
+        query, pool, config, mock, expected = scripted_scenario(kind)
+        assert run_pipeline(query, pool, config, mock).route.kind == expected["route"]
 
     @pytest.mark.parametrize("kind", ALL_SCENARIOS)
     def test_no_reflection_everywhere(self, kind):
