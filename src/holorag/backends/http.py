@@ -110,6 +110,8 @@ class HttpBackend(ModelBackend):
         try:
             choice = body["choices"][0]
             text = choice["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError("message content is not a string")
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailableError(f"malformed completion response: {body!r}") from exc
         logprobs = choice.get("logprobs")

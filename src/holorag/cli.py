@@ -27,6 +27,11 @@ EXIT_USER_ERROR = 1
 EXIT_BACKEND_ERROR = 2
 
 
+def _exit_code(exc: HoloRagError) -> int:
+    """Backend errors (the RuntimeError family) exit 2, data and usage errors 1."""
+    return EXIT_BACKEND_ERROR if isinstance(exc, RuntimeError) else EXIT_USER_ERROR
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per non-bool RunConfig field, plus --no-skip-on-error."""
     parser.add_argument("--config", help="JSON config file; flags override its values")
@@ -131,7 +136,7 @@ def cmd_answer(args: argparse.Namespace) -> int:
         Path(args.trace).write_text(trace.to_json() + "\n", encoding="utf-8")
     if trace.failed:
         print(f"error: {trace.error}", file=sys.stderr)
-        return EXIT_BACKEND_ERROR
+        return _exit_code(trace.exception)
     print(trace.final_answer)
     return EXIT_OK
 
@@ -262,9 +267,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except HoloRagError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, RuntimeError):
-            return EXIT_BACKEND_ERROR
-        return EXIT_USER_ERROR
+        return _exit_code(exc)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR

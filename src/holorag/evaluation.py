@@ -306,7 +306,7 @@ def evaluate_e2e(
 
     Accuracy is the fraction of judged examples scoring 4 or 5.  Failed
     examples are recorded and excluded from accuracy when skip_on_error is
-    set; otherwise the first failure aborts the run.
+    set; otherwise the first failure aborts the run with that example's error.
     """
     _check_gold_present(dataset, pools)
     by_name = pools_by_name(pools)
@@ -317,7 +317,7 @@ def evaluate_e2e(
         trace = run_pipeline(example.query, pool, config, answer_backend)
         if trace.failed:
             if not config.skip_on_error:
-                raise HoloRagError(f"example {example.query_id!r} failed: {trace.error}")
+                raise trace.exception
             return ExampleResult(query_id=example.query_id, error=trace.error)
         try:
             score, correct = judge_accuracy(

@@ -6,14 +6,16 @@ straight to synthesis; high-uncertainty queries get salient-knowledge
 extraction and iterative fine-print mining first.  The initial answer exists
 only to be measured: it is never fed back into any later request.
 
+Each stage takes the documents it reads, and every model call of the
+pipeline goes through ``_generate``, which builds, sends and logs one request.
 Every run produces an AnswerTrace whose agent log uses logical step counters
 (never wall-clock time) so identical runs serialize byte-identically.
 """
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .backends.base import (
     DocRef,
@@ -99,6 +101,8 @@ class AnswerTrace:
     final_answer: Optional[str]
     error: Optional[str]
     agent_log: Tuple[dict, ...]
+    # the error a failed run caught, so callers keep its family; not serialized
+    exception: Optional[HoloRagError] = field(default=None, compare=False, repr=False)
 
     @property
     def failed(self) -> bool:
@@ -160,70 +164,83 @@ def _log_event(log: Optional[List[dict]], agent: str, action: str, **detail) -> 
         log.append({"step": len(log) + 1, "agent": agent, "action": action, **detail})
 
 
-def _log_request(log: Optional[List[dict]], agent: str, request: GenerationRequest, output: str) -> None:
+def _generate(
+    backend: ModelBackend,
+    log: Optional[List[dict]],
+    agent: str,
+    role: PromptRole,
+    query: str,
+    docs: Sequence[DocRef],
+    prior: Optional[str] = None,
+    iteration: int = 0,
+    max_tokens: int = 256,
+) -> GenerationResult:
+    """Build, send and log one agent request: the pipeline's only model call.
+
+    The "generate" event is appended after the call returns, so a call that
+    raises leaves no event.
+    """
+    request = GenerationRequest(
+        prompt_role=role,
+        query=query,
+        context_docs=tuple(docs),
+        prior=prior,
+        max_tokens=max_tokens,
+        iteration=iteration,
+    )
+    result = backend.generate(request)
     _log_event(
         log,
         agent,
         "generate",
-        role=request.prompt_role.value,
+        role=role.value,
         doc_ids=list(request.doc_ids()),
         doc_texts=[ref.text or "" for ref in request.context_docs],
-        prior=request.prior,
-        iteration=request.iteration,
-        output=output,
+        prior=prior,
+        iteration=iteration,
+        output=result.text,
     )
+    return result
 
 
 def prune(
     query: str,
-    ranked: RankedResult,
+    candidates: Sequence[DocRef],
     k: int,
     backend: ModelBackend,
-    resolve: Optional[Callable[[str, str], DocRef]] = None,
     fallback_on_probe_error: bool = False,
     log: Optional[List[dict]] = None,
 ) -> PrunedSet:
     """Admit ranked documents one at a time until a probe says they suffice.
 
-    After each admission the whole buffer is probed; the first positive
-    verdict stops early.  If no probe ever succeeds the buffer keeps the top
-    min(k, ranking length) documents.  ``resolve`` maps (pool_name, doc_id) to
-    a DocRef carrying text; with ``fallback_on_probe_error`` a failing probe
-    degrades to plain top-k instead of raising.
+    ``candidates`` are the ranked documents, best first, with the text the
+    probes read.  After each admission the whole buffer is probed; the first
+    positive verdict stops early.  If no probe ever succeeds the buffer keeps
+    the top min(k, len(candidates)) documents.  With
+    ``fallback_on_probe_error`` a failing probe degrades to plain top-k
+    instead of raising.
     """
     if k < 1:
         raise ValueError("buffer capacity k must be >= 1")
-    if not ranked.entries:
+    if not candidates:
         raise ValueError("cannot prune an empty ranking")
-    resolve = resolve or (lambda pool_name, doc_id: DocRef(doc_id=doc_id))
-    limit = min(k, len(ranked.entries))
-    buffer: List[DocRef] = []
-    for n, entry in enumerate(ranked.entries[:limit], start=1):
-        buffer.append(resolve(entry.pool_name, entry.doc_id))
+    limit = min(k, len(candidates))
+    top = tuple(candidates[:limit])
+    for n in range(1, limit + 1):
         try:
-            request = GenerationRequest(
-                prompt_role=PromptRole.SUFFICIENCY_PROBE,
-                query=query,
-                context_docs=tuple(buffer),
-                iteration=n,
+            probe = _generate(
+                backend, log, "pruner", PromptRole.SUFFICIENCY_PROBE, query, top[:n], iteration=n
             )
-            result = backend.generate(request)
-            _log_request(log, "pruner", request, result.text)
-            verdict = parse_verdict(result.text)
+            verdict = parse_verdict(probe.text)
         except HoloRagError:
             if not fallback_on_probe_error:
                 raise
             _log_event(log, "pruner", "probe_fallback", n=n)
-            buffer.extend(
-                resolve(e.pool_name, e.doc_id) for e in ranked.entries[n:limit]
-            )
-            return PrunedSet(
-                selected=tuple(buffer), n_used=limit, capacity=k, terminated_early=False
-            )
+            return PrunedSet(selected=top, n_used=limit, capacity=k, terminated_early=False)
         _log_event(log, "pruner", "verdict", n=n, sufficient=verdict.sufficient)
         if verdict.sufficient:
-            return PrunedSet(selected=tuple(buffer), n_used=n, capacity=k, terminated_early=True)
-    return PrunedSet(selected=tuple(buffer), n_used=limit, capacity=k, terminated_early=False)
+            return PrunedSet(selected=top[:n], n_used=n, capacity=k, terminated_early=True)
+    return PrunedSet(selected=top, n_used=limit, capacity=k, terminated_early=False)
 
 
 def extract_salient(
@@ -233,14 +250,7 @@ def extract_salient(
     log: Optional[List[dict]] = None,
 ) -> str:
     """Pull the visually prominent, query-relevant knowledge from the buffer."""
-    if not pruned:
-        raise ValueError("salient extraction needs at least one pruned document")
-    request = GenerationRequest(
-        prompt_role=PromptRole.SALIENT_EXTRACT, query=query, context_docs=tuple(pruned)
-    )
-    result = backend.generate(request)
-    _log_request(log, "decoupler", request, result.text)
-    return result.text
+    return _generate(backend, log, "decoupler", PromptRole.SALIENT_EXTRACT, query, pruned).text
 
 
 def decouple(
@@ -261,41 +271,22 @@ def decouple(
         raise ValueError("max_iters must be >= 1")
     if not salient:
         raise ValueError("decoupling needs nonempty salient knowledge")
-    anchor = DocRef(doc_id=SALIENT_DOC_ID, text=salient)
+    anchor = (DocRef(doc_id=SALIENT_DOC_ID, text=salient),)
     iterations: List[FineprintIteration] = []
     previous = ""
     for t in range(1, max_iters + 1):
-        mine_request = GenerationRequest(
-            prompt_role=PromptRole.FINEPRINT_MINE,
-            query=query,
-            context_docs=(anchor,),
-            prior=previous,
-            iteration=t,
+        mined = _generate(
+            backend, log, "decoupler", PromptRole.FINEPRINT_MINE, query, anchor, previous, t
+        ).text
+        decoupled = _generate(
+            backend, log, "decoupler", PromptRole.DECOUPLE, query, anchor, mined, t
+        ).text
+        iterations.append(FineprintIteration(mined=mined, decoupled=decoupled))
+        previous = decoupled
+        fineprint = (DocRef(doc_id=DECOUPLED_DOC_ID, text=decoupled),)
+        probe = _generate(
+            backend, log, "decoupler", PromptRole.SUFFICIENCY_PROBE, query, fineprint, iteration=t
         )
-        mined = backend.generate(mine_request)
-        _log_request(log, "decoupler", mine_request, mined.text)
-
-        decouple_request = GenerationRequest(
-            prompt_role=PromptRole.DECOUPLE,
-            query=query,
-            context_docs=(anchor,),
-            prior=mined.text,
-            iteration=t,
-        )
-        decoupled = backend.generate(decouple_request)
-        _log_request(log, "decoupler", decouple_request, decoupled.text)
-
-        iterations.append(FineprintIteration(mined=mined.text, decoupled=decoupled.text))
-        previous = decoupled.text
-
-        probe_request = GenerationRequest(
-            prompt_role=PromptRole.SUFFICIENCY_PROBE,
-            query=query,
-            context_docs=(DocRef(doc_id=DECOUPLED_DOC_ID, text=decoupled.text),),
-            iteration=t,
-        )
-        probe = backend.generate(probe_request)
-        _log_request(log, "decoupler", probe_request, probe.text)
         verdict = parse_verdict(probe.text)
         _log_event(log, "decoupler", "answerable", t=t, sufficient=verdict.sufficient)
         if verdict.sufficient:
@@ -305,40 +296,17 @@ def decouple(
 
 def summarize(
     query: str,
-    route_kind: str,
+    context: Sequence[DocRef],
     backend: ModelBackend,
-    pruned_docs: Optional[Sequence[DocRef]] = None,
-    salient: Optional[str] = None,
-    fineprint: Optional[str] = None,
     log: Optional[List[dict]] = None,
 ) -> str:
-    """Synthesize the final answer.
+    """Synthesize the final answer from ``context``.
 
-    The low-uncertainty path re-reads the pruned documents; the
-    high-uncertainty path fuses the salient and decoupled fine-print
-    knowledge.  Inputs must match the route.
+    The low-uncertainty path passes the pruned documents; the
+    high-uncertainty path passes the salient and decoupled fine-print
+    knowledge as two documents.  An empty context raises ValueError.
     """
-    if route_kind == ROUTE_LQP:
-        if not pruned_docs or salient is not None or fineprint is not None:
-            raise ValueError("low-uncertainty synthesis takes pruned documents only")
-        context = tuple(pruned_docs)
-    elif route_kind == ROUTE_HQP:
-        if pruned_docs is not None or not salient or not fineprint:
-            raise ValueError(
-                "high-uncertainty synthesis takes salient and fine-print knowledge only"
-            )
-        context = (
-            DocRef(doc_id=SALIENT_DOC_ID, text=salient),
-            DocRef(doc_id=DECOUPLED_DOC_ID, text=fineprint),
-        )
-    else:
-        raise ValueError(f"unknown route kind {route_kind!r}")
-    request = GenerationRequest(
-        prompt_role=PromptRole.SUMMARIZE, query=query, context_docs=context
-    )
-    result = backend.generate(request)
-    _log_request(log, "summarizer", request, result.text)
-    return result.text
+    return _generate(backend, log, "summarizer", PromptRole.SUMMARIZE, query, context).text
 
 
 def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBackend) -> AnswerTrace:
@@ -354,10 +322,6 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
     config.validate()
     config_echo = config.to_dict()
 
-    def resolve(pool_name: str, doc_id: str) -> DocRef:
-        metadata = pool.metadata[pool.rows[(pool_name, doc_id)]]
-        return DocRef(doc_id=doc_id, text=metadata.get("text"), image=metadata.get("image"))
-
     log: List[dict] = []
     ranked: Optional[RankedResult] = None
     pruned: Optional[PrunedSet] = None
@@ -366,6 +330,7 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
     iterations: Tuple[FineprintIteration, ...] = ()
     final: Optional[str] = None
     error: Optional[str] = None
+    exception: Optional[HoloRagError] = None
 
     try:
         query_embedding = backend.embed_query(query)
@@ -385,24 +350,29 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
             k=config.k,
             doc_ids=[e.doc_id for e in ranked.entries],
         )
+        metadata = [pool.metadata[pool.rows[key]] for key in ranked.doc_keys()]
+        candidates = [
+            DocRef(doc_id=entry.doc_id, text=meta.get("text"), image=meta.get("image"))
+            for entry, meta in zip(ranked.entries, metadata)
+        ]
         pruned = prune(
             query,
-            ranked,
+            candidates,
             config.k,
             backend,
-            resolve=resolve,
             fallback_on_probe_error=config.fallback_on_probe_error,
             log=log,
         )
 
-        initial_request = GenerationRequest(
-            prompt_role=PromptRole.ANSWER,
-            query=query,
-            context_docs=pruned.selected,
+        initial = _generate(
+            backend,
+            log,
+            "judger",
+            PromptRole.ANSWER,
+            query,
+            pruned.selected,
             max_tokens=config.max_tokens,
         )
-        initial = backend.generate(initial_request)
-        _log_request(log, "judger", initial_request, initial.text)
 
         route = classify_pair(initial, config.h)
         # measured for uncertainty only; the text is never reused downstream
@@ -416,22 +386,18 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
         )
 
         if route.kind == ROUTE_LQP:
-            final = summarize(
-                query, ROUTE_LQP, backend, pruned_docs=pruned.selected, log=log
-            )
+            context: Sequence[DocRef] = pruned.selected
         else:
             salient = extract_salient(query, pruned.selected, backend, log=log)
             iterations = decouple(query, salient, backend, config.max_iters, log=log)
-            final = summarize(
-                query,
-                ROUTE_HQP,
-                backend,
-                salient=salient,
-                fineprint=iterations[-1].decoupled,
-                log=log,
+            context = (
+                DocRef(doc_id=SALIENT_DOC_ID, text=salient),
+                DocRef(doc_id=DECOUPLED_DOC_ID, text=iterations[-1].decoupled),
             )
+        final = summarize(query, context, backend, log=log)
         _log_event(log, "summarizer", "final", answer=final)
     except HoloRagError as exc:
+        exception = exc
         error = f"{type(exc).__name__}: {exc}"
         _log_event(log, "pipeline", "error", message=error)
 
@@ -446,6 +412,7 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
         final_answer=final,
         error=error,
         agent_log=tuple(log),
+        exception=exception,
     )
 
 

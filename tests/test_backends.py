@@ -224,11 +224,13 @@ def http_backend(transcript_name):
     return scripted_http(load_transcript(transcript_name))
 
 
+EMBEDDING_RESPONSE = {"status": 200, "body": {"data": [{"embedding": [1.0, 0.05, 0.02, 0.01]}]}}
+
+
 def pipeline_over_http(answer_logprobs):
     """run_pipeline on the demo pool: embed, one YES probe, the answer, a summary."""
-    embedding = {"status": 200, "body": {"data": [{"embedding": [1.0, 0.05, 0.02, 0.01]}]}}
     entries = [
-        embedding,
+        EMBEDDING_RESPONSE,
         completion("YES - covered", [0.0]),
         completion("initial", answer_logprobs),
         completion("final", [0.0]),
@@ -329,6 +331,19 @@ class TestHttpBackend:
         backend, _ = scripted_http([{"status": 200, "body": {"nope": True}}])
         with pytest.raises(BackendUnavailableError, match="malformed"):
             backend.generate(any_request())
+
+    def test_null_content_is_a_backend_error(self):
+        # OpenAI-compatible servers send "content": null for refusals and tool calls
+        null_reply = completion(None, [0.0])
+        backend, _ = scripted_http([null_reply])
+        with pytest.raises(BackendUnavailableError, match="malformed completion response"):
+            backend.generate(any_request())
+        backend, _ = scripted_http([EMBEDDING_RESPONSE, null_reply])
+        trace = run_pipeline("q", demo_pool(), RunConfig(), backend)
+        assert trace.failed
+        assert trace.final_answer is None
+        assert isinstance(trace.exception, BackendUnavailableError)
+        assert "malformed completion response" in trace.error
 
     @staticmethod
     def embedding_backend(vector):

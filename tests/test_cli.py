@@ -106,10 +106,29 @@ def test_malformed_fixture_line_exits_user_error(retrieve_args, tmp_path, capsys
     assert "line 2" in capsys.readouterr().err
 
 
-def test_garbled_judge_reply_exits_backend_error(tmp_path, capsys):
-    """An unparseable judge reply is bad backend output (exit 2), not a user error."""
+def generation(role, docs, text, iteration=0):
+    """A mock fixture line for query "q" whose one token has probability 1."""
+    fields = dict(role=role, query="q", docs=docs, iteration=iteration, text=text)
+    return {**fields, "token_probs": [1.0]}
+
+
+QUERY_EMBEDDING = {"embed": "query", "key": "q", "vector": [1.0, 0.05, 0.02, 0.01]}
+WRONG_DIMENSION_EMBEDDING = {"embed": "query", "key": "q", "vector": [1.0, 0.05, 0.02]}
+LQP_UP_TO_SUMMARY = [
+    QUERY_EMBEDDING,
+    generation("sufficiency_probe", ["d1"], "YES - covered", iteration=1),
+    generation("answer", ["d1"], "initial"),
+]
+
+
+def pipeline_args(tmp_path, command, fixture_lines):
+    """`answer` or strict e2e `eval` over the demo pool with query "q" and these fixtures."""
     snapshot = tmp_path / "charts.snap"
     save_snapshot(demo_pool(), snapshot)
+    fixtures = tmp_path / "fixtures.jsonl"
+    fixtures.write_text("".join(json.dumps(line) + "\n" for line in fixture_lines), encoding="utf-8")
+    if command == "answer":
+        return ["answer", str(snapshot), "--query", "q", "--fixtures", str(fixtures)]
     dataset = tmp_path / "dataset.jsonl"
     example = {
         "query_id": "e1",
@@ -118,26 +137,36 @@ def test_garbled_judge_reply_exits_backend_error(tmp_path, capsys):
         "gold_answer": "42",
     }
     dataset.write_text(json.dumps(example) + "\n", encoding="utf-8")
+    args = ["eval", str(snapshot), "--dataset", str(dataset), "--mode", "e2e"]
+    return args + ["--fixtures", str(fixtures), "--no-skip-on-error"]
 
-    def generation(role, docs, text, iteration=0):
-        fields = dict(role=role, query="q", docs=docs, iteration=iteration, text=text)
-        return {**fields, "token_probs": [1.0]}
 
+def test_garbled_judge_reply_exits_backend_error(tmp_path, capsys):
+    """An unparseable judge reply is bad backend output (exit 2), not a user error."""
     judged = ["prediction", "gold"]
-    lines = [
-        {"embed": "query", "key": "q", "vector": [1.0, 0.05, 0.02, 0.01]},
-        generation("sufficiency_probe", ["d1"], "YES - covered", iteration=1),
-        generation("answer", ["d1"], "initial"),
+    lines = LQP_UP_TO_SUMMARY + [
         generation("summarize", ["d1"], "final"),
         generation("judge_score", judged, "looks right\nscore: excellent"),
         generation("judge_score", judged, "still prose", iteration=1),
     ]
-    fixtures = tmp_path / "fixtures.jsonl"
-    fixtures.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
-    args = ["eval", str(snapshot), "--dataset", str(dataset), "--mode", "e2e"]
-    args += ["--fixtures", str(fixtures), "--no-skip-on-error"]
-    assert main(args) == EXIT_BACKEND_ERROR
+    assert main(pipeline_args(tmp_path, "eval", lines)) == EXIT_BACKEND_ERROR
     assert "expected a bare 1-5" in capsys.readouterr().err
+
+
+def test_failed_example_keeps_backend_exit_code(tmp_path, capsys):
+    """A strict eval aborted by a backend error in the pipeline exits 2 with that error."""
+    assert main(pipeline_args(tmp_path, "eval", LQP_UP_TO_SUMMARY)) == EXIT_BACKEND_ERROR
+    assert capsys.readouterr().err.startswith("error: no fixture for role=summarize")
+
+
+@pytest.mark.parametrize("command", ["eval", "answer"])
+def test_wrong_dimension_query_exits_user_error(command, tmp_path, capsys):
+    """A query embedding that does not fit the pool is a data error (exit 1)."""
+    args = pipeline_args(tmp_path, command, [WRONG_DIMENSION_EMBEDDING])
+    assert main(args) == EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert "query dimension (3,) does not match pool dimension 4" in err
+    assert "failed:" not in err
 
 
 def test_loss_check_default_arguments_pass(capsys):

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ALL_SCENARIOS, INV_E, demo_pool, scripted_scenario
+from helpers import ALL_SCENARIOS, DATA_DIR, INV_E, demo_pool, scripted_scenario
 from holorag.backends import DocRef, GenerationRequest, GenerationResult, MockBackend, PromptRole
 from holorag.config import RunConfig
 from holorag.errors import EmptySequenceError, FixtureMissError, ProbabilityOutOfRangeError
-from holorag.index import Pool, RankedEntry, RankedResult
+from holorag.index import Pool
 from holorag.pipeline import (
     ROUTE_HQP,
     ROUTE_LQP,
@@ -123,18 +123,15 @@ class TestRouting:
         assert kind == (ROUTE_LQP if normalized < h else ROUTE_HQP)
 
 
-def ranking(*doc_ids, pool_name="charts"):
-    entries = tuple(
-        RankedEntry(doc_id, pool_name, 1.0 - i * 0.1) for i, doc_id in enumerate(doc_ids)
-    )
-    return RankedResult(entries=entries, k=len(entries))
+def refs(*doc_ids):
+    return [DocRef(doc_id) for doc_id in doc_ids]
 
 
 class TestPrune:
     def test_sufficient_at_first(self):
         mock = MockBackend()
         mock.add_generation("sufficiency_probe", "q", ["d1"], 1, "YES - covered", [1.0])
-        pruned = prune("q", ranking("d1", "d2", "d3"), k=3, backend=mock)
+        pruned = prune("q", refs("d1", "d2", "d3"), k=3, backend=mock)
         assert [ref.doc_id for ref in pruned.selected] == ["d1"]
         assert pruned.n_used == 1
         assert pruned.terminated_early
@@ -144,7 +141,7 @@ class TestPrune:
         docs = ["d1", "d2", "d3", "d4", "d5"]
         for n in range(1, 4):
             mock.add_generation("sufficiency_probe", "q", docs[:n], n, "NO - more", [1.0])
-        pruned = prune("q", ranking(*docs), k=3, backend=mock)
+        pruned = prune("q", refs(*docs), k=3, backend=mock)
         assert [ref.doc_id for ref in pruned.selected] == ["d1", "d2", "d3"]
         assert not pruned.terminated_early
         assert pruned.n_used == 3
@@ -153,17 +150,17 @@ class TestPrune:
         mock = MockBackend()
         mock.add_generation("sufficiency_probe", "q", ["d1"], 1, "NO", [1.0])
         mock.add_generation("sufficiency_probe", "q", ["d1", "d2"], 2, "NO", [1.0])
-        pruned = prune("q", ranking("d1", "d2"), k=5, backend=mock)
+        pruned = prune("q", refs("d1", "d2"), k=5, backend=mock)
         assert [ref.doc_id for ref in pruned.selected] == ["d1", "d2"]
         assert pruned.n_used == 2
 
     def test_probe_error_propagates(self):
         with pytest.raises(FixtureMissError):
-            prune("q", ranking("d1"), k=1, backend=MockBackend())
+            prune("q", refs("d1"), k=1, backend=MockBackend())
 
     def test_probe_error_fallback(self):
         pruned = prune(
-            "q", ranking("d1", "d2"), k=2, backend=MockBackend(), fallback_on_probe_error=True
+            "q", refs("d1", "d2"), k=2, backend=MockBackend(), fallback_on_probe_error=True
         )
         assert [ref.doc_id for ref in pruned.selected] == ["d1", "d2"]
         assert not pruned.terminated_early
@@ -175,14 +172,13 @@ class TestPrune:
             mock.add_generation(
                 "sufficiency_probe", "q", ["d1", "d2", "d3"][:n], n, f"{verdict} x", [1.0]
             )
-        ranked = ranking("d1", "d2", "d3")
-        pruned = prune("q", ranked, k=3, backend=mock)
-        ranked_ids = [e.doc_id for e in ranked.entries]
-        assert [r.doc_id for r in pruned.selected] == ranked_ids[: pruned.n_used]
+        candidates = refs("d1", "d2", "d3")
+        pruned = prune("q", candidates, k=3, backend=mock)
+        assert list(pruned.selected) == candidates[: pruned.n_used]
 
     def test_empty_ranking_rejected(self):
         with pytest.raises(ValueError):
-            prune("q", RankedResult(entries=(), k=3), k=3, backend=MockBackend())
+            prune("q", [], k=3, backend=MockBackend())
 
 
 class TestDecouplerAgents:
@@ -249,7 +245,7 @@ class TestSummarize:
     def test_lqp_path(self):
         mock = MockBackend()
         mock.add_generation("summarize", "q", ["d1", "d2"], 0, "final", [1.0])
-        out = summarize("q", ROUTE_LQP, mock, pruned_docs=[DocRef("d1"), DocRef("d2")])
+        out = summarize("q", [DocRef("d1"), DocRef("d2")], mock)
         assert out == "final"
 
     def test_hqp_path(self):
@@ -257,14 +253,13 @@ class TestSummarize:
         mock.add_generation(
             "summarize", "q", ["knowledge:salient", "knowledge:decoupled"], 0, "fused", [1.0]
         )
-        out = summarize("q", ROUTE_HQP, mock, salient="s", fineprint="f")
+        context = (DocRef("knowledge:salient", "s"), DocRef("knowledge:decoupled", "f"))
+        out = summarize("q", context, mock)
         assert out == "fused"
 
-    def test_mismatched_inputs(self):
-        with pytest.raises(ValueError):
-            summarize("q", ROUTE_LQP, MockBackend(), salient="s", fineprint="f")
-        with pytest.raises(ValueError):
-            summarize("q", ROUTE_HQP, MockBackend(), pruned_docs=[DocRef("d1")])
+    def test_empty_context_rejected(self):
+        with pytest.raises(ValueError, match="requires context documents"):
+            summarize("q", [], MockBackend())
 
 
 class TestRunPipeline:
@@ -321,6 +316,42 @@ class TestRunPipeline:
         first = run_pipeline(query, pool, config, mock)
         second = run_pipeline(query, pool, config, mock)
         assert first.to_json() == second.to_json()
+
+    @pytest.mark.parametrize("kind", ALL_SCENARIOS)
+    def test_trace_matches_golden(self, kind):
+        # the trace file format and agent log are a public record: a refactor
+        # of the pipeline must leave every byte of data/trace_<kind>.json alone
+        query, pool, config, mock, _ = scripted_scenario(kind)
+        golden = (DATA_DIR / f"trace_{kind}.json").read_text(encoding="utf-8")
+        assert run_pipeline(query, pool, config, mock).to_json() == golden
+
+    @pytest.mark.parametrize("kind", ALL_SCENARIOS)
+    def test_every_generate_call_is_logged(self, kind):
+        # initial_answer_leaked reads only the log, so every returned call must be in it
+        calls = []
+
+        class Spy(MockBackend):
+            def generate(self, request):
+                result = super().generate(request)
+                calls.append(
+                    (
+                        request.prompt_role.value,
+                        list(request.doc_ids()),
+                        request.prior,
+                        request.iteration,
+                        result.text,
+                    )
+                )
+                return result
+
+        query, pool, config, mock, _ = scripted_scenario(kind, mock=Spy())
+        trace = run_pipeline(query, pool, config, mock)
+        logged = [
+            (e["role"], e["doc_ids"], e["prior"], e["iteration"], e["output"])
+            for e in trace.agent_log
+            if e["action"] == "generate"
+        ]
+        assert calls and logged == calls
 
     def test_reflection_audit_catches_leaks(self):
         # a synthetic trace that does feed the measured answer back in
