@@ -4,8 +4,10 @@ A pool is stored as columns: one read-only (n, d) float64 matrix holding
 every embedding once, and beside it the (pool_name, doc_id) key and the
 metadata of each row.  Pools are immutable after construction; ingestion and
 merging build new pools.  Retrieval is an exact full scan (corpora here are
-desk scale): both scoring modes share one row-wise cosine formula and one
-sort, so equal rows score equal and ties break by doc_id, then pool name.
+desk scale): both scoring modes share one row-wise cosine formula, masked
+scoring walks the rows in fixed blocks so no query allocates an (n, d)
+temporary, and one tie-safe cut ranks both modes, so equal rows score equal
+and ties break by doc_id, then pool name.
 """
 
 import json
@@ -30,6 +32,9 @@ from .masking import DEFAULT_ALPHA, DEFAULT_EPS, Embedding, mask_pipeline
 SNAPSHOT_FORMAT_VERSION = 1
 
 MERGED_POOL_NAME = "all"
+
+# rows per block of masked scoring: the block's mask temporaries stay in cache
+_BLOCK_ROWS = 512
 
 Key = Tuple[str, str]
 
@@ -69,6 +74,9 @@ class Pool:
     keyed ``keys[i]``, a (pool_name, doc_id) pair, whose metadata is
     ``metadata[i]``.  ``rows`` maps each key to its row.  The matrix is
     copied on construction; every row must be finite with a finite norm.
+    The row norms are computed once here and stored, so cosine scoring
+    computes only the dots; a row is live, and can be masked, if its norm
+    is nonzero.
     """
 
     name: str
@@ -76,6 +84,7 @@ class Pool:
     keys: Tuple[Key, ...]
     metadata: Tuple[dict, ...]
     rows: Dict[Key, int] = field(init=False, repr=False)
+    _norms: np.ndarray = field(init=False, repr=False)
     _live: np.ndarray = field(init=False, repr=False)
     _tie_rank: np.ndarray = field(init=False, repr=False)
 
@@ -105,7 +114,9 @@ class Pool:
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "metadata", metadata)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_live", squared_norms > 0.0)
+        norms = np.sqrt(squared_norms)
+        object.__setattr__(self, "_norms", norms)
+        object.__setattr__(self, "_live", norms > 0.0)
         object.__setattr__(self, "_tie_rank", tie_rank)
 
     @property
@@ -215,12 +226,15 @@ def top_k(
 
     A plain-sequence query gets `Embedding`'s checks, so a NaN raises ValueError.
     ``scoring="masked"`` first multiplies every document by its hybrid mask
-    against the query (`mask_pipeline`, one call over the whole pool).  Both
-    modes then score each row with the same row-wise formula,
-    dot(q, x) / (|q| |x|), so exact duplicate rows score bit-identically.
-    A record whose embedding norm is 0, all-zero or underflowed, scores 0,
-    as does a document its mask zeroes.  One sort ranks scores descending,
-    ties by ascending doc_id, then pool name.
+    against the query (`mask_pipeline`, one call per block of live rows).
+    Both modes then score each row with the same row-wise formula,
+    dot(q, x) / (|q| |x|), so exact duplicate rows score bit-identically,
+    in one block or in two.  Cosine mode divides by the norms the pool
+    stored, which are the same row-wise sums.  A record whose embedding
+    norm is 0, all-zero or underflowed, scores 0, as does a document its
+    mask zeroes.  The cut keeps every row scoring at least the k-th largest
+    score and sorts only those, descending, ties by ascending doc_id, then
+    pool name.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -237,20 +251,32 @@ def top_k(
     if qn == 0.0:
         raise ZeroVectorError("query embedding is all zero")
 
-    rows, docs = slice(None), pool.matrix
+    # per-row sums of products, not a BLAS product, so equal rows score equal
     if scoring == "masked":
         # the mask needs a direction: rows of norm 0 (all-zero or underflowed)
         # are left out and score 0, as the `where` below scores them in cosine
-        rows = pool._live
-        docs = docs[rows]
-        docs = docs * mask_pipeline(q, docs, alpha, eps)
-    # per-row sums of products, not a BLAS product, so equal rows score equal
-    dots = np.einsum("ij,j->i", docs, q)
-    norms = np.sqrt(np.einsum("ij,ij->i", docs, docs))
+        rows = np.flatnonzero(pool._live)
+        dots, norms = np.empty(len(rows)), np.empty(len(rows))
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            docs = pool.matrix[rows[block]]
+            docs *= mask_pipeline(q, docs, alpha, eps)
+            dots[block] = np.einsum("ij,j->i", docs, q)
+            norms[block] = np.sqrt(np.einsum("ij,ij->i", docs, docs))
+    else:
+        rows, norms = slice(None), pool._norms
+        dots = np.einsum("ij,j->i", pool.matrix, q)
     scores = np.zeros(len(pool))
     scores[rows] = np.divide(dots, qn * norms, out=np.zeros_like(norms), where=norms > 0.0)
 
-    order = np.lexsort((pool._tie_rank, -scores))[:k]
+    # every row tied with the k-th largest score is kept, so the sort, not
+    # the partition, decides which tied rows make the cut
+    n = len(pool)
+    if k < n:
+        kept = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    else:
+        kept = np.arange(n)
+    order = kept[np.lexsort((pool._tie_rank[kept], -scores[kept]))][:k]
     entries = tuple(
         RankedEntry(pool.keys[i][1], pool.keys[i][0], float(scores[i])) for i in order
     )

@@ -269,8 +269,6 @@ def decouple(
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if not salient:
-        raise ValueError("decoupling needs nonempty salient knowledge")
     anchor = (DocRef(doc_id=SALIENT_DOC_ID, text=salient),)
     iterations: List[FineprintIteration] = []
     previous = ""

@@ -6,6 +6,11 @@ This is the code `holorag.masking` and the masked branch of
 intermediate objects.  It is kept, arithmetic unchanged, as the reference
 the row-wise code is tested against.  The cosine scan beside it scores one
 row at a time, and both scans rank with a Python sort.
+
+`whole_top_k_cosine` and `whole_top_k_masked` are the scoring `top_k` ran
+before it walked the rows in blocks and stored the row norms: one row-wise
+pass over the whole pool, whose scores the blocked code must match bit for
+bit.
 """
 
 from dataclasses import dataclass
@@ -17,6 +22,7 @@ from holorag.errors import DimensionMismatchError, PartitionTooFineError, ZeroVe
 from holorag.index import RankedEntry, RankedResult
 from holorag.losses import Batch
 from holorag.masking import DEFAULT_ALPHA, DEFAULT_EPS, MASK_LEVELS
+from holorag.masking import mask_pipeline as row_mask_pipeline
 
 # Tolerance on the unit-norm invariant of normalized embeddings.
 NORM_TOLERANCE = 1e-6
@@ -305,6 +311,36 @@ def loop_top_k_masked(
         if mn > 0.0:
             scores[i] = float(np.dot(q, masked) / (qn * mn))
     return _rank_rows(pool, scores, k)
+
+
+def _rank_whole(pool, q: np.ndarray, rows, docs: np.ndarray, k: int) -> RankedResult:
+    """Score ``docs``, the pool's ``rows``, in one row-wise pass; other rows score 0."""
+    qn = float(np.linalg.norm(q))
+    dots = np.einsum("ij,j->i", docs, q)
+    norms = np.sqrt(np.einsum("ij,ij->i", docs, docs))
+    scores = np.zeros(len(pool))
+    scores[rows] = np.divide(dots, qn * norms, out=np.zeros_like(norms), where=norms > 0.0)
+    return _rank_rows(pool, scores, k)
+
+
+def whole_top_k_cosine(pool, query: np.ndarray, k: int) -> RankedResult:
+    """Cosine top-k with the row norms recomputed over the whole pool."""
+    q = np.asarray(query, dtype=np.float64)
+    return _rank_whole(pool, q, slice(None), pool.matrix, k)
+
+
+def whole_top_k_masked(
+    pool,
+    query: np.ndarray,
+    k: int,
+    alpha: float = DEFAULT_ALPHA,
+    eps: float = DEFAULT_EPS,
+) -> RankedResult:
+    """Masked top-k as one row-wise `mask_pipeline` call over every live row."""
+    q = np.asarray(query, dtype=np.float64)
+    live = np.einsum("ij,ij->i", pool.matrix, pool.matrix) > 0.0
+    docs = pool.matrix[live]
+    return _rank_whole(pool, q, live, docs * row_mask_pipeline(q, docs, alpha, eps), k)
 
 
 def loop_build_batch(

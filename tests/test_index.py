@@ -2,7 +2,9 @@
 
 import json
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import mask_oracle
 from helpers import DATA_DIR, make_pool
+from holorag import index
 from holorag.errors import (
     CorpusParseError,
     DimensionMismatchError,
@@ -238,6 +241,8 @@ class TestTopK:
         query = data.draw(arrays(np.int8, d, elements=grid)) / 4.0
         query[-1] = query[-1] or 1.0
         k = data.draw(st.integers(1, n))
+        # masked scoring walks the rows in blocks; small blocks put edges inside these pools
+        block = data.draw(st.sampled_from([1, 2, 3, index._BLOCK_ROWS]))
         # rows from `split` on form pool "p", which reuses the doc_ids of pool
         # "q" stored before it, so equal rows can tie on doc_id and fall back
         # to the pool name
@@ -250,7 +255,9 @@ class TestTopK:
         pool = merge_pools(pools)
         loop = {"cosine": mask_oracle.loop_top_k_cosine, "masked": mask_oracle.loop_top_k_masked}
 
-        got = top_k(pool, Embedding(query), k=k, scoring=scoring)
+        with mock.patch.object(index, "_BLOCK_ROWS", block):
+            got = top_k(pool, Embedding(query), k=k, scoring=scoring)
+            everything = top_k(pool, Embedding(query), k=n, scoring=scoring)
         want = loop[scoring](pool, query, k)
         assert got.doc_keys() == want.doc_keys()
         for g, w in zip(got.entries, want.entries):
@@ -258,7 +265,7 @@ class TestTopK:
 
         pick_of = dict(zip(pool.keys, picks))
         by_row = {}
-        for e in top_k(pool, Embedding(query), k=n, scoring=scoring).entries:
+        for e in everything.entries:
             by_row.setdefault(pick_of[(e.pool_name, e.doc_id)], set()).add(e.score)
         assert all(len(scores) == 1 for scores in by_row.values())
 
@@ -272,17 +279,123 @@ class TestTopK:
             copies = [1, 6, 13, 22, 39, 40]
             vectors[copies] = vectors[0]
             pool = make_pool("p", [(f"d{40 - i:02d}", v) for i, v in enumerate(vectors)])
-            entries = top_k(pool, Embedding(rng.normal(size=d)), k=41, scoring=scoring).entries
-            tied = [e for e in entries if e.doc_id in {f"d{40 - i:02d}" for i in [0] + copies}]
-            assert len({e.score for e in tied}) == 1
-            ranks = [entries.index(e) for e in tied]
-            assert ranks == list(range(ranks[0], ranks[0] + len(tied)))
-            assert [e.doc_id for e in tied] == sorted(e.doc_id for e in tied)
+            query = Embedding(rng.normal(size=d))
+            # blocks of 1, 2 and 3 rows put copies in different blocks
+            for block in (1, 2, 3, index._BLOCK_ROWS):
+                with mock.patch.object(index, "_BLOCK_ROWS", block):
+                    entries = top_k(pool, query, k=41, scoring=scoring).entries
+                tied = [e for e in entries if e.doc_id in {f"d{40 - i:02d}" for i in [0] + copies}]
+                assert len({e.score for e in tied}) == 1
+                ranks = [entries.index(e) for e in tied]
+                assert ranks == list(range(ranks[0], ranks[0] + len(tied)))
+                assert [e.doc_id for e in tied] == sorted(e.doc_id for e in tied)
 
     def test_unknown_scoring_mode(self):
         pool = make_pool("p", [("a", [1.0])])
         with pytest.raises(ValueError):
             top_k(pool, Embedding([1.0]), k=1, scoring="bm25")
+
+
+def gaussian_pool(rng, n, d, rows=None):
+    """Pool "p" of Gaussian rows, with ``rows`` (index -> vector) written over them.
+
+    doc_ids are a seeded shuffle, so row order is not doc_id order.
+    """
+    vectors = rng.normal(size=(n, d))
+    for i, vec in (rows or {}).items():
+        vectors[i] = vec
+    ids = rng.permutation(n)
+    return make_pool("p", [(f"d{ids[i]:05d}", vectors[i]) for i in range(n)])
+
+
+def assert_same_ranking(got, want):
+    assert got.doc_keys() == want.doc_keys()
+    assert np.array_equal([e.score for e in got.entries], [e.score for e in want.entries])
+
+
+WHOLE_POOL = {"cosine": mask_oracle.whole_top_k_cosine, "masked": mask_oracle.whole_top_k_masked}
+
+
+class TestBlockedScoring:
+    """Masked scoring walks the live rows in blocks of `index._BLOCK_ROWS`; every
+    score must equal, bit for bit, the one pass over the whole pool it replaced."""
+
+    B = index._BLOCK_ROWS
+
+    @pytest.mark.parametrize("scoring", ["cosine", "masked"])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3])
+    def test_scores_equal_whole_pool_oracle(self, n, scoring):
+        rng = np.random.default_rng(n)
+        pool = gaussian_pool(rng, n, 24)
+        for query in rng.normal(size=(3, 24)):
+            got = top_k(pool, Embedding(query), k=n, scoring=scoring)
+            assert_same_ranking(got, WHOLE_POOL[scoring](pool, query, n))
+
+    @pytest.mark.parametrize("scoring", ["cosine", "masked"])
+    def test_duplicates_across_block_edges(self, scoring):
+        rng = np.random.default_rng(21)
+        copy = rng.normal(size=16)
+        # copies on both sides of the first and of the second block edge
+        at = [self.B - 2, self.B - 1, self.B, 2 * self.B - 1, 2 * self.B, 2 * self.B + 2]
+        pool = gaussian_pool(rng, 2 * self.B + 3, 16, {i: copy for i in at})
+        copies = {pool.keys[i] for i in at}
+        query = rng.normal(size=16)
+        got = top_k(pool, Embedding(query), k=len(pool), scoring=scoring)
+        tied = [e for e in got.entries if (e.pool_name, e.doc_id) in copies]
+        assert len({e.score for e in tied}) == 1
+        ranks = [got.entries.index(e) for e in tied]
+        assert ranks == list(range(ranks[0], ranks[0] + len(tied)))
+        assert [e.doc_id for e in tied] == sorted(e.doc_id for e in tied)
+        assert_same_ranking(got, WHOLE_POOL[scoring](pool, query, len(pool)))
+
+    @pytest.mark.parametrize("scoring", ["cosine", "masked"])
+    def test_zero_and_underflowed_rows_at_block_edge(self, scoring):
+        rng = np.random.default_rng(22)
+        zero, tiny = np.zeros(8), np.array([1e-200, 2e-200] * 4)
+        dead = {self.B - 1: zero, self.B: tiny, self.B + 1: zero, 2 * self.B: tiny}
+        pool = gaussian_pool(rng, 2 * self.B + 3, 8, dead)
+        query = rng.normal(size=8)
+        got = top_k(pool, Embedding(query), k=len(pool), scoring=scoring)
+        scores = {(e.pool_name, e.doc_id): e.score for e in got.entries}
+        assert all(scores[pool.keys[i]] == 0.0 for i in dead)
+        assert_same_ranking(got, WHOLE_POOL[scoring](pool, query, len(pool)))
+
+    @pytest.mark.parametrize("scoring", ["cosine", "masked"])
+    def test_tie_at_the_cut(self, scoring):
+        # seven equal rows on both sides of a block edge, and k cutting the group at
+        # every place: which tied rows make the cut goes by doc_id, not by partition
+        rng = np.random.default_rng(23)
+        query = rng.normal(size=16)
+        at = [3, self.B - 1, self.B, self.B + 1, 40, 2 * self.B + 1, 7]
+        pool = gaussian_pool(rng, 2 * self.B + 3, 16, {i: query for i in at})
+        everything = WHOLE_POOL[scoring](pool, query, len(pool))
+        group = {pool.keys[i] for i in at}
+        first = next(r for r, key in enumerate(everything.doc_keys()) if key in group)
+        assert set(everything.doc_keys()[first:first + len(at)]) == group
+        for k in range(first + 1, first + len(at) + 1):
+            assert_same_ranking(
+                top_k(pool, Embedding(query), k=k, scoring=scoring),
+                WHOLE_POOL[scoring](pool, query, k),
+            )
+
+    def test_masked_top_k_allocates_no_pool_sized_temporary(self):
+        rng = np.random.default_rng(24)
+        n, d = 20_000, 64
+        pool = Pool(
+            name="p",
+            matrix=rng.normal(size=(n, d)),
+            keys=tuple(("p", f"d{i:05d}") for i in range(n)),
+            metadata=({},) * n,
+        )
+        query = Embedding(rng.normal(size=d))
+        limit = pool.matrix.nbytes // 2
+        tracemalloc.start()
+        try:
+            top_k(pool, query, k=5, scoring="masked")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestMergePools:

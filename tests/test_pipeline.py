@@ -236,9 +236,13 @@ class TestDecouplerAgents:
         with pytest.raises(ValueError):
             decouple("q", "salient", MockBackend(), max_iters=0)
 
-    def test_empty_salient_rejected(self):
-        with pytest.raises(ValueError):
-            decouple("q", "", MockBackend(), max_iters=1)
+    def test_empty_salient_passes_through(self):
+        # the requests still carry the salient anchor, with empty text
+        mock = MockBackend()
+        mock.add_generation("fineprint_mine", "q", ["knowledge:salient"], 1, "m1", [1.0])
+        mock.add_generation("decouple", "q", ["knowledge:salient"], 1, "f1", [1.0])
+        mock.add_generation("sufficiency_probe", "q", ["knowledge:decoupled"], 1, "YES", [1.0])
+        assert decouple("q", "", mock, max_iters=1) == (("m1", "f1"),)
 
 
 class TestSummarize:
@@ -292,6 +296,14 @@ class TestRunPipeline:
         assert trace.final_answer is None
         assert "FixtureMissError" in trace.error
         assert trace.agent_log[-1]["action"] == "error"
+
+    def test_empty_salient_extract_completes(self):
+        query, pool, config, mock, expected = scripted_scenario("hqp_early")
+        mock.add_generation("salient_extract", query, expected["pruned"], 0, "", [1.0])
+        trace = run_pipeline(query, pool, config, mock)
+        assert trace.error is None
+        assert trace.salient == ""
+        assert trace.final_answer == expected["final"]
 
     def test_empty_pool_rejected(self):
         _, _, config, mock, _ = scripted_scenario("lqp")
