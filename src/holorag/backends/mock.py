@@ -6,7 +6,6 @@ lenient mode answers generation misses with a role-appropriate canned
 response but never invents embeddings.
 """
 
-import json
 import math
 import threading
 from pathlib import Path
@@ -14,7 +13,8 @@ from typing import Dict, FrozenSet, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import CorpusParseError, FixtureMissError
+from ..errors import FixtureMissError
+from ..jsonl import json_objects, line_error
 from ..masking import Embedding
 from .base import GenerationRequest, GenerationResult, ModelBackend, PromptRole
 
@@ -43,7 +43,7 @@ class MockBackend(ModelBackend):
 
     @classmethod
     def from_file(cls, path: Union[str, Path], strict: bool = True) -> "MockBackend":
-        """Load fixtures from a JSON-lines file.
+        """Load fixtures from a JSON-lines file read by `jsonl.json_objects`.
 
         Generation lines: {"role", "query", "docs": [ids], "iteration",
         "text", "token_probs"}; each probability in (0, 1] becomes a logprob.
@@ -51,17 +51,8 @@ class MockBackend(ModelBackend):
         or a probability outside (0, 1] raises CorpusParseError with its number.
         """
         backend = cls(strict=strict)
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusParseError(
-                        f"line {line_number}: invalid JSON ({exc.msg})", line_number
-                    ) from exc
+        with Path(path).open("rb") as handle:
+            for line_number, data in json_objects(handle):
                 try:
                     if "embed" in data:
                         backend.add_embedding(data["embed"], data["key"], data["vector"])
@@ -76,13 +67,9 @@ class MockBackend(ModelBackend):
                             finish_reason=data.get("finish_reason", "stop"),
                         )
                 except KeyError as exc:
-                    raise CorpusParseError(
-                        f"line {line_number}: missing fixture field {exc}", line_number
-                    ) from exc
+                    raise line_error(line_number, f"missing fixture field {exc}") from exc
                 except (TypeError, ValueError) as exc:
-                    raise CorpusParseError(
-                        f"line {line_number}: bad fixture ({exc})", line_number
-                    ) from exc
+                    raise line_error(line_number, f"bad fixture ({exc})") from exc
         return backend
 
     def add_generation(

@@ -145,13 +145,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     dataset = load_dataset(args.dataset)
     pools = _load_pools(args.snapshots)
+    backend = _build_backend(config)
     if args.mode == "retrieval":
-        backend = _build_backend(config)
         report = evaluate_retrieval(dataset, config.pool_mode, pools, backend, config)
     else:
-        answer_backend = _build_backend(config)
-        judge_backend = answer_backend  # same endpoint serves judging fixtures
-        report = evaluate_e2e(dataset, pools, config, answer_backend, judge_backend)
+        # the same endpoint serves the judging fixtures
+        report = evaluate_e2e(dataset, pools, config, backend, backend)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
     print(report.render_table())

@@ -68,8 +68,8 @@ class RunConfig:
         if config_file is not None:
             path = Path(config_file)
             try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
+                data = json.loads(path.read_bytes())
+            except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read config file {path}: {exc}") from exc
             if not isinstance(data, dict):
                 raise ConfigError(f"config file {path} must hold a JSON object")

@@ -15,13 +15,9 @@ from typing import Dict, Hashable, Optional, Sequence, Set, Tuple, Union
 
 from .backends.base import DocRef, GenerationRequest, ModelBackend, PromptRole
 from .config import RunConfig
-from .errors import (
-    CorpusParseError,
-    HoloRagError,
-    MissingGoldDocumentError,
-    UnparseableScoreError,
-)
+from .errors import HoloRagError, MissingGoldDocumentError, UnparseableScoreError
 from .index import Pool, merge_pools, pools_by_name, top_k
+from .jsonl import json_objects, line_error
 from .pipeline import ROUTE_HQP, ROUTE_LQP, run_pipeline
 
 NDCG_K = 5
@@ -36,9 +32,10 @@ class QaExample:
     query: str
     gold_doc_ids: frozenset  # of (pool_name, doc_id)
     gold_answer: str
-    requires_multihop: bool = False
 
     def __post_init__(self):
+        if not all(isinstance(v, str) for v in (self.query_id, self.query, self.gold_answer)):
+            raise TypeError("query_id, query and gold_answer must be strings")
         object.__setattr__(self, "gold_doc_ids", frozenset(tuple(g) for g in self.gold_doc_ids))
         if not self.gold_doc_ids:
             raise ValueError(f"example {self.query_id!r} has no gold documents")
@@ -112,23 +109,14 @@ class EvalReport:
 
 
 def load_dataset(path: Union[str, Path]) -> Tuple[QaExample, ...]:
-    """Read a JSON-lines dataset of QA examples.
+    """Read a JSON-lines dataset of QA examples with `jsonl.json_objects`.
 
     Lines look like {"query_id", "query", "gold_doc_ids": [{"pool", "doc_id"},
-    ...], "gold_answer", "requires_multihop"?}.
+    ...], "gold_answer"}; other keys are ignored.
     """
-    path = Path(path)
     examples = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusParseError(
-                    f"line {line_number}: invalid JSON ({exc.msg})", line_number
-                ) from exc
+    with Path(path).open("rb") as handle:
+        for line_number, data in json_objects(handle):
             try:
                 gold = frozenset((g["pool"], g["doc_id"]) for g in data["gold_doc_ids"])
                 examples.append(
@@ -137,13 +125,10 @@ def load_dataset(path: Union[str, Path]) -> Tuple[QaExample, ...]:
                         query=data["query"],
                         gold_doc_ids=gold,
                         gold_answer=data["gold_answer"],
-                        requires_multihop=bool(data.get("requires_multihop", False)),
                     )
                 )
-            except (KeyError, TypeError) as exc:
-                raise CorpusParseError(
-                    f"line {line_number}: malformed example ({exc})", line_number
-                ) from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise line_error(line_number, f"malformed example ({exc})") from exc
     return tuple(examples)
 
 

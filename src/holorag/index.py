@@ -7,7 +7,8 @@ merging build new pools.  Retrieval is an exact full scan (corpora here are
 desk scale): both scoring modes share one row-wise cosine formula, masked
 scoring walks the rows in fixed blocks so no query allocates an (n, d)
 temporary, and one tie-safe cut ranks both modes, so equal rows score equal
-and ties break by doc_id, then pool name.
+and ties break by doc_id, then pool name.  Corpus and snapshot lines are read
+by the shared JSON-lines reader, `jsonl.json_objects`.
 """
 
 import json
@@ -15,7 +16,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
+from typing import BinaryIO, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
     FormatVersionMismatchError,
     ZeroVectorError,
 )
+from .jsonl import json_objects, line_error
 from .masking import DEFAULT_ALPHA, DEFAULT_EPS, Embedding, mask_pipeline
 
 SNAPSHOT_FORMAT_VERSION = 1
@@ -137,55 +139,43 @@ class Pool:
         )
 
 
-def _line_error(line_number: int, message: str) -> CorpusParseError:
-    return CorpusParseError(f"line {line_number}: {message}", line_number)
-
-
 def _read_rows(
-    handle: TextIO, first_line: int, dimension: Optional[int], one_pool: bool
+    handle: BinaryIO, first_line: int, dimension: Optional[int], one_pool: bool
 ) -> Tuple[List[Key], List[dict], np.ndarray]:
     """Parse JSON-lines documents into key, metadata and matrix columns.
 
-    Each nonblank line is {"doc_id": str, "pool": str, "embedding": [floats],
-    "metadata": object}.  Every embedding must pass `Embedding`'s check and
-    have ``dimension`` entries, or as many as the first one when
+    `json_objects` reads the binary ``handle``, numbering lines from
+    ``first_line``; each object is {"doc_id": str, "pool": str, "embedding":
+    [floats], "metadata": object}.  Every embedding must pass `Embedding`'s
+    check and have ``dimension`` entries, or as many as the first one when
     ``dimension`` is None.  With ``one_pool`` every line must name the same
-    pool.  Parse errors name the line, counted from ``first_line``; a
-    repeated key is left to `Pool`.
+    pool.  Errors name the line; a repeated key is left to `Pool`.
     """
     keys: List[Key] = []
     metadata: List[dict] = []
     rows: List[np.ndarray] = []
-    for line_number, line in enumerate(handle, start=first_line):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise _line_error(line_number, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(data, dict):
-            raise _line_error(line_number, "expected a JSON object")
+    for line_number, data in json_objects(handle, first_line):
         try:
             doc_id = data["doc_id"]
             pool_name = data["pool"]
             embedding = data["embedding"]
         except KeyError as exc:
-            raise _line_error(line_number, f"missing field {exc}") from exc
+            raise line_error(line_number, f"missing field {exc}") from exc
         if not isinstance(doc_id, str) or not isinstance(pool_name, str):
-            raise _line_error(line_number, "doc_id and pool must be strings")
+            raise line_error(line_number, "doc_id and pool must be strings")
         try:
             values = Embedding(embedding).values
         except (ValueError, TypeError) as exc:
-            raise _line_error(line_number, f"bad embedding ({exc})") from exc
+            raise line_error(line_number, f"bad embedding ({exc})") from exc
         if dimension is not None and len(values) != dimension:
             raise DimensionMismatchError(
                 f"line {line_number}: embedding length {len(values)} != expected {dimension}"
             )
         meta = data.get("metadata", {})
         if not isinstance(meta, dict):
-            raise _line_error(line_number, "metadata must be an object")
+            raise line_error(line_number, "metadata must be an object")
         if one_pool and keys and pool_name != keys[0][0]:
-            raise _line_error(
+            raise line_error(
                 line_number,
                 f"pool {pool_name!r} differs from {keys[0][0]!r}; one corpus file holds one pool",
             )
@@ -206,7 +196,7 @@ def ingest_corpus(path: Union[str, Path]) -> Pool:
     yields an empty pool and a warning.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         keys, metadata, matrix = _read_rows(handle, 1, None, one_pool=True)
     if not keys:
         warnings.warn(f"corpus file {path} contained no records")
@@ -340,12 +330,11 @@ def save_snapshot(pool: Pool, path: Union[str, Path]) -> None:
 def load_snapshot(path: Union[str, Path]) -> Pool:
     """Load a snapshot written by `save_snapshot`; never yields a partial pool."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        header_line = handle.readline()
+    with path.open("rb") as handle:
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise FormatVersionMismatchError(f"unreadable snapshot header: {exc.msg}") from exc
+            header = json.loads(handle.readline())
+        except ValueError as exc:
+            raise FormatVersionMismatchError(f"unreadable snapshot header: {exc}") from exc
         if not isinstance(header, dict) or "format_version" not in header:
             raise FormatVersionMismatchError("snapshot header missing format_version")
         if header["format_version"] != SNAPSHOT_FORMAT_VERSION:
@@ -353,12 +342,13 @@ def load_snapshot(path: Union[str, Path]) -> Pool:
                 f"snapshot format {header['format_version']!r} unsupported "
                 f"(expected {SNAPSHOT_FORMAT_VERSION})"
             )
-        try:
-            name = header["name"]
-            dimension = int(header["dimension"])
-            count = int(header["count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusParseError(f"snapshot header malformed: {exc}") from exc
+        name, dimension, count = (header.get(f) for f in ("name", "dimension", "count"))
+        sizes_ok = all(type(n) is int and n >= 0 for n in (dimension, count))
+        if not (isinstance(name, str) and sizes_ok):
+            raise CorpusParseError(
+                "snapshot header malformed: need a string name and integer dimension and "
+                f"count >= 0, got name={name!r}, dimension={dimension!r}, count={count!r}"
+            )
         keys, metadata, matrix = _read_rows(handle, 2, dimension, one_pool=False)
     if len(keys) != count:
         raise CorpusParseError(

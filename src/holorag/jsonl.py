@@ -1,0 +1,35 @@
+"""The one reader of JSON-lines input: corpora, snapshots, datasets and fixtures.
+
+JSON Lines (jsonlines.org) fixes UTF-8 and the ``\\n`` separator, so files are
+opened in binary mode and each line is decoded here; a UTF-8 BOM opening a line is skipped.
+"""
+
+import json
+from typing import Iterable, Iterator, Tuple
+
+from .errors import CorpusParseError
+
+
+def line_error(line_number: int, message: str) -> CorpusParseError:
+    """A `CorpusParseError` whose message and ``line_number`` name the line."""
+    return CorpusParseError(f"line {line_number}: {message}", line_number)
+
+
+def json_objects(lines: Iterable[bytes], first_line: int = 1) -> Iterator[Tuple[int, dict]]:
+    """Yield (line_number, object) for each nonblank line, numbered from ``first_line``.
+
+    A line that is not UTF-8, not JSON or not a JSON object raises
+    `CorpusParseError` naming the line; the caller checks the fields.
+    """
+    for line_number, line in enumerate(lines, start=first_line):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line.decode("utf-8-sig"))
+        except UnicodeDecodeError as exc:
+            raise line_error(line_number, f"not UTF-8 ({exc.reason})") from exc
+        except json.JSONDecodeError as exc:
+            raise line_error(line_number, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(data, dict):
+            raise line_error(line_number, "expected a JSON object")
+        yield line_number, data

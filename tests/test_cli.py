@@ -169,6 +169,39 @@ def test_wrong_dimension_query_exits_user_error(command, tmp_path, capsys):
     assert "failed:" not in err
 
 
+CORPUS_LINE = {"doc_id": "d1", "pool": "charts", "embedding": [1.0, 0.0]}
+EXAMPLE_LINE = {
+    "query_id": "e1",
+    "query": "q",
+    "gold_doc_ids": [{"pool": "charts", "doc_id": "d1"}],
+    "gold_answer": "42",
+}
+BAD_LINES = {"not-utf8": b"\xff", "invalid-json": b"not json", "non-object": b"[1]"}
+
+
+@pytest.mark.parametrize("bad", BAD_LINES.values(), ids=BAD_LINES.keys())
+@pytest.mark.parametrize("kind", ["corpus", "snapshot", "dataset", "fixtures", "config"])
+def test_bad_input_line_exits_user_error(kind, bad, retrieve_args, tmp_path, capsys):
+    """A bad second line in any input file is an `error:` line and exit 1, never a traceback."""
+    snapshot, fixtures = tmp_path / "charts.snap", tmp_path / "fixtures.jsonl"
+    corpus, dataset, config = (tmp_path / name for name in ("corpus.jsonl", "data.jsonl", "c.json"))
+    ingest_args = ["ingest", str(corpus), "-o", str(tmp_path / "out.snap")]
+    eval_args = ["eval", str(snapshot), "--dataset", str(dataset), "--mode", "retrieval"]
+    path, first_line, argv = {
+        "corpus": (corpus, json.dumps(CORPUS_LINE), ingest_args),
+        "snapshot": (snapshot, snapshot.read_text().splitlines()[0], retrieve_args),
+        "dataset": (dataset, json.dumps(EXAMPLE_LINE), eval_args + ["--fixtures", str(fixtures)]),
+        "fixtures": (fixtures, json.dumps(QUERY_EMBEDDING), retrieve_args),
+        "config": (config, "", retrieve_args + ["--config", str(config)]),
+    }[kind]
+    path.write_bytes(first_line.encode() + b"\n" + bad + b"\n")
+    assert main(argv) == EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if kind != "config":
+        assert "line 2" in err
+
+
 def test_loss_check_default_arguments_pass(capsys):
     assert main(["loss-check", "--seed", "0"]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out

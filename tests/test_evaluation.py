@@ -1,5 +1,6 @@
 """Tests for nDCG, judge scoring, and the retrieval/e2e evaluation loops."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 from helpers import demo_pool, make_pool, scripted_scenario
 from holorag.backends import DocRef, MockBackend
 from holorag.config import RunConfig
-from holorag.errors import HoloRagError, MissingGoldDocumentError, UnparseableScoreError
+from holorag.errors import (
+    CorpusParseError,
+    HoloRagError,
+    MissingGoldDocumentError,
+    UnparseableScoreError,
+)
 from holorag.evaluation import (
     QaExample,
     evaluate_e2e,
@@ -270,10 +276,29 @@ class TestLoadDataset:
         examples = load_dataset(path)
         assert examples[0].query_id == "a"
         assert examples[0].gold_doc_ids == frozenset({("p", "d")})
-        assert examples[0].requires_multihop
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"query_id": "a"}\n', encoding="utf-8")
         with pytest.raises(Exception, match="line 1"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            {"query_id": "b", "gold_doc_ids": []},
+            {"query_id": 1},
+            {"query": ["what?"]},
+            {"gold_answer": None},
+        ],
+        ids=["no-gold", "int-query-id", "list-query", "null-answer"],
+    )
+    def test_malformed_example_names_line(self, tmp_path, second):
+        """An example QaExample rejects is a CorpusParseError naming its line."""
+        first = {"query_id": "a", "query": "q", "gold_doc_ids": [{"pool": "p", "doc_id": "d"}],
+                 "gold_answer": "42"}
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(first) + "\n" + json.dumps({**first, **second}) + "\n")
+        with pytest.raises(CorpusParseError, match="line 2: malformed example") as info:
+            load_dataset(path)
+        assert info.value.line_number == 2

@@ -457,8 +457,33 @@ class TestSnapshots:
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.snap"
-        path.write_text("garbage\n", encoding="utf-8")
-        with pytest.raises(FormatVersionMismatchError):
+        for header in (b"garbage\n", b"\xff\n"):
+            path.write_bytes(header)
+            with pytest.raises(FormatVersionMismatchError, match="unreadable snapshot header"):
+                load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dimension", -1),
+            ("count", -1),
+            ("name", 7),
+            ("dimension", 2.0),
+            ("count", "0"),
+            ("count", True),
+        ],
+    )
+    def test_malformed_header_field(self, tmp_path, field, value):
+        header = {"count": 0, "dimension": 2, "format_version": 1, "name": "x", field: value}
+        path = tmp_path / "bad.snap"
+        path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusParseError, match="snapshot header malformed"):
+            load_snapshot(path)
+
+    def test_missing_header_field(self, tmp_path):
+        path = tmp_path / "bad.snap"
+        path.write_text(json.dumps({"count": 0, "format_version": 1, "name": "x"}) + "\n")
+        with pytest.raises(CorpusParseError, match="snapshot header malformed"):
             load_snapshot(path)
 
     def test_unknown_version(self, tmp_path):
