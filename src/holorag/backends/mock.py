@@ -11,8 +11,6 @@ import threading
 from pathlib import Path
 from typing import Dict, FrozenSet, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..errors import FixtureMissError
 from ..jsonl import json_objects, line_error
 from ..masking import Embedding
@@ -37,7 +35,7 @@ class MockBackend(ModelBackend):
         self.strict = strict
         self._lock = threading.Lock()
         self._generations: Dict[GenKey, GenerationResult] = {}
-        self._embeddings: Dict[str, np.ndarray] = {}
+        self._embeddings: Dict[str, Embedding] = {}
 
     # -- fixture loading ---------------------------------------------------
 
@@ -47,8 +45,9 @@ class MockBackend(ModelBackend):
 
         Generation lines: {"role", "query", "docs": [ids], "iteration",
         "text", "token_probs"}; each probability in (0, 1] becomes a logprob.
-        Embedding lines: {"embed": "query", "key", "vector"}.  A malformed line
-        or a probability outside (0, 1] raises CorpusParseError with its number.
+        Embedding lines: {"embed": "query", "key", "vector"}.  A malformed line,
+        a probability outside (0, 1] or a vector that `Embedding` rejects raises
+        CorpusParseError with its number.
         """
         backend = cls(strict=strict)
         with Path(path).open("rb") as handle:
@@ -89,16 +88,16 @@ class MockBackend(ModelBackend):
     def add_embedding(self, kind: str, key: str, vector: Sequence[float]) -> None:
         if kind != "query":
             raise ValueError(f"embedding kind must be 'query', got {kind!r}")
-        self._embeddings[key] = np.asarray(vector, dtype=np.float64)
+        self._embeddings[key] = Embedding(vector)
 
     # -- ModelBackend interface --------------------------------------------
 
     def embed_query(self, query: str) -> Embedding:
         with self._lock:
-            vec = self._embeddings.get(query)
-        if vec is None:
+            embedding = self._embeddings.get(query)
+        if embedding is None:
             raise FixtureMissError(f"no query embedding fixture for {query!r}")
-        return Embedding(vec)
+        return embedding
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
         key = (

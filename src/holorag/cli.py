@@ -11,12 +11,12 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional, Sequence, get_args
+from typing import List, Optional, Sequence
 
 from .backends.http import HttpBackend, resolve_api_key
 from .backends.mock import MockBackend
 from .checks import run_gradient_check, run_oracle_check
-from .config import CHOICES, RunConfig
+from .config import CHOICES, RunConfig, field_type
 from .errors import ConfigError, HoloRagError
 from .evaluation import evaluate_e2e, evaluate_retrieval, load_dataset
 from .index import ingest_corpus, load_snapshot, merge_pools, pools_by_name, save_snapshot, top_k
@@ -42,9 +42,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         if f.name in CHOICES:
             parser.add_argument(flag, choices=CHOICES[f.name], dest=f.name)
         else:
-            # Optional[str] fields take a str
-            kind = f.type if isinstance(f.type, type) else get_args(f.type)[0]
-            parser.add_argument(flag, type=kind, dest=f.name)
+            parser.add_argument(flag, type=field_type(f), dest=f.name)
     parser.add_argument(
         "--no-skip-on-error",
         action="store_const",
@@ -165,25 +163,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_loss_check(args: argparse.Namespace) -> int:
-    sizes = None
-    if args.sizes:
-        sizes = []
-        for token in args.sizes:
-            spec = dict(part.split("=", 1) for part in token.replace(" ", "").split(","))
-            sizes.append((int(spec.get("B", 2)), int(spec.get("d", 8))))
     oracle = run_oracle_check(
         seed=args.seed,
         n_batches=args.oracle_batches,
         value_offset=1e-6 if args.inject_bug else 0.0,
     )
-    gradient_kwargs = dict(
+    gradient = run_gradient_check(
         seed=args.seed,
         n_batches=args.gradient_batches,
         gradient_offset=1e-2 if args.inject_bug else 0.0,
     )
-    if sizes:
-        gradient_kwargs["sizes"] = sizes
-    gradient = run_gradient_check(**gradient_kwargs)
     report = {"oracle": oracle, "gradient": gradient, "passed": oracle["passed"] and gradient["passed"]}
     if args.json:
         print(json.dumps(report, ensure_ascii=False))
@@ -242,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--oracle-batches", type=int, default=50)
     p_check.add_argument("--gradient-batches", type=int, default=9)
-    p_check.add_argument(
-        "--sizes",
-        nargs="+",
-        metavar="SPEC",
-        help='gradient batch sizes, e.g. "B=2,d=8" "B=4,d=16" (default: the full grid)',
-    )
     p_check.add_argument("--json", action="store_true")
     p_check.add_argument(
         "--inject-bug",

@@ -1,9 +1,9 @@
 """Run configuration with a flags-over-file-over-defaults override chain."""
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import Field, asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 from .errors import ConfigError
 
@@ -13,6 +13,18 @@ CHOICES = {
     "backend": ("mock", "http"),
     "scoring_mode": ("cosine", "masked"),
 }
+
+
+def field_type(f: Field) -> type:
+    """The type of a RunConfig field's values; an ``Optional[str]`` field holds a str."""
+    return f.type if isinstance(f.type, type) else get_args(f.type)[0]
+
+
+def _has_type(value, kind: type) -> bool:
+    """isinstance, except that a bool is only a bool and an int is also a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -39,6 +51,12 @@ class RunConfig:
     fallback_on_probe_error: bool = False
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value, kind = getattr(self, f.name), field_type(f)
+            optional = f.type is not kind
+            if not (_has_type(value, kind) or (optional and value is None)):
+                expected = f"{kind.__name__} or null" if optional else kind.__name__
+                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
         if not (0.0 < self.h < 1.0):
@@ -55,7 +73,7 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     @classmethod
     def from_sources(

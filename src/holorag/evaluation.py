@@ -2,16 +2,20 @@
 
 Retrieval quality is normalized DCG over the top 5 with binary gains;
 generated answers are scored 1-5 by a judge backend, with 4 and 5 counted
-correct.  Examples evaluate independently (optionally in parallel) and the
-report is a deterministic reduction ordered by query_id.
+correct.  Both modes run through one loop, ``_evaluate``: it validates the
+config, checks that every gold document exists, picks each example's pool,
+scores the examples independently (optionally in parallel), records or
+re-raises each failure by ``skip_on_error`` and orders the rows by query_id.
+A mode supplies only its ``score(example, pool)``.  The report stores the
+rows, and every aggregate is computed from them.
 """
 
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, Hashable, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Set, Tuple, Union
 
 from .backends.base import DocRef, GenerationRequest, ModelBackend, PromptRole
 from .config import RunConfig
@@ -53,30 +57,45 @@ class ExampleResult:
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "ndcg5": self.ndcg5,
-            "judge_score": self.judge_score,
-            "correct": self.correct,
-            "route": self.route,
-            "iterations": self.iterations,
-            "answer": self.answer,
-            "error": self.error,
-        }
+        return asdict(self)
+
+
+def _mean(values: Iterable[float]) -> Optional[float]:
+    values = list(values)
+    return sum(values) / len(values) if values else None
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-example rows plus aggregates; accuracy is the fraction scored >= 4."""
+    """Per-example rows ordered by query_id; every aggregate is computed from them."""
 
     mode: str
     per_example: Tuple[ExampleResult, ...]
-    mean_ndcg5: Optional[float]
-    accuracy: Optional[float]
-    lqp_count: Optional[int]
-    hqp_count: Optional[int]
-    mean_decoupler_iterations: Optional[float]
     config: dict
+
+    @property
+    def mean_ndcg5(self) -> Optional[float]:
+        return _mean(r.ndcg5 for r in self.per_example if r.ndcg5 is not None)
+
+    @property
+    def accuracy(self) -> Optional[float]:
+        """Fraction of the judged examples scored 4 or 5."""
+        return _mean(r.correct for r in self.per_example if r.judge_score is not None)
+
+    @property
+    def mean_decoupler_iterations(self) -> Optional[float]:
+        return _mean(r.iterations for r in self.per_example if r.iterations is not None)
+
+    def _route_count(self, kind: str) -> Optional[int]:
+        return sum(r.route == kind for r in self.per_example) if self.mode == "e2e" else None
+
+    @property
+    def lqp_count(self) -> Optional[int]:
+        return self._route_count(ROUTE_LQP)
+
+    @property
+    def hqp_count(self) -> Optional[int]:
+        return self._route_count(ROUTE_HQP)
 
     def to_dict(self) -> dict:
         return {
@@ -184,12 +203,7 @@ def judge_accuracy(
     try:
         score = _parse_judge_score(judge.generate(request).text)
     except UnparseableScoreError:
-        retry = GenerationRequest(
-            prompt_role=PromptRole.JUDGE_SCORE,
-            query=query,
-            context_docs=request.context_docs,
-            iteration=1,
-        )
+        retry = replace(request, iteration=1)
         score = _parse_judge_score(judge.generate(retry).text)
     return score, score >= CORRECT_THRESHOLD
 
@@ -221,11 +235,49 @@ def _check_gold_present(dataset: Sequence[QaExample], pools: Sequence[Pool]) -> 
             )
 
 
-def _run_parallel(worker, items, parallelism: int):
-    if parallelism <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=parallelism) as executor:
-        return list(executor.map(worker, items))
+def _failed(example: QaExample, exc: HoloRagError, config: RunConfig, **fields) -> ExampleResult:
+    """The error row of an example that raised ``exc``; re-raise it unless skip_on_error."""
+    if not config.skip_on_error:
+        raise exc
+    return ExampleResult(query_id=example.query_id, error=f"{type(exc).__name__}: {exc}", **fields)
+
+
+def _evaluate(
+    mode: str,
+    dataset: Sequence[QaExample],
+    pools: Sequence[Pool],
+    pool_mode: str,
+    config: RunConfig,
+    score: Callable[[QaExample, Pool], ExampleResult],
+) -> EvalReport:
+    """Score every example with ``score(example, pool)`` into a report of one mode.
+
+    The config is validated and every gold document checked before any
+    example runs.  All-pool mode scores against one merged pool; single-pool
+    mode against the pool that holds the example's gold documents.  A
+    HoloRagError from ``score`` becomes the example's error row when
+    skip_on_error is set and aborts the run otherwise.
+    """
+    config.validate()
+    _check_gold_present(dataset, pools)
+    by_name = pools_by_name(pools)
+    merged = merge_pools(pools) if pool_mode == "all" else None
+
+    def run(example: QaExample) -> ExampleResult:
+        pool = merged if pool_mode == "all" else _single_pool_for(example, by_name)
+        try:
+            return score(example, pool)
+        except HoloRagError as exc:
+            return _failed(example, exc, config)
+
+    examples = list(dataset)
+    if config.parallelism <= 1 or len(examples) <= 1:
+        rows = [run(example) for example in examples]
+    else:
+        with ThreadPoolExecutor(max_workers=config.parallelism) as executor:
+            rows = list(executor.map(run, examples))
+    rows.sort(key=lambda r: r.query_id)
+    return EvalReport(mode=mode, per_example=tuple(rows), config=config.to_dict())
 
 
 def evaluate_retrieval(
@@ -241,43 +293,20 @@ def evaluate_retrieval(
     live in; all-pool mode retrieves from the merged corpus.
     """
     config = config or RunConfig()
-    _check_gold_present(dataset, pools)
-    by_name = pools_by_name(pools)
-    merged = merge_pools(pools) if pool_mode == "all" else None
 
-    def worker(example: QaExample) -> ExampleResult:
-        pool = merged if pool_mode == "all" else _single_pool_for(example, by_name)
-        try:
-            query_embedding = backend.embed_query(example.query)
-            ranked = top_k(
-                pool,
-                query_embedding,
-                NDCG_K,
-                scoring=config.scoring_mode,
-                alpha=config.alpha,
-                eps=config.eps,
-            )
-            score = ndcg_at_k(ranked.doc_keys(), set(example.gold_doc_ids), NDCG_K)
-            return ExampleResult(query_id=example.query_id, ndcg5=score)
-        except HoloRagError as exc:
-            if not config.skip_on_error:
-                raise
-            return ExampleResult(query_id=example.query_id, error=f"{type(exc).__name__}: {exc}")
+    def score(example: QaExample, pool: Pool) -> ExampleResult:
+        ranked = top_k(
+            pool,
+            backend.embed_query(example.query),
+            NDCG_K,
+            scoring=config.scoring_mode,
+            alpha=config.alpha,
+            eps=config.eps,
+        )
+        ndcg = ndcg_at_k(ranked.doc_keys(), set(example.gold_doc_ids), NDCG_K)
+        return ExampleResult(query_id=example.query_id, ndcg5=ndcg)
 
-    results = sorted(
-        _run_parallel(worker, list(dataset), config.parallelism), key=lambda r: r.query_id
-    )
-    scored = [r.ndcg5 for r in results if r.ndcg5 is not None]
-    return EvalReport(
-        mode="retrieval",
-        per_example=tuple(results),
-        mean_ndcg5=(sum(scored) / len(scored)) if scored else None,
-        accuracy=None,
-        lqp_count=None,
-        hqp_count=None,
-        mean_decoupler_iterations=None,
-        config=config.to_dict(),
-    )
+    return _evaluate("retrieval", dataset, pools, pool_mode, config, score)
 
 
 def evaluate_e2e(
@@ -292,54 +321,27 @@ def evaluate_e2e(
     Accuracy is the fraction of judged examples scoring 4 or 5.  Failed
     examples are recorded and excluded from accuracy when skip_on_error is
     set; otherwise the first failure aborts the run with that example's error.
+    A judge failure's row keeps the example's route.
     """
-    _check_gold_present(dataset, pools)
-    by_name = pools_by_name(pools)
-    merged = merge_pools(pools) if config.pool_mode == "all" else None
 
-    def worker(example: QaExample) -> ExampleResult:
-        pool = merged if config.pool_mode == "all" else _single_pool_for(example, by_name)
+    def score(example: QaExample, pool: Pool) -> ExampleResult:
         trace = run_pipeline(example.query, pool, config, answer_backend)
         if trace.failed:
-            if not config.skip_on_error:
-                raise trace.exception
-            return ExampleResult(query_id=example.query_id, error=trace.error)
+            raise trace.exception
+        route = trace.route.kind
         try:
-            score, correct = judge_accuracy(
+            judged, correct = judge_accuracy(
                 trace.final_answer, example.gold_answer, judge_backend, query=example.query
             )
         except HoloRagError as exc:
-            if not config.skip_on_error:
-                raise
-            return ExampleResult(
-                query_id=example.query_id,
-                route=trace.route.kind if trace.route else None,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return _failed(example, exc, config, route=route)
         return ExampleResult(
             query_id=example.query_id,
-            judge_score=score,
+            judge_score=judged,
             correct=correct,
-            route=trace.route.kind if trace.route else None,
+            route=route,
             iterations=len(trace.fineprint_iterations),
             answer=trace.final_answer,
         )
 
-    results = _run_parallel(worker, list(dataset), config.parallelism)
-    results = tuple(sorted(results, key=lambda r: r.query_id))
-
-    judged = [r for r in results if r.judge_score is not None]
-    routed = [r for r in results if r.route is not None]
-    iteration_counts = [r.iterations for r in results if r.iterations is not None]
-    return EvalReport(
-        mode="e2e",
-        per_example=results,
-        mean_ndcg5=None,
-        accuracy=(sum(1 for r in judged if r.correct) / len(judged)) if judged else None,
-        lqp_count=sum(1 for r in routed if r.route == ROUTE_LQP),
-        hqp_count=sum(1 for r in routed if r.route == ROUTE_HQP),
-        mean_decoupler_iterations=(
-            sum(iteration_counts) / len(iteration_counts) if iteration_counts else None
-        ),
-        config=config.to_dict(),
-    )
+    return _evaluate("e2e", dataset, pools, config.pool_mode, config, score)

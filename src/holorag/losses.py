@@ -16,7 +16,7 @@ central-difference checker provides an independent numerical cross-check.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,14 +92,7 @@ class LossReport:
     tau: float
 
     def to_dict(self) -> dict:
-        return {
-            "l_in": self.l_in,
-            "l_din": self.l_din,
-            "l_sin": self.l_sin,
-            "total": self.total,
-            "beta": self.beta,
-            "tau": self.tau,
-        }
+        return asdict(self)
 
 
 def build_batch(

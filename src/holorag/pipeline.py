@@ -14,7 +14,7 @@ Every run produces an AnswerTrace whose agent log uses logical step counters
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .backends.base import (
@@ -45,11 +45,7 @@ class UncertaintyScore:
     token_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "raw_entropy": self.raw_entropy,
-            "normalized": self.normalized,
-            "token_count": self.token_count,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ class RouteDecision:
     score: UncertaintyScore
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "threshold": self.threshold, "score": self.score.to_dict()}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,13 @@ EXAMPLE_LINE = {
     "gold_doc_ids": [{"pool": "charts", "doc_id": "d1"}],
     "gold_answer": "42",
 }
-BAD_LINES = {"not-utf8": b"\xff", "invalid-json": b"not json", "non-object": b"[1]"}
+NAN_EMBEDDING = b'{"embed": "query", "key": "q", "vector": [NaN, 0.05, 0.02, 0.01]}'
+BAD_LINES = {
+    "not-utf8": b"\xff",
+    "invalid-json": b"not json",
+    "non-object": b"[1]",
+    "nan-vector": NAN_EMBEDDING,
+}
 
 
 @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=BAD_LINES.keys())
@@ -200,6 +206,34 @@ def test_bad_input_line_exits_user_error(kind, bad, retrieve_args, tmp_path, cap
     assert err.startswith("error:")
     if kind != "config":
         assert "line 2" in err
+
+
+MISTYPED_CONFIGS = {
+    "str-int": {"k": "3"},
+    "str-float": {"alpha": "x"},
+    "null-int": {"parallelism": None},
+    "float-int": {"k": 2.5},
+    "bool-int": {"k": True},
+    "bool-float": {"alpha": True},
+    "str-bool": {"skip_on_error": "no"},
+    "int-str": {"model": 1},
+}
+
+
+@pytest.mark.parametrize("values", MISTYPED_CONFIGS.values(), ids=MISTYPED_CONFIGS.keys())
+def test_mistyped_config_value_exits_user_error(values, retrieve_args, tmp_path, capsys):
+    """A config value of the wrong type is a ConfigError (exit 1), whatever its source."""
+    (name,) = values
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        RunConfig(**values).validate()
+    config = write_config(tmp_path, values)
+    assert main(retrieve_args + ["--config", config]) == EXIT_USER_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {name} must be")
+
+
+def test_int_for_float_and_null_for_optional_accepted(retrieve_args, tmp_path, capsys):
+    config = write_config(tmp_path, {"alpha": 1, "timeout": 5, "model": None})
+    assert main(retrieve_args + ["--config", config]) == EXIT_OK
 
 
 def test_loss_check_default_arguments_pass(capsys):

@@ -2,11 +2,13 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import demo_pool, make_pool, scripted_scenario
+import holorag.evaluation as evaluation
+from helpers import DATA_DIR, demo_pool, make_pool, scripted_scenario
 from holorag.backends import DocRef, MockBackend
 from holorag.config import RunConfig
 from holorag.errors import (
@@ -112,6 +114,19 @@ def embed_backend(queries):
     return mock
 
 
+def handcrafted_pools():
+    """Four pools whose gold documents rank 1st, 2nd, 3rd and 6th for a query at 0 degrees."""
+    return [
+        angle_pool("p1", [("g1", 0), ("f1", 60), ("f2", 80)]),
+        angle_pool("p2", [("f1", 10), ("g2", 30), ("f2", 70)]),
+        angle_pool("p3", [("f1", 10), ("f2", 20), ("g3", 40), ("f3", 80)]),
+        angle_pool(
+            "p4",
+            [("f1", 5), ("f2", 10), ("f3", 15), ("f4", 20), ("f5", 25), ("g4", 85)],
+        ),
+    ]
+
+
 class TestEvaluateRetrieval:
     def test_constructed_optimum(self):
         pool = make_pool("p", [(f"g{i}", axis) for i, axis in enumerate(np.eye(3))])
@@ -143,15 +158,7 @@ class TestEvaluateRetrieval:
         assert report.mean_ndcg5 == 0.0
 
     def test_handcrafted_four_examples(self):
-        pools = [
-            angle_pool("p1", [("g1", 0), ("f1", 60), ("f2", 80)]),
-            angle_pool("p2", [("f1", 10), ("g2", 30), ("f2", 70)]),
-            angle_pool("p3", [("f1", 10), ("f2", 20), ("g3", 40), ("f3", 80)]),
-            angle_pool(
-                "p4",
-                [("f1", 5), ("f2", 10), ("f3", 15), ("f4", 20), ("f5", 25), ("g4", 85)],
-            ),
-        ]
+        pools = handcrafted_pools()
         dataset = [
             QaExample(f"ex{i}", f"ex{i}", {(f"p{i}", f"g{i}")}, "x") for i in (1, 2, 3, 4)
         ]
@@ -262,6 +269,87 @@ class TestEvaluateE2e:
         assert [r.query_id for r in parallel.per_example] == [
             r.query_id for r in sequential.per_example
         ]
+
+
+def golden_retrieval_report(pool_mode, parallelism):
+    """Six examples out of query_id order; ex0 has no embedding, ex5 the wrong dimension."""
+    gold = {i: (f"p{i}", f"g{i}") for i in (1, 2, 3, 4)}
+    gold[0], gold[5] = gold[1], gold[4]
+    dataset = [QaExample(f"ex{i}", f"ex{i}", {gold[i]}, "x") for i in (4, 2, 0, 5, 1, 3)]
+    backend = embed_backend(["ex1", "ex2", "ex3", "ex4"])
+    backend.add_embedding("query", "ex5", [1.0, 0.0, 0.0])
+    config = RunConfig(parallelism=parallelism)
+    return evaluate_retrieval(dataset, pool_mode, handcrafted_pools(), backend, config)
+
+
+def golden_e2e_report(pool_mode, parallelism):
+    """Six scripted examples in reverse query_id order, one failing and one misjudged.
+
+    q02 fails in the pipeline; q05 routes HQP and then gets two unparseable judge
+    replies, so its row keeps its route.  A second pool points away from every
+    query, so both pool modes retrieve the same documents.
+    """
+    dataset, pool, config, answers, judge = e2e_setup(
+        [("hqp_max", 5), ("lqp", 5), ("failure", None), ("hqp_early", 2), ("lqp_first", 4),
+         ("hqp_two", "x")]
+    )
+    judge.add_generation("judge_score", dataset[5].query, ["prediction", "gold"], 1, "prose", [1.0])
+    far = make_pool("far", [("z1", [-1.0, 0.0, 0.0, 0.0])])
+    config.pool_mode, config.parallelism = pool_mode, parallelism
+    return evaluate_e2e(dataset[::-1], [pool, far], config, answers, judge)
+
+
+GOLDEN_REPORTS = {"retrieval": golden_retrieval_report, "e2e": golden_e2e_report}
+
+
+class TestGoldenReports:
+    """`to_json()` and `render_table()` of both modes are pinned in data/report_<mode>.json.
+
+    Each golden file holds, per pool mode, the report at parallelism 1 and its
+    table lines; a run at parallelism 3 differs only in the echoed config.
+    """
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    @pytest.mark.parametrize("pool_mode", ["single", "all"])
+    @pytest.mark.parametrize("mode", sorted(GOLDEN_REPORTS))
+    def test_report_matches_golden(self, mode, pool_mode, parallelism):
+        golden = json.loads((DATA_DIR / f"report_{mode}.json").read_text(encoding="utf-8"))
+        expected = golden[pool_mode]
+        expected["report"]["config"]["parallelism"] = parallelism
+        report = GOLDEN_REPORTS[mode](pool_mode, parallelism)
+        assert report.to_json() == json.dumps(expected["report"], ensure_ascii=False, indent=2)
+        assert report.render_table().split("\n") == expected["table"]
+
+
+def spy_on(monkeypatch, names):
+    """Wrap each named evaluation global, as the benchmark does; return the call log."""
+    calls = []
+    for name in names:
+        original = getattr(evaluation, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, wrapper)
+    return calls
+
+
+class TestBenchmarkHooks:
+    """The benchmark wraps and patches these module globals, so both loops look them up per call."""
+
+    def test_retrieval_calls_module_globals(self, monkeypatch):
+        calls = spy_on(monkeypatch, ["_check_gold_present", "top_k", "ndcg_at_k"])
+        dataset = [QaExample(f"ex{i}", f"ex{i}", {(f"p{i}", f"g{i}")}, "x") for i in (1, 2, 3, 4)]
+        backend = embed_backend([ex.query for ex in dataset])
+        evaluate_retrieval(dataset, "single", handcrafted_pools(), backend)
+        assert Counter(calls) == {"_check_gold_present": 1, "top_k": 4, "ndcg_at_k": 4}
+
+    def test_e2e_calls_module_globals(self, monkeypatch):
+        calls = spy_on(monkeypatch, ["_check_gold_present", "run_pipeline", "judge_accuracy"])
+        dataset, pool, config, answers, judge = e2e_setup([("lqp", 5), ("hqp_early", 2)])
+        evaluate_e2e(dataset, [pool], config, answers, judge)
+        assert Counter(calls) == {"_check_gold_present": 1, "run_pipeline": 2, "judge_accuracy": 2}
 
 
 class TestLoadDataset:
