@@ -1,6 +1,7 @@
 """Run configuration with a flags-over-file-over-defaults override chain."""
 
 import json
+import sys
 from dataclasses import Field, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Union, get_args
@@ -57,6 +58,9 @@ class RunConfig:
             if not (_has_type(value, kind) or (optional and value is None)):
                 expected = f"{kind.__name__} or null" if optional else kind.__name__
                 raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+            # False for NaN, both infinities and an int beyond the float range
+            if kind is float and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
         if not (0.0 < self.h < 1.0):
@@ -68,6 +72,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be one of {allowed}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        if self.timeout <= 0:
+            raise ConfigError("timeout must be > 0")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
         if self.eps <= 0:
             raise ConfigError("eps must be > 0")
         return self

@@ -252,30 +252,33 @@ def _evaluate(
 ) -> EvalReport:
     """Score every example with ``score(example, pool)`` into a report of one mode.
 
-    The config is validated and every gold document checked before any
-    example runs.  All-pool mode scores against one merged pool; single-pool
-    mode against the pool that holds the example's gold documents.  A
-    HoloRagError from ``score`` becomes the example's error row when
-    skip_on_error is set and aborts the run otherwise.
+    The config is validated, every gold document checked and every
+    example's pool chosen before any example runs, so an invalid dataset
+    fails before any backend call.  All-pool mode scores against one merged
+    pool; single-pool mode against the pool that holds the example's gold
+    documents.  A HoloRagError from ``score`` becomes the example's error row
+    when skip_on_error is set and aborts the run otherwise.
     """
     config.validate()
     _check_gold_present(dataset, pools)
     by_name = pools_by_name(pools)
-    merged = merge_pools(pools) if pool_mode == "all" else None
+    examples = list(dataset)
+    if pool_mode == "all":
+        chosen = [merge_pools(pools)] * len(examples)
+    else:
+        chosen = [_single_pool_for(example, by_name) for example in examples]
 
-    def run(example: QaExample) -> ExampleResult:
-        pool = merged if pool_mode == "all" else _single_pool_for(example, by_name)
+    def run(example: QaExample, pool: Pool) -> ExampleResult:
         try:
             return score(example, pool)
         except HoloRagError as exc:
             return _failed(example, exc, config)
 
-    examples = list(dataset)
     if config.parallelism <= 1 or len(examples) <= 1:
-        rows = [run(example) for example in examples]
+        rows = list(map(run, examples, chosen))
     else:
         with ThreadPoolExecutor(max_workers=config.parallelism) as executor:
-            rows = list(executor.map(run, examples))
+            rows = list(executor.map(run, examples, chosen))
     rows.sort(key=lambda r: r.query_id)
     return EvalReport(mode=mode, per_example=tuple(rows), config=config.to_dict())
 

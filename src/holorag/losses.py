@@ -15,9 +15,10 @@ as constants (the thresholding that builds them is piecewise constant) and a
 central-difference checker provides an independent numerical cross-check.
 """
 
+import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -111,7 +112,7 @@ def build_batch(
     Raises:
         ZeroVectorError: if any query or document has zero norm.
         PartitionTooFineError: if ``n_parts`` exceeds a pair's mask support.
-        ValueError: if alpha <= 0, eps <= 0, or the two lists differ in length.
+        ValueError: if alpha or eps is not finite and > 0, or the lists misalign.
     """
     if len(queries) != len(documents):
         raise ValueError("queries and documents must align")
@@ -170,9 +171,12 @@ def _warn_zero_sims(count: int) -> None:
         )
 
 
-def _check_tau(tau: float) -> None:
-    if tau <= 0:
-        raise TemperatureNonPositiveError(f"temperature must be > 0, got {tau}")
+def _check_tau_beta(tau: float, beta: float) -> None:
+    """Reject a temperature outside (0, inf) or a sparse weight outside [0, inf), NaN included."""
+    if not 0 < tau < math.inf:
+        raise TemperatureNonPositiveError(f"temperature must be finite and > 0, got {tau}")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
 
 
 def _forward(
@@ -198,9 +202,7 @@ def _forward(
 
 def total_loss(batch: Batch, tau: float, beta: float) -> LossReport:
     """Full loss report: plain, dense, sparse, and dense + beta * sparse."""
-    _check_tau(tau)
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    _check_tau_beta(tau, beta)
     l_in, l_din, l_sin, zeros = _forward(
         batch.queries, batch.positives, batch.masks, batch.submasks, tau
     )
@@ -250,9 +252,7 @@ def loss_gradients(batch: Batch, tau: float, beta: float) -> Tuple[np.ndarray, n
     Masks are constants: no gradient flows through the threshold indicators
     that built them.  Returns (grad_queries, grad_positives), each (B, d).
     """
-    _check_tau(tau)
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    _check_tau_beta(tau, beta)
     q, d, m = batch.queries, batch.positives, batch.masks
     w_dense = 0.5 / batch.size
 
@@ -275,51 +275,37 @@ def loss_gradients(batch: Batch, tau: float, beta: float) -> Tuple[np.ndarray, n
     return grad_q, grad_d
 
 
-def finite_difference_check(
-    point: Batch,
-    tau: float,
-    beta: float,
-    step: float,
-    _gradients: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> float:
+def finite_difference_check(point: Batch, tau: float, beta: float, step: float) -> float:
     """Worst central-difference discrepancy of the analytic gradients.
 
     Perturbs every query and positive coordinate by +/- step, recomputes the
-    combined loss, and compares against `loss_gradients` (or the supplied
-    ``_gradients``, a hook the self-testing loss checker uses to prove a wrong
-    gradient is flagged).  The per-coordinate error is |fd - analytic| /
-    max(1, |fd|, |analytic|), so near-zero gradients are judged on absolute
-    error.  Steps near the rounding floor (1e-12 and below) lose all their
-    significant digits to cancellation and report large errors by design.
-    """
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    grad_q, grad_d = _gradients if _gradients is not None else loss_gradients(point, tau, beta)
+    combined loss, and compares against `loss_gradients`.  The per-coordinate
+    error is |fd - analytic| / max(1, |fd|, |analytic|), so near-zero
+    gradients are judged on absolute error.  Steps near the rounding floor
+    (1e-12 and below) lose all their significant digits to cancellation and
+    report large errors by design.
 
-    def objective(queries: np.ndarray, positives: np.ndarray) -> float:
-        _, l_din, l_sin, _ = _forward(queries, positives, point.masks, point.submasks, tau)
+    Raises:
+        ValueError: if step is not finite and > 0.
+    """
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    gradients = loss_gradients(point, tau, beta)
+
+    def shifted(which: int, idx: Tuple[int, ...], delta: float) -> float:
+        """The combined loss with coordinate ``idx`` of array ``which`` moved by ``delta``."""
+        arrays = [point.queries, point.positives]
+        arrays[which] = arrays[which].copy()
+        arrays[which][idx] += delta
+        _, l_din, l_sin, _ = _forward(*arrays, point.masks, point.submasks, tau)
         return l_din + beta * l_sin
 
     worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroSimilarityWarning)
-        for arr, grads, is_query in (
-            (point.queries, grad_q, True),
-            (point.positives, grad_d, False),
-        ):
-            for idx in np.ndindex(arr.shape):
-                plus = arr.copy()
-                minus = arr.copy()
-                plus[idx] += step
-                minus[idx] -= step
-                if is_query:
-                    fd = (objective(plus, point.positives) - objective(minus, point.positives)) / (
-                        2 * step
-                    )
-                else:
-                    fd = (objective(point.queries, plus) - objective(point.queries, minus)) / (
-                        2 * step
-                    )
+        for which, grads in enumerate(gradients):
+            for idx in np.ndindex(grads.shape):
+                fd = (shifted(which, idx, step) - shifted(which, idx, -step)) / (2 * step)
                 an = grads[idx]
                 err = abs(fd - an) / max(1.0, abs(fd), abs(an))
                 worst = max(worst, err)

@@ -9,6 +9,7 @@ One call masks a whole document matrix against a query, or a whole batch of
 pairs, so retrieval and batch construction share the same arithmetic.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +69,14 @@ def mask_pipeline(
     would zero it and annihilate the document, so it gets all ones instead.
 
     Raises:
-        ValueError: if alpha <= 0 or eps <= 0.
+        ValueError: if alpha or eps is not finite and > 0 (NaN fails).
         DimensionMismatchError: if the shapes do not pair up.
         ZeroVectorError: if any query or document row has zero norm.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     q = np.asarray(queries, dtype=np.float64)
     d = np.asarray(documents, dtype=np.float64)
     if q.shape[-1:] != d.shape[-1:] or (q.ndim > 1 and q.shape != d.shape):

@@ -2,12 +2,13 @@
 
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from helpers import demo_pool
+from holorag import checks, losses
 from holorag.cli import EXIT_BACKEND_ERROR, EXIT_OK, EXIT_USER_ERROR, main
 from holorag.config import CHOICES, RunConfig
 from holorag.errors import ConfigError
@@ -236,14 +237,53 @@ def test_int_for_float_and_null_for_optional_accepted(retrieve_args, tmp_path, c
     assert main(retrieve_args + ["--config", config]) == EXIT_OK
 
 
+OUT_OF_RANGE_CONFIGS = {
+    "alpha-nan": {"alpha": float("nan")},
+    "eps-nan": {"eps": float("nan")},
+    "alpha-inf": {"alpha": float("inf")},
+    "eps-inf": {"eps": float("inf")},
+    "alpha-beyond-float": {"alpha": 10**400},
+    "timeout-negative": {"timeout": -1.0},
+    "timeout-nan": {"timeout": float("nan")},
+    "max-retries-negative": {"max_retries": -1},
+}
+
+
+@pytest.mark.parametrize("values", OUT_OF_RANGE_CONFIGS.values(), ids=OUT_OF_RANGE_CONFIGS.keys())
+def test_out_of_range_config_value_exits_user_error(values, retrieve_args, tmp_path, capsys):
+    """A non-finite float, a timeout <= 0 or a negative retry count is a ConfigError (exit 1)."""
+    ((name, value),) = values.items()
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        RunConfig(**values).validate()
+    # json writes NaN and Infinity literals, which json.loads reads back
+    config = write_config(tmp_path, values)
+    flag = ["--" + name.replace("_", "-"), str(value)]
+    for extra in (["--config", config], flag):
+        assert main(retrieve_args + ["--scoring-mode", "masked"] + extra) == EXIT_USER_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+
+
 def test_loss_check_default_arguments_pass(capsys):
     assert main(["loss-check", "--seed", "0"]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
 
 
-def test_loss_check_injected_bug_fails(capsys):
+def test_loss_check_injected_bug_fails(monkeypatch, capsys):
+    """A wrong loss value and a wrong gradient each fail their suite."""
+    real_total_loss, real_gradients = losses.total_loss, losses.loss_gradients
+
+    def offset_total_loss(batch, tau, beta):
+        report = real_total_loss(batch, tau, beta)
+        return replace(report, l_in=report.l_in + 1e-6)
+
+    def offset_gradients(batch, tau, beta):
+        grad_q, grad_d = real_gradients(batch, tau, beta)
+        return grad_q + 1e-2, grad_d + 1e-2
+
+    monkeypatch.setattr(checks, "total_loss", offset_total_loss)
+    monkeypatch.setattr(losses, "loss_gradients", offset_gradients)
     args = ["loss-check", "--seed", "0", "--oracle-batches", "5", "--gradient-batches", "2"]
-    assert main(args + ["--inject-bug", "--json"]) == EXIT_USER_ERROR
+    assert main(args + ["--json"]) == EXIT_USER_ERROR
     report = json.loads(capsys.readouterr().out)
     assert not report["oracle"]["passed"]
     assert not report["gradient"]["passed"]

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,6 +351,17 @@ class TestBenchmarkHooks:
         dataset, pool, config, answers, judge = e2e_setup([("lqp", 5), ("hqp_early", 2)])
         evaluate_e2e(dataset, [pool], config, answers, judge)
         assert Counter(calls) == {"_check_gold_present": 1, "run_pipeline": 2, "judge_accuracy": 2}
+
+
+def test_cross_pool_example_fails_before_any_pipeline_run(monkeypatch):
+    """Single-pool mode chooses every example's pool before the first example runs."""
+    calls = spy_on(monkeypatch, ["run_pipeline"])
+    dataset, pool, config, answers, judge = e2e_setup([("lqp", 5), ("hqp_early", 2), ("lqp", 4)])
+    other = demo_pool("other")
+    dataset[2] = replace(dataset[2], gold_doc_ids=frozenset({("charts", "d1"), ("other", "d2")}))
+    with pytest.raises(MissingGoldDocumentError, match="spans pools"):
+        evaluate_e2e(dataset, [pool, other], config, answers, judge)
+    assert calls == []
 
 
 class TestLoadDataset:

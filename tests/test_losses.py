@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mask_oracle
+from holorag import checks
 from holorag.checks import random_batch
 from holorag.errors import (
     DimensionMismatchError,
@@ -149,9 +150,16 @@ class TestInfoNce:
         assert 0.0 <= loss < 1e-9
 
     def test_temperature_must_be_positive(self):
-        for tau in (0.0, -0.5):
-            with pytest.raises(TemperatureNonPositiveError):
-                total_loss(crafted_batch(), tau=tau, beta=1.0)
+        for fn in (total_loss, loss_gradients):
+            for tau in (0.0, -0.5, math.nan, math.inf):
+                with pytest.raises(TemperatureNonPositiveError, match="must be finite and > 0"):
+                    fn(crafted_batch(), tau=tau, beta=1.0)
+
+    @pytest.mark.parametrize("fn", [total_loss, loss_gradients])
+    @pytest.mark.parametrize("beta", [-0.5, math.nan, math.inf])
+    def test_weight_must_be_finite_and_nonnegative(self, fn, beta):
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            fn(crafted_batch(), CRAFTED_TAU, beta)
 
 
 class TestDenseLoss:
@@ -278,7 +286,7 @@ class TestTotalLoss:
     def test_oracle_equivalence_small_batches(self):
         rng = np.random.default_rng(23)
         for _ in range(40):
-            batch = random_batch(rng, max_b=3, max_d=8)
+            batch = random_batch(rng)
             tau = float(rng.choice([0.01, 0.1, 1.0]))
             beta = float(rng.uniform(0.0, 2.0))
             with warnings.catch_warnings():
@@ -336,8 +344,19 @@ class TestGradients:
             assert np.abs(g - w).max() <= 1e-10 * max(1.0, float(np.abs(w).max()))
 
     def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            finite_difference_check(crafted_batch(), 0.5, 1.0, step=0.0)
+        for step in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step must be finite and > 0"):
+                finite_difference_check(crafted_batch(), 0.5, 1.0, step=step)
+
+
+class TestCheckHarness:
+    def test_tune_workload_calls(self):
+        """The self-checks run as the tune benchmark calls them, by keyword, and pass."""
+        oracle = checks.run_oracle_check(seed=0, n_batches=2)
+        gradient = checks.run_gradient_check(seed=0, n_batches=1, sizes=((2, 16),))
+        assert oracle["passed"] and gradient["passed"]
+        assert oracle["max_abs_error"] < oracle["tolerance"] == checks.ORACLE_TOLERANCE
+        assert gradient["max_relative_error"] < gradient["tolerance"] == checks.GRADIENT_TOLERANCE
 
 
 class TestBatchConstruction:

@@ -5,6 +5,8 @@ of the mask math on `mask_oracle`, and `TestMaskPipeline` requires the
 row-wise `mask_pipeline` to reproduce that oracle bit for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -350,9 +352,14 @@ class TestMaskPipeline:
         with pytest.raises(ZeroVectorError):
             mask_pipeline([1.0, 1.0, 1.0], [[1.0, 0.0, 0.0], [1e-200, 1e-200, 2e-200]])
 
-    @pytest.mark.parametrize("alpha, eps", [(0.0, 1e-8), (-1.0, 1e-8), (0.5, 0.0), (0.5, -1e-8)])
+    @pytest.mark.parametrize(
+        "alpha, eps",
+        [(0.0, 1e-8), (-1.0, 1e-8), (0.5, 0.0), (0.5, -1e-8)]
+        # NaN would score every document 0, and an infinity would switch masking off
+        + [(math.nan, 1e-8), (math.inf, 1e-8), (0.5, math.nan), (0.5, math.inf)],
+    )
     def test_alpha_and_eps_positive(self, alpha, eps):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
             mask_pipeline([1.0, 2.0], [[2.0, 1.0]], alpha=alpha, eps=eps)
 
     @pytest.mark.parametrize(
