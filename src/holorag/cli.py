@@ -189,7 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ingest = sub.add_parser("ingest", help="build a pool snapshot from a corpus file")
+    p_ingest = sub.add_parser(
+        "ingest",
+        help="build a pool snapshot from a corpus file (format 2: keys and metadata "
+        "as JSON lines, then the embeddings as raw little-endian float64)",
+    )
     p_ingest.add_argument("corpus", help="JSON-lines corpus file")
     p_ingest.add_argument("-o", "--out", required=True, help="snapshot output path")
     p_ingest.add_argument("--force", action="store_true", help="overwrite an existing snapshot")

@@ -34,7 +34,7 @@ class ProbabilityOutOfRangeError(HoloRagError, ValueError):
 
 
 class CorpusParseError(HoloRagError, ValueError):
-    """A JSON-lines input (corpus, snapshot, dataset or fixtures) failed to parse."""
+    """An input file (corpus, snapshot, dataset or fixtures) failed to parse."""
 
     def __init__(self, message: str, line_number: int | None = None):
         super().__init__(message)

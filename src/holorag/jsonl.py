@@ -1,7 +1,9 @@
-"""The one reader of JSON-lines input: corpora, snapshots, datasets and fixtures.
+"""The one reader of JSON-lines input: corpora, snapshot records, datasets and fixtures.
 
 JSON Lines (jsonlines.org) fixes UTF-8 and the ``\\n`` separator, so files are
 opened in binary mode and each line is decoded here; a UTF-8 BOM opening a line is skipped.
+A format 2 snapshot ends in a raw float64 matrix after its record lines; the
+caller stops after the records and reads the matrix itself (`index.load_snapshot`).
 """
 
 import json

@@ -196,7 +196,7 @@ def test_bad_input_line_exits_user_error(kind, bad, retrieve_args, tmp_path, cap
     eval_args = ["eval", str(snapshot), "--dataset", str(dataset), "--mode", "retrieval"]
     path, first_line, argv = {
         "corpus": (corpus, json.dumps(CORPUS_LINE), ingest_args),
-        "snapshot": (snapshot, snapshot.read_text().splitlines()[0], retrieve_args),
+        "snapshot": (snapshot, snapshot.read_bytes().split(b"\n", 1)[0].decode(), retrieve_args),
         "dataset": (dataset, json.dumps(EXAMPLE_LINE), eval_args + ["--fixtures", str(fixtures)]),
         "fixtures": (fixtures, json.dumps(QUERY_EMBEDDING), retrieve_args),
         "config": (config, "", retrieve_args + ["--config", str(config)]),

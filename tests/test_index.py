@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mask_oracle
-from helpers import DATA_DIR, make_pool
+from helpers import DATA_DIR, demo_pool, make_pool
 from holorag import index
+from holorag.cli import EXIT_USER_ERROR, main
 from holorag.errors import (
     CorpusParseError,
     DimensionMismatchError,
@@ -462,6 +463,7 @@ class TestSnapshots:
             with pytest.raises(FormatVersionMismatchError, match="unreadable snapshot header"):
                 load_snapshot(path)
 
+    # the header checks are the same for both formats; each test covers both
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -474,34 +476,42 @@ class TestSnapshots:
         ],
     )
     def test_malformed_header_field(self, tmp_path, field, value):
-        header = {"count": 0, "dimension": 2, "format_version": 1, "name": "x", field: value}
         path = tmp_path / "bad.snap"
-        path.write_text(json.dumps(header) + "\n", encoding="utf-8")
-        with pytest.raises(CorpusParseError, match="snapshot header malformed"):
-            load_snapshot(path)
+        for version in (1, 2):
+            header = {"count": 0, "dimension": 2, "format_version": version, "name": "x"}
+            path.write_text(json.dumps({**header, field: value}) + "\n", encoding="utf-8")
+            with pytest.raises(CorpusParseError, match="snapshot header malformed"):
+                load_snapshot(path)
 
     def test_missing_header_field(self, tmp_path):
         path = tmp_path / "bad.snap"
-        path.write_text(json.dumps({"count": 0, "format_version": 1, "name": "x"}) + "\n")
-        with pytest.raises(CorpusParseError, match="snapshot header malformed"):
-            load_snapshot(path)
+        for version in (1, 2):
+            path.write_text(json.dumps({"count": 0, "format_version": version, "name": "x"}) + "\n")
+            with pytest.raises(CorpusParseError, match="snapshot header malformed"):
+                load_snapshot(path)
 
     def test_unknown_version(self, tmp_path):
         path = tmp_path / "v9.snap"
-        path.write_text(
-            json.dumps({"count": 0, "dimension": 2, "format_version": 9, "name": "x"}) + "\n"
-        )
-        with pytest.raises(FormatVersionMismatchError):
-            load_snapshot(path)
+        for version in (9, 0, 3, True, 2.0, "2", None):
+            path.write_text(
+                json.dumps({"count": 0, "dimension": 2, "format_version": version, "name": "x"})
+                + "\n"
+            )
+            with pytest.raises(FormatVersionMismatchError, match="unsupported"):
+                load_snapshot(path)
 
     def test_truncated_snapshot_never_partial(self, tmp_path):
         pool = self._big_pool()
         path = tmp_path / "trunc.snap"
         save_snapshot(pool, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-5]) + "\n", encoding="utf-8")
-        with pytest.raises(CorpusParseError, match="declares 100"):
-            load_snapshot(path)
+        data = path.read_bytes()
+        # cut five rows off the matrix, then every line after doc095's record
+        after_record_95 = data.index(b'"doc095"')
+        after_record_95 = data.index(b"\n", after_record_95) + 1
+        for size in (len(data) - 5 * 6 * 8, after_record_95):
+            path.write_bytes(data[:size])
+            with pytest.raises(CorpusParseError, match="declares 100"):
+                load_snapshot(path)
 
     def test_empty_pool_round_trip(self, tmp_path):
         pool = Pool(name="void", matrix=np.zeros((0, 0)), keys=(), metadata=())
@@ -510,7 +520,8 @@ class TestSnapshots:
         assert load_snapshot(path) == pool
 
     def test_golden_v1_snapshot_round_trips_bytes(self, tmp_path):
-        # holds -0.0, 5e-324, 1e20, 0.1, non-ASCII metadata and one doc_id in two pools
+        # holds -0.0, 5e-324, 1e20, 0.1, non-ASCII metadata and one doc_id in two pools;
+        # saving it writes the golden format 2 file, which loads to the same pool
         golden = DATA_DIR / "snapshot_v1.jsonl"
         pool = load_snapshot(golden)
         assert pool.keys == (("charts", "p1"), ("charts", "p2"), ("slides", "p1"))
@@ -518,7 +529,11 @@ class TestSnapshots:
         assert np.signbit(pool.matrix[0, 0])
         path = tmp_path / "copy.snap"
         save_snapshot(pool, path)
-        assert path.read_bytes() == golden.read_bytes()
+        golden_v2 = DATA_DIR / "snapshot_v2.snap"
+        assert path.read_bytes() == golden_v2.read_bytes()
+        again = load_snapshot(golden_v2)
+        assert again == pool
+        assert again.matrix.tobytes() == pool.matrix.tobytes()
 
     def test_interrupted_save_keeps_previous_snapshot(self, tmp_path):
         old = self._big_pool()
@@ -535,3 +550,109 @@ class TestSnapshots:
         assert path.read_bytes() == before
         assert load_snapshot(path) == old
         assert [p.name for p in tmp_path.iterdir()] == ["pool.snap"]
+
+
+
+def snapshot_parts(pool, tmp_path):
+    """Save ``pool`` and split the file into header dict, record dicts and matrix bytes."""
+    path = tmp_path / "parts.snap"
+    save_snapshot(pool, path)
+    *lines, tail = path.read_bytes().split(b"\n", len(pool) + 1)
+    return json.loads(lines[0]), [json.loads(line) for line in lines[1:]], tail
+
+
+def join_parts(header, records, tail) -> bytes:
+    lines = [json.dumps(value, sort_keys=True).encode() + b"\n" for value in [header, *records]]
+    return b"".join(lines) + tail
+
+
+def with_entry(tail: bytes, at: int, value: float) -> bytes:
+    """``tail`` with its float64 entry number ``at`` set to ``value``."""
+    return tail[:8 * at] + np.float64(value).tobytes() + tail[8 * at + 8:]
+
+
+def without(record: dict, field: str) -> dict:
+    return {name: value for name, value in record.items() if name != field}
+
+
+# (header, records, tail) -> the same parts damaged, for a format 2 snapshot
+# of `demo_pool`: 4 records of dimension 4
+DAMAGED_V2 = {
+    "tail-short-one-byte": lambda h, r, t: (h, r, t[:-1]),
+    "tail-short-one-row": lambda h, r, t: (h, r, t[:-4 * 8]),
+    "extra-bytes": lambda h, r, t: (h, r, t + b"\0"),
+    "count-beyond-records": lambda h, r, t: ({**h, "count": 5}, r, t),
+    "count-huge": lambda h, r, t: ({**h, "count": 2**62}, r, t),
+    "count-beyond-maxsize": lambda h, r, t: ({**h, "count": 2**64}, r, t),
+    "size-overflows": lambda h, r, t: ({**h, "dimension": 2**61}, r, t),
+    "size-beyond-file": lambda h, r, t: ({**h, "dimension": 5}, r, t),
+    "dimension-zero": lambda h, r, t: ({**h, "dimension": 0}, r, b""),
+    "nan-row": lambda h, r, t: (h, r, with_entry(t, 5, math.nan)),
+    "huge-row": lambda h, r, t: (h, r, with_entry(t, 9, 1e200)),
+    "missing-doc-id": lambda h, r, t: (h, [without(r[0], "doc_id"), *r[1:]], t),
+    "pool-not-string": lambda h, r, t: (h, [r[0], {**r[1], "pool": 7}, *r[2:]], t),
+    "metadata-not-object": lambda h, r, t: (h, [*r[:3], {**r[3], "metadata": [1]}], t),
+}
+
+
+class TestSnapshotV2:
+    @pytest.mark.parametrize("kind", DAMAGED_V2)
+    def test_damaged_file_is_rejected(self, kind, tmp_path, capsys):
+        """A damaged format 2 snapshot is a CorpusParseError, and exit 1 through the CLI."""
+        path = tmp_path / "damaged.snap"
+        path.write_bytes(join_parts(*DAMAGED_V2[kind](*snapshot_parts(demo_pool(), tmp_path))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorpusParseError):
+                load_snapshot(path)
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text(
+            json.dumps({"embed": "query", "key": "q", "vector": [1.0, 0.0, 0.0, 0.0]}) + "\n"
+        )
+        argv = ["retrieve", str(path), "--query", "q", "--fixtures", str(fixtures)]
+        assert main(argv) == EXIT_USER_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("kind, line", [("nan-row", 3), ("huge-row", 4)])
+    def test_non_finite_row_names_its_record(self, kind, line, tmp_path):
+        path = tmp_path / "damaged.snap"
+        path.write_bytes(join_parts(*DAMAGED_V2[kind](*snapshot_parts(demo_pool(), tmp_path))))
+        with pytest.raises(CorpusParseError, match=f"charts', 'd{line - 1}'") as info:
+            load_snapshot(path)
+        assert info.value.line_number == line
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_round_trip_keeps_every_bit(self, data, tmp_path_factory):
+        """save -> load gives an equal pool with equal bits; two saves give equal bytes."""
+        d = data.draw(st.integers(1, 4))
+        # -0.0, the least subnormal and entries up to 1e150, whose squares stay finite
+        entry = st.one_of(
+            st.sampled_from([-0.0, 5e-324, -5e-324, 1e150, -1e150]),
+            st.floats(-1e150, 1e150),
+        )
+        text = st.text(max_size=6)  # includes non-ASCII characters
+        meta = st.dictionaries(text, st.one_of(text, st.integers(), st.lists(text, max_size=2)))
+        # the two pools draw doc_ids from one small set, so one doc_id can sit in both
+        pools = []
+        for name in ("charts", "slides"):
+            ids = data.draw(st.lists(st.sampled_from(["p1", "p2", "p3", "ü"]), unique=True))
+            rows = data.draw(arrays(np.float64, (len(ids), d), elements=entry))
+            pools.append(
+                Pool(
+                    name=name,
+                    matrix=rows,
+                    keys=tuple((name, doc_id) for doc_id in ids),
+                    metadata=tuple(data.draw(meta) for _ in ids),
+                )
+            )
+        pool = merge_pools(pools)  # empty when both draw no doc_id
+        folder = tmp_path_factory.mktemp("round-trip")
+        first, second = folder / "first.snap", folder / "second.snap"
+        save_snapshot(pool, first)
+        save_snapshot(pool, second)
+        loaded = load_snapshot(first)
+        assert loaded == pool
+        assert np.array_equal(loaded.matrix, pool.matrix)
+        assert np.array_equal(np.signbit(loaded.matrix), np.signbit(pool.matrix))
+        assert first.read_bytes() == second.read_bytes()
