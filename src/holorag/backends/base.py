@@ -89,6 +89,8 @@ class GenerationResult:
     finish_reason: str = "stop"
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise TypeError(f"text must be a string, got {type(self.text).__name__}")
         logprobs = tuple(float(lp) for lp in self.token_logprobs)
         for lp in logprobs:
             if not (math.isfinite(lp) and lp <= 0.0):

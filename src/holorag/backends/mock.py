@@ -7,6 +7,7 @@ response but never invents embeddings.
 """
 
 import math
+import operator
 import threading
 from pathlib import Path
 from typing import Dict, FrozenSet, Sequence, Tuple, Union
@@ -81,7 +82,7 @@ class MockBackend(ModelBackend):
         token_probs: Sequence[float] = (1.0,),
         finish_reason: str = "stop",
     ) -> None:
-        key = (PromptRole(role).value, query, frozenset(doc_ids), int(iteration))
+        key = (PromptRole(role).value, query, frozenset(doc_ids), operator.index(iteration))
         logprobs = tuple(math.log(p) for p in token_probs)
         self._generations[key] = GenerationResult(text, logprobs, finish_reason)
 

@@ -113,7 +113,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         config.k,
         scoring=config.scoring_mode,
         alpha=config.alpha,
-        eps=config.eps,
     )
     if args.json:
         print(json.dumps(ranked.to_dict(), ensure_ascii=False))

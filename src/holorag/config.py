@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Optional, Union, get_args
 
 from .errors import ConfigError
+from .masking import DEFAULT_ALPHA
 
 # Allowed values of the string fields that select a mode.
 CHOICES = {
@@ -32,7 +33,7 @@ def _has_type(value, kind: type) -> bool:
 class RunConfig:
     """Every tunable in one place; echoed into every report and trace."""
 
-    alpha: float = 0.5
+    alpha: float = DEFAULT_ALPHA
     h: float = 0.8
     k: int = 3
     max_iters: int = 3
@@ -47,9 +48,7 @@ class RunConfig:
     max_tokens: int = 256
     parallelism: int = 1
     scoring_mode: str = "cosine"
-    eps: float = 1e-8
     skip_on_error: bool = True
-    fallback_on_probe_error: bool = False
 
     def validate(self) -> "RunConfig":
         for f in fields(self):
@@ -76,8 +75,6 @@ class RunConfig:
             raise ConfigError("timeout must be > 0")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if self.eps <= 0:
-            raise ConfigError("eps must be > 0")
         return self
 
     def to_dict(self) -> dict:

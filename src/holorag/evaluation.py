@@ -304,7 +304,6 @@ def evaluate_retrieval(
             NDCG_K,
             scoring=config.scoring_mode,
             alpha=config.alpha,
-            eps=config.eps,
         )
         ndcg = ndcg_at_k(ranked.doc_keys(), set(example.gold_doc_ids), NDCG_K)
         return ExampleResult(query_id=example.query_id, ndcg5=ndcg)

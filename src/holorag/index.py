@@ -34,7 +34,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .jsonl import json_objects, line_error
-from .masking import DEFAULT_ALPHA, DEFAULT_EPS, Embedding, mask_pipeline
+from .masking import DEFAULT_ALPHA, Embedding, mask_pipeline
 
 SNAPSHOT_FORMAT_VERSION = 2
 
@@ -95,7 +95,6 @@ class Pool:
     metadata: Tuple[dict, ...]
     rows: Dict[Key, int] = field(init=False, repr=False)
     _norms: np.ndarray = field(init=False, repr=False)
-    _live: np.ndarray = field(init=False, repr=False)
     _tie_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -124,9 +123,7 @@ class Pool:
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "metadata", metadata)
         object.__setattr__(self, "rows", rows)
-        norms = np.sqrt(squared_norms)
-        object.__setattr__(self, "_norms", norms)
-        object.__setattr__(self, "_live", norms > 0.0)
+        object.__setattr__(self, "_norms", np.sqrt(squared_norms))
         object.__setattr__(self, "_tie_rank", tie_rank)
 
     @property
@@ -202,28 +199,37 @@ def _key_and_metadata(line_number: int, data: dict) -> Tuple[Key, dict]:
     return (pool_name, doc_id), meta
 
 
-def _read_matrix_records(
-    handle: BinaryIO, dimension: int, count: int
-) -> Tuple[List[Key], List[dict], np.ndarray]:
-    """Read the body of a format 2 snapshot: ``count`` record lines, then the matrix.
+def _read_records(handle: BinaryIO, count: int) -> Tuple[List[Key], List[dict]]:
+    """Read the ``count`` record lines of a format 2 snapshot, numbered from 2.
 
-    Record lines, numbered from 2, hold "doc_id", "pool" and "metadata" and
-    get the field checks of `_read_rows`.  The bytes left after them must be
-    exactly ``count`` x ``dimension`` float64 values; that is checked against
-    the file size before any of them is read, so a header that lies about its
-    sizes never sizes an allocation.  Every row must be finite with a finite
-    norm, or the error names its record's line.
+    Each holds "doc_id", "pool" and "metadata" and gets the field checks of
+    `_read_rows`.  A failing line's error also gives the declared count, since
+    a count above the record lines makes the matrix's first bytes a "line".
     """
     keys: List[Key] = []
     metadata: List[dict] = []
     # no file holds sys.maxsize lines, and islice takes no larger stop
     lines = itertools.islice(handle, min(count, sys.maxsize))
-    for line_number, data in json_objects(lines, 2):
-        key, meta = _key_and_metadata(line_number, data)
-        keys.append(key)
-        metadata.append(meta)
-    if len(keys) != count:
-        raise CorpusParseError(f"snapshot declares {count} records but contains {len(keys)}")
+    try:
+        for line_number, data in json_objects(lines, 2):
+            key, meta = _key_and_metadata(line_number, data)
+            keys.append(key)
+            metadata.append(meta)
+    except CorpusParseError as exc:
+        message = f"{exc}; the snapshot header declares {count} records"
+        raise CorpusParseError(message, exc.line_number) from exc
+    return keys, metadata
+
+
+def _read_matrix(handle: BinaryIO, keys: List[Key], dimension: int) -> np.ndarray:
+    """Read the matrix that ends a format 2 snapshot, one row per record in ``keys``.
+
+    The bytes left must be exactly len(keys) x ``dimension`` float64 values;
+    that is checked against the file size before any of them is read, so a
+    header that lies about its sizes never sizes an allocation.  Every row
+    must be finite with a finite norm, or the error names its record's line.
+    """
+    count = len(keys)
     size = count * dimension * _MATRIX_DTYPE.itemsize
     left = os.fstat(handle.fileno()).st_size - handle.tell()
     if left != size:
@@ -242,7 +248,7 @@ def _read_matrix_records(
             int(bad[0]) + 2,
             f"embedding of {keys[bad[0]]!r} must be finite with a finite norm",
         )
-    return keys, metadata, matrix
+    return matrix
 
 
 def ingest_corpus(path: Union[str, Path]) -> Pool:
@@ -268,13 +274,13 @@ def top_k(
     k: int,
     scoring: str = "cosine",
     alpha: float = DEFAULT_ALPHA,
-    eps: float = DEFAULT_EPS,
 ) -> RankedResult:
     """Exact top-k retrieval by cosine similarity.
 
     A plain-sequence query gets `Embedding`'s checks, so a NaN raises ValueError.
     ``scoring="masked"`` first multiplies every document by its hybrid mask
-    against the query (`mask_pipeline`, one call per block of live rows).
+    against the query (`mask_pipeline`, one call per block of live rows),
+    whose band width is ``alpha``; its numerical guard eps is a constant.
     Both modes then score each row with the same row-wise formula,
     dot(q, x) / (|q| |x|), so exact duplicate rows score bit-identically,
     in one block or in two.  Cosine mode divides by the norms the pool
@@ -310,12 +316,12 @@ def top_k(
     if scoring == "masked":
         # the mask needs a direction: rows of norm 0 (all-zero or underflowed)
         # are left out and score 0, as the `where` below scores them in cosine
-        rows = np.flatnonzero(pool._live)
+        rows = np.flatnonzero(pool._norms)
         dots, norms = np.empty(len(rows)), np.empty(len(rows))
         for start in range(0, len(rows), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             docs = pool.matrix[rows[block]]
-            docs *= mask_pipeline(q, docs, alpha, eps)
+            docs *= mask_pipeline(q, docs, alpha)
             dots[block] = np.einsum("ij,j->i", docs, q)
             norms[block] = np.sqrt(np.einsum("ij,ij->i", docs, docs))
     else:
@@ -433,11 +439,11 @@ def load_snapshot(path: Union[str, Path]) -> Pool:
         if version == 1:
             keys, metadata, matrix = _read_rows(handle, 2, dimension, one_pool=False)
         else:
-            keys, metadata, matrix = _read_matrix_records(handle, dimension, count)
-    if len(keys) != count:
-        raise CorpusParseError(
-            f"snapshot declares {count} records but contains {len(keys)}"
-        )
+            keys, metadata = _read_records(handle, count)
+        if len(keys) != count:
+            raise CorpusParseError(f"snapshot declares {count} records but contains {len(keys)}")
+        if version == 2:
+            matrix = _read_matrix(handle, keys, dimension)
     return Pool(name=name, matrix=matrix, keys=keys, metadata=metadata)
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DimensionMismatchError, TemperatureNonPositiveError
 from .masking import (
     DEFAULT_ALPHA,
-    DEFAULT_EPS,
     MASK_LEVELS,
     Embedding,
     mask_pipeline,
@@ -102,23 +101,23 @@ def build_batch(
     alpha: float = DEFAULT_ALPHA,
     n_parts: int = 2,
     seed: int = 0,
-    eps: float = DEFAULT_EPS,
 ) -> Batch:
     """Derive masks and submasks for raw vector pairs and pack a Batch.
 
-    Pair i's partition uses seed + i so distinct pairs randomize independently
-    while the whole batch stays reproducible.
+    The masks come from one `mask_pipeline` call with band width ``alpha``
+    (its eps is a constant).  Pair i's partition uses seed + i so distinct
+    pairs randomize independently while the whole batch stays reproducible.
 
     Raises:
         ZeroVectorError: if any query or document has zero norm.
         PartitionTooFineError: if ``n_parts`` exceeds a pair's mask support.
-        ValueError: if alpha or eps is not finite and > 0, or the lists misalign.
+        ValueError: if alpha is not finite and > 0, or the lists misalign.
     """
     if len(queries) != len(documents):
         raise ValueError("queries and documents must align")
     qs = np.stack([v.values if isinstance(v, Embedding) else v for v in queries])
     ds = np.stack([v.values if isinstance(v, Embedding) else v for v in documents])
-    masks = mask_pipeline(qs, ds, alpha, eps)
+    masks = mask_pipeline(qs, ds, alpha)
     return Batch(
         queries=qs,
         positives=ds,

@@ -5,6 +5,9 @@ the absolute elementwise product of the two unit vectors, squashes it into
 (0, 1) with a z-scored sigmoid, and gives each dimension a weight from a
 two-threshold test at mu +/- alpha * sigma of that squashed row: 1 above the
 upper band (salient), 0.5 inside it (detail at half strength), 0 below it.
+The band width alpha is the method's one setting.  ``DEFAULT_EPS``, fixed at
+1e-8, is a numerical guard with two jobs: it keeps the z-score's divisor
+nonzero, and a squashed row whose spread falls below it counts as degenerate.
 One call masks a whole document matrix against a query, or a whole batch of
 pairs, so retrieval and batch construction share the same arithmetic.
 """
@@ -16,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, PartitionTooFineError, ZeroVectorError
 
+# a constant, not a setting; perfbench/retrieve.py and tests/mask_oracle.py import it
 DEFAULT_EPS = 1e-8
 DEFAULT_ALPHA = 0.5
 
@@ -52,7 +56,6 @@ def mask_pipeline(
     queries: np.ndarray,
     documents: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
-    eps: float = DEFAULT_EPS,
 ) -> np.ndarray:
     """Hybrid mask weights in {0, 0.5, 1} for every query-document row pair.
 
@@ -63,20 +66,19 @@ def mask_pipeline(
         s = sigmoid((c - mean(c)) / (std(c) + eps))
         w = (1[s > mu - alpha*sigma] + 1[s > mu + alpha*sigma]) / 2
 
-    where mu and sigma are the mean and population standard deviation of s.
-    Both inequalities are strict, so threshold ties fall to the lower level.
-    A row with sigma < eps carries no correlation signal; strict thresholds
-    would zero it and annihilate the document, so it gets all ones instead.
+    where mu and sigma are the mean and population standard deviation of s,
+    and eps is the fixed ``DEFAULT_EPS``.  Both inequalities are strict, so
+    threshold ties fall to the lower level.  A row with sigma < eps carries
+    no correlation signal; strict thresholds would zero it and annihilate the
+    document, so it gets all ones instead.
 
     Raises:
-        ValueError: if alpha or eps is not finite and > 0 (NaN fails).
+        ValueError: if alpha is not finite and > 0 (NaN fails).
         DimensionMismatchError: if the shapes do not pair up.
         ZeroVectorError: if any query or document row has zero norm.
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
     q = np.asarray(queries, dtype=np.float64)
     d = np.asarray(documents, dtype=np.float64)
     if q.shape[-1:] != d.shape[-1:] or (q.ndim > 1 and q.shape != d.shape):
@@ -84,12 +86,12 @@ def mask_pipeline(
             f"query shape {q.shape} does not pair with document shape {d.shape}"
         )
     raw = np.abs(_unit_rows(q) * _unit_rows(d))
-    z = (raw - raw.mean(axis=-1, keepdims=True)) / (raw.std(axis=-1, keepdims=True) + eps)
+    z = (raw - raw.mean(axis=-1, keepdims=True)) / (raw.std(axis=-1, keepdims=True) + DEFAULT_EPS)
     s = 1.0 / (1.0 + np.exp(-z))
     mu = s.mean(axis=-1, keepdims=True)
     sigma = s.std(axis=-1, keepdims=True)
     weights = ((s > mu - alpha * sigma).astype(np.float64) + (s > mu + alpha * sigma)) / 2.0
-    weights[sigma[..., 0] < eps] = 1.0
+    weights[sigma[..., 0] < DEFAULT_EPS] = 1.0
     return weights
 
 

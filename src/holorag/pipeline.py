@@ -204,7 +204,6 @@ def prune(
     candidates: Sequence[DocRef],
     k: int,
     backend: ModelBackend,
-    fallback_on_probe_error: bool = False,
     log: Optional[List[dict]] = None,
 ) -> PrunedSet:
     """Admit ranked documents one at a time until a probe says they suffice.
@@ -212,9 +211,8 @@ def prune(
     ``candidates`` are the ranked documents, best first, with the text the
     probes read.  After each admission the whole buffer is probed; the first
     positive verdict stops early.  If no probe ever succeeds the buffer keeps
-    the top min(k, len(candidates)) documents.  With
-    ``fallback_on_probe_error`` a failing probe degrades to plain top-k
-    instead of raising.
+    the top min(k, len(candidates)) documents.  A failing probe's error
+    propagates.
     """
     if k < 1:
         raise ValueError("buffer capacity k must be >= 1")
@@ -223,16 +221,10 @@ def prune(
     limit = min(k, len(candidates))
     top = tuple(candidates[:limit])
     for n in range(1, limit + 1):
-        try:
-            probe = _generate(
-                backend, log, "pruner", PromptRole.SUFFICIENCY_PROBE, query, top[:n], iteration=n
-            )
-            verdict = parse_verdict(probe.text)
-        except HoloRagError:
-            if not fallback_on_probe_error:
-                raise
-            _log_event(log, "pruner", "probe_fallback", n=n)
-            return PrunedSet(selected=top, n_used=limit, capacity=k, terminated_early=False)
+        probe = _generate(
+            backend, log, "pruner", PromptRole.SUFFICIENCY_PROBE, query, top[:n], iteration=n
+        )
+        verdict = parse_verdict(probe.text)
         _log_event(log, "pruner", "verdict", n=n, sufficient=verdict.sufficient)
         if verdict.sufficient:
             return PrunedSet(selected=top[:n], n_used=n, capacity=k, terminated_early=True)
@@ -334,7 +326,6 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
             config.k,
             scoring=config.scoring_mode,
             alpha=config.alpha,
-            eps=config.eps,
         )
         _log_event(
             log,
@@ -349,14 +340,7 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
             DocRef(doc_id=entry.doc_id, text=meta.get("text"), image=meta.get("image"))
             for entry, meta in zip(ranked.entries, metadata)
         ]
-        pruned = prune(
-            query,
-            candidates,
-            config.k,
-            backend,
-            fallback_on_probe_error=config.fallback_on_probe_error,
-            log=log,
-        )
+        pruned = prune(query, candidates, config.k, backend, log=log)
 
         initial = _generate(
             backend,

@@ -297,7 +297,6 @@ def loop_top_k_masked(
     query: np.ndarray,
     k: int,
     alpha: float = DEFAULT_ALPHA,
-    eps: float = DEFAULT_EPS,
 ) -> RankedResult:
     """Masked top-k as one `mask_pipeline` call per row of ``pool.matrix``, in a Python loop."""
     q = np.asarray(query, dtype=np.float64)
@@ -306,7 +305,7 @@ def loop_top_k_masked(
     for i, vals in enumerate(pool.matrix):
         if not np.any(vals):
             continue
-        masked = apply_mask(vals, mask_pipeline(q, vals, alpha, eps).weights)
+        masked = apply_mask(vals, mask_pipeline(q, vals, alpha).weights)
         mn = float(np.linalg.norm(masked))
         if mn > 0.0:
             scores[i] = float(np.dot(q, masked) / (qn * mn))
@@ -334,13 +333,12 @@ def whole_top_k_masked(
     query: np.ndarray,
     k: int,
     alpha: float = DEFAULT_ALPHA,
-    eps: float = DEFAULT_EPS,
 ) -> RankedResult:
     """Masked top-k as one row-wise `mask_pipeline` call over every live row."""
     q = np.asarray(query, dtype=np.float64)
     live = np.einsum("ij,ij->i", pool.matrix, pool.matrix) > 0.0
     docs = pool.matrix[live]
-    return _rank_whole(pool, q, live, docs * row_mask_pipeline(q, docs, alpha, eps), k)
+    return _rank_whole(pool, q, live, docs * row_mask_pipeline(q, docs, alpha), k)
 
 
 def loop_build_batch(
@@ -349,12 +347,11 @@ def loop_build_batch(
     alpha: float = DEFAULT_ALPHA,
     n_parts: int = 2,
     seed: int = 0,
-    eps: float = DEFAULT_EPS,
 ) -> Batch:
     """`build_batch` with one `mask_pipeline` and one `partition_mask` call per pair."""
     if len(queries) != len(documents):
         raise ValueError("queries and documents must align")
-    masks = [mask_pipeline(q, d, alpha, eps) for q, d in zip(queries, documents)]
+    masks = [mask_pipeline(q, d, alpha) for q, d in zip(queries, documents)]
     return Batch(
         queries=np.stack(queries),
         positives=np.stack(documents),

@@ -168,8 +168,10 @@ class TestMockBackend:
             '"token_probs": [0.5, 0.0]}',
             '{"role": "answer", "query": "q1", "docs": ["d1"], "text": "42", '
             '"token_probs": [1.5]}',
+            '{"role": "answer", "query": "q1", "docs": ["d1"], "text": 5, '
+            '"token_probs": [1.0]}',
         ],
-        ids=["document-kind", "unknown-role", "zero-prob", "prob-above-one"],
+        ids=["document-kind", "unknown-role", "zero-prob", "prob-above-one", "text-not-string"],
     )
     def test_from_file_bad_line_reports_line_number(self, tmp_path, bad_line):
         path = tmp_path / "fixtures.jsonl"

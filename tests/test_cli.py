@@ -1,11 +1,15 @@
 """Tests for the command-line surface and the run configuration behind it."""
 
+import contextlib
+import io
 import json
 import re
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import demo_pool
 from holorag import checks, losses
@@ -37,11 +41,10 @@ ANSWER_FLAGS = {
     "--max-tokens",
     "--parallelism",
     "--scoring-mode",
-    "--eps",
     "--no-skip-on-error",
 }
 
-REMOVED_KEYS = ("tau", "beta", "n_submasks", "seed")
+REMOVED_KEYS = ("tau", "beta", "n_submasks", "seed", "eps", "fallback_on_probe_error")
 
 
 @pytest.fixture
@@ -154,6 +157,15 @@ def test_garbled_judge_reply_exits_backend_error(tmp_path, capsys):
     assert "expected a bare 1-5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "answer"])
+def test_non_string_fixture_text_exits_user_error(command, tmp_path, capsys):
+    """A fixture whose text is not a string fails at load (exit 1), not in parse_verdict."""
+    lines = [QUERY_EMBEDDING, generation("sufficiency_probe", ["d1"], 5, iteration=1)]
+    assert main(pipeline_args(tmp_path, command, lines)) == EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: bad fixture (text must be a string")
+
+
 def test_failed_example_keeps_backend_exit_code(tmp_path, capsys):
     """A strict eval aborted by a backend error in the pipeline exits 2 with that error."""
     assert main(pipeline_args(tmp_path, "eval", LQP_UP_TO_SUMMARY)) == EXIT_BACKEND_ERROR
@@ -239,9 +251,7 @@ def test_int_for_float_and_null_for_optional_accepted(retrieve_args, tmp_path, c
 
 OUT_OF_RANGE_CONFIGS = {
     "alpha-nan": {"alpha": float("nan")},
-    "eps-nan": {"eps": float("nan")},
     "alpha-inf": {"alpha": float("inf")},
-    "eps-inf": {"eps": float("inf")},
     "alpha-beyond-float": {"alpha": 10**400},
     "timeout-negative": {"timeout": -1.0},
     "timeout-nan": {"timeout": float("nan")},
@@ -300,3 +310,181 @@ def test_every_config_field_is_read():
         f.name for f in fields(RunConfig) if not re.search(rf"\bconfig\.{f.name}\b", sources)
     ]
     assert unread == []
+
+
+# -- one property over every input: cli.main never lets an exception out ------
+
+FIXTURE_LINES = LQP_UP_TO_SUMMARY + [
+    generation("summarize", ["d1"], "final"),
+    generation("judge_score", ["prediction", "gold"], "5"),
+]
+CONFIG = {"alpha": 0.5, "k": 3, "scoring_mode": "masked"}
+OUT_OF_RANGE = {
+    "alpha": [0, -1.0, float("inf")],
+    "h": [0.0, 1.0, 2.0],
+    "k": [0, -3],
+    "max_iters": [0],
+    "max_tokens": [0],
+    "parallelism": [0],
+    "timeout": [0.0, -1.0],
+    "max_retries": [-1],
+    "pool_mode": ["none"],
+    "scoring_mode": ["dense"],
+}
+# a value of each JSON type; a wrong-typed field gets one of another type
+JSON_VALUES = [5, 2.5, "x", None, True, [], {}]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def input_files(tmp_path) -> dict:
+    """Each input file of the CLI as (JSON objects, bytes after them), all valid."""
+    pool, snapshot = demo_pool(), tmp_path / "base.snap"
+    save_snapshot(pool, snapshot)
+    *lines, tail = snapshot.read_bytes().split(b"\n", len(pool) + 1)
+    corpus = [
+        {"doc_id": doc_id, "pool": name, "embedding": row.tolist(), "metadata": meta}
+        for (name, doc_id), row, meta in zip(pool.keys, pool.matrix, pool.metadata)
+    ]
+    return {
+        "corpus": (corpus, b""),
+        "snapshot": ([json.loads(line) for line in lines], tail),
+        "fixtures": (FIXTURE_LINES, b""),
+        "dataset": ([EXAMPLE_LINE], b""),
+        "config": ([CONFIG], b""),
+    }
+
+
+def command_args(command, paths) -> list:
+    """argv for ``command`` over the input files in ``paths``."""
+    if command == "ingest":
+        return ["ingest", str(paths["corpus"]), "-o", str(paths["corpus"].with_suffix(".out"))]
+    common = ["--fixtures", str(paths["fixtures"]), "--config", str(paths["config"])]
+    snapshot = str(paths["snapshot"])
+    return {
+        "retrieve": ["retrieve", snapshot, "--query", "q", "--json"],
+        "answer": ["answer", snapshot, "--query", "q"],
+        "eval": ["eval", snapshot, "--dataset", str(paths["dataset"]), "--mode", "e2e"],
+    }[command] + common
+
+
+COMMAND_INPUTS = {
+    "ingest": ["corpus"],
+    "retrieve": ["snapshot", "fixtures", "config"],
+    "answer": ["snapshot", "fixtures", "config"],
+    "eval": ["snapshot", "fixtures", "dataset", "config"],
+}
+
+
+def nodes(value, path=()):
+    """(path, value) for every value nested in a JSON object or array."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield path + (key,), item
+        if isinstance(item, (dict, list)):
+            yield from nodes(item, path + (key,))
+
+
+DELETE = object()
+
+
+def with_value(value, path, new):
+    """A copy of the JSON ``value`` with the node at ``path`` set to ``new``, or DELETEd."""
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    if len(path) > 1:
+        copy[path[0]] = with_value(value[path[0]], path[1:], new)
+    elif new is DELETE:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = new
+    return copy
+
+
+def edits(kind, value):
+    """Every (path, new value) edit of ``kind`` to one JSON object."""
+    found = list(nodes(value))
+    if kind == "non-finite":
+        return [(p, bad) for p, v in found if json_type(v) == "number" for bad in NON_FINITE]
+    fields = [(p, v) for p, v in found if isinstance(p[-1], str)]
+    if kind == "wrong-type":
+        return [(p, new) for p, v in fields for new in JSON_VALUES if json_type(new) != json_type(v)]
+    if kind == "missing-field":
+        return [(p, DELETE) for p, _ in fields]
+    if kind == "wrong-dimension":
+        vectors = [(p, v) for p, v in found if v and isinstance(v, list)
+                   and all(json_type(x) == "number" for x in v)]
+        sizes = [(p, v + 1) for p, v in found if p == ("dimension",)]
+        return [(p, v[:-1]) for p, v in vectors] + [(p, v + [0.5]) for p, v in vectors] + sizes
+    return [((name,), new) for name, values in OUT_OF_RANGE.items() for new in values]
+
+
+def encode(objects) -> bytes:
+    return b"".join(json.dumps(o).encode() + b"\n" for o in objects)
+
+
+def corrupt(data, kind, objects, tail) -> bytes:
+    """The file of JSON lines ``objects`` and then ``tail``, with one drawn corruption."""
+    whole = encode(objects) + tail
+    if kind == "empty":
+        return b""
+    if kind == "truncated":  # cut inside the last line, or inside the tail
+        last = len(tail) or len(encode(objects[-1:]))
+        return whole[: data.draw(st.integers(len(whole) - last, len(whole) - 1))]
+    if kind == "not-utf8":
+        at = data.draw(st.integers(0, len(encode(objects)) - 1))
+        return whole[:at] + b"\xff" + whole[at:]
+    if kind == "duplicate":  # a repeated line repeats its doc_id, fixture or query_id
+        i = data.draw(st.integers(0, len(objects) - 1))
+        return encode(objects[:i + 1] + objects[i:]) + tail
+    choices = [(i, edit) for i, value in enumerate(objects) for edit in edits(kind, value)]
+    if not choices:  # e.g. no number to make non-finite
+        return whole
+    i, (path, new) = data.draw(st.sampled_from(choices))
+    return encode(objects[:i] + [with_value(objects[i], path, new)] + objects[i + 1:]) + tail
+
+
+CORRUPTIONS = [
+    "not-utf8", "non-finite", "wrong-type", "missing-field", "empty", "truncated",
+    "wrong-dimension", "duplicate",
+]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def write_inputs(folder, files, corrupted=None, content=b""):
+    paths = {}
+    for name, (objects, tail) in files.items():
+        paths[name] = folder / f"{name}.in"
+        paths[name].write_bytes(content if name == corrupted else encode(objects) + tail)
+    return paths
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_INPUTS))
+def test_uncorrupted_inputs_succeed(command, tmp_path):
+    paths = write_inputs(tmp_path, input_files(tmp_path))
+    assert run_main(command_args(command, paths)) == (EXIT_OK, "")
+
+
+@pytest.mark.filterwarnings("ignore:corpus file .* contained no records")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corrupted_input_exits_cleanly(data, tmp_path_factory):
+    """Any command over one corrupted input returns 0, 1 or 2; a nonzero return says `error: `."""
+    folder = tmp_path_factory.mktemp("corrupted")
+    files = input_files(folder)
+    command = data.draw(st.sampled_from(sorted(COMMAND_INPUTS)))
+    target = data.draw(st.sampled_from(COMMAND_INPUTS[command]))
+    kinds = CORRUPTIONS + (["out-of-range"] if target == "config" else [])
+    content = corrupt(data, data.draw(st.sampled_from(kinds)), *files[target])
+    code, err = run_main(command_args(command, write_inputs(folder, files, target, content)))
+    assert code in (EXIT_OK, EXIT_USER_ERROR, EXIT_BACKEND_ERROR)
+    if code != EXIT_OK:
+        assert "error: " in err

@@ -395,10 +395,11 @@ class TestBatchConstruction:
         with pytest.raises(PartitionTooFineError):
             build_batch([[1.0, 2.0], [2.0, 1.0]], [[2.0, 1.0], [1.0, 3.0]], n_parts=3)
 
-    @pytest.mark.parametrize("alpha, eps", [(0.0, 1e-8), (-0.5, 1e-8), (0.5, 0.0), (0.5, -1.0)])
-    def test_build_batch_nonpositive_alpha_or_eps(self, alpha, eps):
+    # each id names alpha and the fixed eps, DEFAULT_EPS
+    @pytest.mark.parametrize("alpha", [0.0, -0.5], ids=["0.0-1e-08", "-0.5-1e-08"])
+    def test_build_batch_nonpositive_alpha_or_eps(self, alpha):
         with pytest.raises(ValueError):
-            build_batch([[1.0, 2.0, 3.0]], [[3.0, 1.0, 2.0]], alpha=alpha, n_parts=1, eps=eps)
+            build_batch([[1.0, 2.0, 3.0]], [[3.0, 1.0, 2.0]], alpha=alpha, n_parts=1)
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -353,14 +353,15 @@ class TestMaskPipeline:
             mask_pipeline([1.0, 1.0, 1.0], [[1.0, 0.0, 0.0], [1e-200, 1e-200, 2e-200]])
 
     @pytest.mark.parametrize(
-        "alpha, eps",
-        [(0.0, 1e-8), (-1.0, 1e-8), (0.5, 0.0), (0.5, -1e-8)]
+        "alpha",
         # NaN would score every document 0, and an infinity would switch masking off
-        + [(math.nan, 1e-8), (math.inf, 1e-8), (0.5, math.nan), (0.5, math.inf)],
+        [0.0, -1.0, math.nan, math.inf],
+        # each id names alpha and the fixed eps, DEFAULT_EPS
+        ids=["0.0-1e-08", "-1.0-1e-08", "nan-1e-08", "inf-1e-08"],
     )
-    def test_alpha_and_eps_positive(self, alpha, eps):
+    def test_alpha_and_eps_positive(self, alpha):
         with pytest.raises(ValueError, match="must be finite and > 0"):
-            mask_pipeline([1.0, 2.0], [[2.0, 1.0]], alpha=alpha, eps=eps)
+            mask_pipeline([1.0, 2.0], [[2.0, 1.0]], alpha=alpha)
 
     @pytest.mark.parametrize(
         "queries, documents",

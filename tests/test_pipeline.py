@@ -158,13 +158,6 @@ class TestPrune:
         with pytest.raises(FixtureMissError):
             prune("q", refs("d1"), k=1, backend=MockBackend())
 
-    def test_probe_error_fallback(self):
-        pruned = prune(
-            "q", refs("d1", "d2"), k=2, backend=MockBackend(), fallback_on_probe_error=True
-        )
-        assert [ref.doc_id for ref in pruned.selected] == ["d1", "d2"]
-        assert not pruned.terminated_early
-
     def test_prefix_property(self):
         mock = MockBackend()
         for n in range(1, 3):
