@@ -5,10 +5,27 @@ per-token log-probabilities requested, passed on unchanged; a missing,
 non-numeric, non-finite or positive one raises MissingLogprobsError.
 Embeddings post to ``{base_url}/embeddings``.  Transport failures, 429 and 5xx
 are retried.  The transport is injectable so wire transcripts replay in tests.
+
+The real transport is the standard library's ``urllib.request``: one
+connection per call, HTTPS through Python's default SSL context, proxies
+from the ``*_proxy`` environment variables as set when this module is
+imported, and no redirect followed.  It maps each outcome for ``_post``:
+
+- a reply with a status, including an ``HTTPError`` (status >= 400 or a
+  3xx), is ``(status, parsed body)``;
+- a body that is not JSON, or not UTF-8, is a BackendUnavailableError;
+- every other failure is a BackendUnavailableError too: an ``OSError``
+  (urllib's ``URLError``, a refused connection, a timeout), an
+  ``http.client.HTTPException`` and a ``ValueError`` (a URL that is not
+  http or https).  A bare ``OSError`` would exit as a user error.
 """
 
+import http.client
+import json
 import os
 import time
+import urllib.error
+import urllib.request
 from typing import Callable, Optional, Tuple
 
 from ..errors import BackendUnavailableError, ConfigError, MissingLogprobsError
@@ -22,18 +39,34 @@ DEFAULT_API_KEY_ENV = "HOLORAG_API_KEY"
 Transport = Callable[[str, dict, dict, float], Tuple[int, dict]]
 
 
-def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> Tuple[int, dict]:
-    import requests
+class _NoRedirects(urllib.request.HTTPRedirectHandler):
+    """Leave a 3xx as an HTTPError: urllib would resend the API key to any host."""
 
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+_OPENER = urllib.request.build_opener(_NoRedirects)
+
+
+def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float) -> Tuple[int, dict]:
     try:
-        response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
+        data = json.dumps(payload, allow_nan=False).encode("utf-8")
+        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+        if request.type not in ("http", "https"):
+            raise ValueError(f"unsupported URL scheme {request.type!r}")
+        try:
+            with _OPENER.open(request, timeout=timeout) as response:
+                status, raw = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                status, raw = exc.code, exc.read()
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise BackendUnavailableError(f"request to {url} failed: {exc}") from exc
     try:
-        body = response.json()
+        return status, json.loads(raw)
     except ValueError as exc:
         raise BackendUnavailableError(f"non-JSON response from {url}") from exc
-    return response.status_code, body
 
 
 def resolve_api_key(api_key_env: str = DEFAULT_API_KEY_ENV) -> str:
@@ -48,7 +81,11 @@ def resolve_api_key(api_key_env: str = DEFAULT_API_KEY_ENV) -> str:
 
 
 class HttpBackend(ModelBackend):
-    """Client for an OpenAI-compatible endpoint with bounded retries."""
+    """Client for an OpenAI-compatible endpoint with bounded retries.
+
+    Without an injected transport, the API key is read from ``api_key_env``
+    once, on construction, so a missing key is a ConfigError before any request.
+    """
 
     def __init__(
         self,
@@ -64,19 +101,14 @@ class HttpBackend(ModelBackend):
             raise ConfigError("HTTP backend needs a base URL")
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key_env = api_key_env
         self.timeout = timeout
         self.max_retries = max_retries
         self.retry_wait = retry_wait
-        self._transport = transport or _requests_transport
+        self._headers = {"Content-Type": "application/json"}
         # only the real transport needs credentials; injected ones replay transcripts
-        self._needs_key = transport is None
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self._needs_key:
-            headers["Authorization"] = f"Bearer {resolve_api_key(self.api_key_env)}"
-        return headers
+        if transport is None:
+            self._headers["Authorization"] = f"Bearer {resolve_api_key(api_key_env)}"
+        self._transport = transport or _urllib_transport
 
     def _post(self, path: str, payload: dict) -> dict:
         url = f"{self.base_url}{path}"
@@ -85,7 +117,7 @@ class HttpBackend(ModelBackend):
             if attempt:
                 time.sleep(self.retry_wait * attempt)
             try:
-                status, body = self._transport(url, payload, self._headers(), self.timeout)
+                status, body = self._transport(url, payload, self._headers, self.timeout)
             except BackendUnavailableError as exc:
                 last_error = exc
                 continue

@@ -29,6 +29,11 @@ def _canned_result(role: PromptRole) -> GenerationResult:
     return GenerationResult(text="unknown", token_logprobs=(math.log(0.5),) * 2)
 
 
+def _check_str(name: str, value) -> None:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {type(value).__name__}")
+
+
 class MockBackend(ModelBackend):
     """Fixture-table backend; all lookups are serialized behind one lock."""
 
@@ -47,7 +52,8 @@ class MockBackend(ModelBackend):
         Generation lines: {"role", "query", "docs": [ids], "iteration",
         "text", "token_probs"}; each probability in (0, 1] becomes a logprob.
         Embedding lines: {"embed": "query", "key", "vector"}.  A malformed line,
-        a probability outside (0, 1] or a vector that `Embedding` rejects raises
+        a query, key or doc id that is not a string, an empty or out-of-range
+        probability list, or a vector that `Embedding` rejects raises
         CorpusParseError with its number.
         """
         backend = cls(strict=strict)
@@ -82,13 +88,21 @@ class MockBackend(ModelBackend):
         token_probs: Sequence[float] = (1.0,),
         finish_reason: str = "stop",
     ) -> None:
+        _check_str("query", query)
+        if isinstance(doc_ids, str):
+            raise TypeError(f"docs must be a list of strings, got the string {doc_ids!r}")
+        for doc_id in doc_ids:
+            _check_str("each doc id", doc_id)
         key = (PromptRole(role).value, query, frozenset(doc_ids), operator.index(iteration))
         logprobs = tuple(math.log(p) for p in token_probs)
+        if not logprobs:
+            raise ValueError("token_probs must not be empty")
         self._generations[key] = GenerationResult(text, logprobs, finish_reason)
 
     def add_embedding(self, kind: str, key: str, vector: Sequence[float]) -> None:
         if kind != "query":
             raise ValueError(f"embedding kind must be 'query', got {kind!r}")
+        _check_str("key", key)
         self._embeddings[key] = Embedding(vector)
 
     # -- ModelBackend interface --------------------------------------------

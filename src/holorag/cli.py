@@ -13,7 +13,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .backends.http import HttpBackend, resolve_api_key
+from .backends.http import HttpBackend
 from .backends.mock import MockBackend
 from .checks import run_gradient_check, run_oracle_check
 from .config import CHOICES, RunConfig, field_type
@@ -64,7 +64,6 @@ def _build_backend(config: RunConfig):
         return MockBackend.from_file(config.fixtures)
     if not config.base_url or not config.model:
         raise ConfigError("http backend needs --base-url and --model")
-    resolve_api_key(config.api_key_env)  # fail fast with a hint before any request
     return HttpBackend(
         base_url=config.base_url,
         model=config.model,

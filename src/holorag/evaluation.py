@@ -246,7 +246,6 @@ def _evaluate(
     mode: str,
     dataset: Sequence[QaExample],
     pools: Sequence[Pool],
-    pool_mode: str,
     config: RunConfig,
     score: Callable[[QaExample, Pool], ExampleResult],
 ) -> EvalReport:
@@ -263,7 +262,7 @@ def _evaluate(
     _check_gold_present(dataset, pools)
     by_name = pools_by_name(pools)
     examples = list(dataset)
-    if pool_mode == "all":
+    if config.pool_mode == "all":
         chosen = [merge_pools(pools)] * len(examples)
     else:
         chosen = [_single_pool_for(example, by_name) for example in examples]
@@ -293,9 +292,10 @@ def evaluate_retrieval(
     """Mean nDCG@5 of top-5 retrieval over the dataset.
 
     Single-pool mode restricts each example to the pool its gold documents
-    live in; all-pool mode retrieves from the merged corpus.
+    live in; all-pool mode retrieves from the merged corpus.  ``pool_mode``
+    overrides the config's, so the report echoes the mode that ran.
     """
-    config = config or RunConfig()
+    config = replace(config or RunConfig(), pool_mode=pool_mode)
 
     def score(example: QaExample, pool: Pool) -> ExampleResult:
         ranked = top_k(
@@ -308,7 +308,7 @@ def evaluate_retrieval(
         ndcg = ndcg_at_k(ranked.doc_keys(), set(example.gold_doc_ids), NDCG_K)
         return ExampleResult(query_id=example.query_id, ndcg5=ndcg)
 
-    return _evaluate("retrieval", dataset, pools, pool_mode, config, score)
+    return _evaluate("retrieval", dataset, pools, config, score)
 
 
 def evaluate_e2e(
@@ -346,4 +346,4 @@ def evaluate_e2e(
             answer=trace.final_answer,
         )
 
-    return _evaluate("e2e", dataset, pools, config.pool_mode, config, score)
+    return _evaluate("e2e", dataset, pools, config, score)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from helpers import TranscriptTransport, demo_pool, load_transcript
+from loopback import ClosedPort, LoopbackServer, Reply
 from holorag.backends import (
     DocRef,
     GenerationRequest,
@@ -18,12 +19,14 @@ from holorag.backends import (
 )
 from holorag.errors import (
     BackendUnavailableError,
+    ConfigError,
     CorpusParseError,
     FixtureMissError,
     MissingLogprobsError,
     ProbabilityOutOfRangeError,
     UnparseableVerdictError,
 )
+from holorag.backends import http as http_module
 from holorag.config import RunConfig
 from holorag.pipeline import ROUTE_HQP, ROUTE_LQP, classify_pair, run_pipeline
 
@@ -170,8 +173,25 @@ class TestMockBackend:
             '"token_probs": [1.5]}',
             '{"role": "answer", "query": "q1", "docs": ["d1"], "text": 5, '
             '"token_probs": [1.0]}',
+            '{"embed": "query", "key": 5, "vector": [1.0, 0.0]}',
+            '{"role": "answer", "query": 5, "docs": ["d1"], "text": "42", "token_probs": [1.0]}',
+            '{"role": "answer", "query": "q1", "docs": "d1", "text": "42", "token_probs": [1.0]}',
+            '{"role": "answer", "query": "q1", "docs": ["d1", 2], "text": "42", '
+            '"token_probs": [1.0]}',
+            '{"role": "answer", "query": "q1", "docs": ["d1"], "text": "42", "token_probs": []}',
         ],
-        ids=["document-kind", "unknown-role", "zero-prob", "prob-above-one", "text-not-string"],
+        ids=[
+            "document-kind",
+            "unknown-role",
+            "zero-prob",
+            "prob-above-one",
+            "text-not-string",
+            "key-not-string",
+            "query-not-string",
+            "docs-a-string",
+            "doc-id-not-string",
+            "empty-token-probs",
+        ],
     )
     def test_from_file_bad_line_reports_line_number(self, tmp_path, bad_line):
         path = tmp_path / "fixtures.jsonl"
@@ -364,3 +384,123 @@ class TestHttpBackend:
         assert trace.failed
         assert trace.final_answer is None
         assert "malformed embedding response" in trace.error
+
+
+OK_REPLY = Reply(200, completion("42", [-0.1, -0.2])["body"])
+SLOW_TIMEOUT = 0.2  # a timeout well under the slow handler's 1 s delay
+
+# (replies, timeout, error message, attempts) of calls that fail over real HTTP
+HTTP_FAILURES = [
+    pytest.param(
+        [Reply(503, {"error": "overloaded"})], 5.0, "after 3 attempts.*status 503", 3,
+        id="503-exhausts-retries",
+    ),
+    pytest.param([Reply(400, {"error": "bad request"})], 5.0, "status 400", 1, id="400-no-retry"),
+    pytest.param(
+        [Reply(200, b"not json")], 5.0, "after 3 attempts.*non-JSON", 3, id="non-json-200"
+    ),
+    pytest.param([Reply(200, b'{"choices": "\xff"}')], 5.0, "non-JSON", 3, id="non-utf8-200"),
+    pytest.param([Reply(502, b"<html>Bad Gateway</html>")], 5.0, "non-JSON", 3, id="html-502"),
+    pytest.param(
+        [Reply(307, {"error": "moved"}, headers={"Location": "/v1/moved"})], 5.0,
+        "malformed completion response", 1, id="307-not-followed",
+    ),
+    pytest.param(
+        [Reply(200, OK_REPLY.body, delay=1.0)], SLOW_TIMEOUT, "after 3 attempts.*timed out", 3,
+        id="slow-handler",
+    ),
+]
+
+
+def injected_twin(reply, timeout):
+    """A transcript entry for ``reply``: its status and JSON body, or a transport failure."""
+    if isinstance(reply.body, bytes) or reply.delay > timeout:
+        return {"raise": "transport failure"}
+    return {"status": reply.status, "body": reply.body}
+
+
+class TestHttpOverLoopback:
+    """The real transport against a local server: each outcome matches its transcript twin."""
+
+    @staticmethod
+    def real_backend(monkeypatch, url, timeout=5.0):
+        monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
+        return HttpBackend(base_url=url, model="m", timeout=timeout, retry_wait=0.0)
+
+    @staticmethod
+    def count_transport_calls(monkeypatch):
+        calls = []
+        real = http_module._urllib_transport
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(http_module, "_urllib_transport", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "replies, attempts",
+        [([OK_REPLY], 1), ([Reply(429, {"error": "slow down"}), OK_REPLY], 2)],
+        ids=["200", "429-then-200"],
+    )
+    def test_success(self, monkeypatch, replies, attempts):
+        with LoopbackServer(replies) as server:
+            result = self.real_backend(monkeypatch, server.url).generate(any_request())
+        assert (result.text, result.token_logprobs) == ("42", (-0.1, -0.2))
+        assert len(server.requests) == attempts
+        first = server.requests[0]
+        assert first["path"] == "/v1/chat/completions"
+        assert first["headers"]["Authorization"] == "Bearer test-key"
+        assert first["headers"]["Content-Type"] == "application/json"
+        assert first["payload"]["logprobs"] is True
+        twin, transport = scripted_http([injected_twin(r, 5.0) for r in replies])
+        assert twin.generate(any_request()) == result
+        assert len(transport.calls) == attempts
+
+    @pytest.mark.parametrize("replies, timeout, message, attempts", HTTP_FAILURES)
+    def test_failure_matches_injected_twin(self, monkeypatch, replies, timeout, message, attempts):
+        with LoopbackServer(replies) as server:
+            with pytest.raises(BackendUnavailableError, match=message) as real:
+                self.real_backend(monkeypatch, server.url, timeout).generate(any_request())
+        assert len(server.requests) == attempts
+        script = [replies[min(i, len(replies) - 1)] for i in range(attempts)]
+        twin, transport = scripted_http([injected_twin(r, timeout) for r in script])
+        with pytest.raises(BackendUnavailableError) as injected:
+            twin.generate(any_request())
+        assert type(real.value) is type(injected.value) is BackendUnavailableError
+        assert len(transport.calls) == attempts
+
+    def test_closed_port(self, monkeypatch):
+        calls = self.count_transport_calls(monkeypatch)
+        with ClosedPort() as closed:
+            with pytest.raises(BackendUnavailableError, match="after 3 attempts.*refused"):
+                self.real_backend(monkeypatch, closed.url).generate(any_request())
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "base_url, message",
+        [
+            ("{host_port}/v1", "unsupported URL scheme '127.0.0.1'"),
+            ("v1", "unknown url type"),
+            ("file:///v1", "unsupported URL scheme 'file'"),
+        ],
+        ids=["host-port", "path-only", "file"],
+    )
+    def test_base_url_without_http_scheme(self, monkeypatch, base_url, message):
+        calls = self.count_transport_calls(monkeypatch)
+        with LoopbackServer([OK_REPLY]) as server:
+            host_port = server.url.removeprefix("http://").removesuffix("/v1")
+            backend = self.real_backend(monkeypatch, base_url.format(host_port=host_port))
+            with pytest.raises(BackendUnavailableError, match=f"after 3 attempts.*{message}"):
+                backend.generate(any_request())
+        assert (len(calls), len(server.requests)) == (3, 0)
+
+    def test_key_is_read_once_on_construction(self, monkeypatch):
+        with LoopbackServer([OK_REPLY]) as server:
+            backend = self.real_backend(monkeypatch, server.url)
+            monkeypatch.delenv("HOLORAG_API_KEY")
+            backend.generate(any_request())
+            with pytest.raises(ConfigError, match="missing API key: set the HOLORAG_API_KEY"):
+                HttpBackend(base_url=server.url, model="m")
+        assert server.requests[0]["headers"]["Authorization"] == "Bearer test-key"

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import demo_pool
+from loopback import ClosedPort, LoopbackServer, Reply
 from holorag import checks, losses
 from holorag.cli import EXIT_BACKEND_ERROR, EXIT_OK, EXIT_USER_ERROR, main
 from holorag.config import CHOICES, RunConfig
@@ -180,6 +184,95 @@ def test_wrong_dimension_query_exits_user_error(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "query dimension (3,) does not match pool dimension 4" in err
     assert "failed:" not in err
+
+
+# -- answer over the real HTTP transport, against a loopback server ----------
+
+
+def chat_reply(text):
+    """A 200 chat completion whose one token has logprob 0, so the answer routes LQP."""
+    logprobs = {"content": [{"token": "t", "logprob": 0.0}]}
+    return Reply(200, {"choices": [{"message": {"content": text}, "logprobs": logprobs}]})
+
+
+# embed, one YES probe over d1, the answer, the summary
+HTTP_LQP_REPLIES = [
+    Reply(200, {"data": [{"embedding": QUERY_EMBEDDING["vector"]}]}),
+    chat_reply("YES - covered"),
+    chat_reply("initial"),
+    chat_reply("final"),
+]
+
+
+def http_answer_args(tmp_path, base_url, *flags):
+    snapshot = tmp_path / "charts.snap"
+    save_snapshot(demo_pool(), snapshot)
+    args = ["answer", str(snapshot), "--query", "q", "--backend", "http"]
+    return args + ["--base-url", base_url, "--model", "m", *flags]
+
+
+def test_http_answer_exits_ok(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
+    with LoopbackServer(HTTP_LQP_REPLIES) as server:
+        assert main(http_answer_args(tmp_path, server.url)) == EXIT_OK
+    assert capsys.readouterr().out == "final\n"
+    paths = [request["path"] for request in server.requests]
+    assert paths == ["/v1/embeddings"] + ["/v1/chat/completions"] * 3
+
+
+def test_http_answer_without_key_exits_user_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("HOLORAG_API_KEY", raising=False)
+    with LoopbackServer(HTTP_LQP_REPLIES) as server:
+        assert main(http_answer_args(tmp_path, server.url)) == EXIT_USER_ERROR
+    assert capsys.readouterr().err == (
+        "error: missing API key: set the HOLORAG_API_KEY environment variable "
+        "(or switch to the mock backend)\n"
+    )
+    assert server.requests == []
+
+
+def served(*replies):
+    return lambda: LoopbackServer(replies)
+
+
+@pytest.mark.parametrize(
+    "endpoint, keep_scheme, flags",
+    [
+        (ClosedPort, True, []),
+        (served(Reply(502, b"<html>Bad Gateway</html>")), True, []),
+        (served(Reply(400, {"error": "bad request"})), True, []),
+        (served(Reply(200, b"not json")), True, []),
+        (served(Reply(200, {}, delay=1.0)), True, ["--timeout", "0.2"]),
+        (served(*HTTP_LQP_REPLIES), False, []),
+    ],
+    ids=["closed-port", "html-502", "400", "non-json", "timeout", "no-scheme"],
+)
+def test_http_transport_failure_exits_backend_error(
+    tmp_path, monkeypatch, capsys, endpoint, keep_scheme, flags
+):
+    """No failure of the real transport exits 1: each is a backend error (exit 2)."""
+    monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
+    with endpoint() as server:
+        url = server.url if keep_scheme else server.url.removeprefix("http://")
+        code = main(http_answer_args(tmp_path, url, "--max-retries", "0", *flags))
+    assert code == EXIT_BACKEND_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_http_answer_runs_without_requests(tmp_path):
+    """The package needs no third-party HTTP client: `requests` cannot even be imported."""
+    script = (
+        "import sys; sys.modules['requests'] = None\n"
+        "from holorag.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, HOLORAG_API_KEY="test-key", PYTHONPATH=str(SRC_DIR.parent))
+    with LoopbackServer(HTTP_LQP_REPLIES) as server:
+        done = subprocess.run(
+            [sys.executable, "-c", script, *http_answer_args(tmp_path, server.url)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "final\n", "")
 
 
 CORPUS_LINE = {"doc_id": "d1", "pool": "charts", "embedding": [1.0, 0.0]}

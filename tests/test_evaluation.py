@@ -13,6 +13,7 @@ from helpers import DATA_DIR, demo_pool, make_pool, scripted_scenario
 from holorag.backends import DocRef, MockBackend
 from holorag.config import RunConfig
 from holorag.errors import (
+    ConfigError,
     CorpusParseError,
     HoloRagError,
     MissingGoldDocumentError,
@@ -174,6 +175,16 @@ class TestEvaluateRetrieval:
         dataset = [QaExample("e", "e", {("p2", "gold")}, "x")]
         report = evaluate_retrieval(dataset, "all", [p1, p2], embed_backend(["e"]))
         assert report.mean_ndcg5 == 1.0
+        assert report.config["pool_mode"] == "all"
+
+    def test_unknown_pool_mode_rejected_before_any_call(self, monkeypatch):
+        backend = embed_backend(["e"])
+        calls = []
+        monkeypatch.setattr(backend, "embed_query", calls.append)
+        dataset = [QaExample("e", "e", {("p1", "a")}, "x")]
+        with pytest.raises(ConfigError, match="pool_mode must be one of"):
+            evaluate_retrieval(dataset, "bogus", [angle_pool("p1", [("a", 0)])], backend)
+        assert calls == []
 
     def test_missing_gold_names_query(self):
         pool = angle_pool("p1", [("a", 0)])

@@ -1,0 +1,38 @@
+"""The package depends on numpy and the standard library only."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+ALLOWED_OUTSIDE_STDLIB = {"numpy", "holorag"}
+
+
+def absolute_imports(path: Path):
+    """The top-level module of every absolute import in ``path``, including nested ones."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    imported = {
+        (str(path.relative_to(REPO)), name)
+        for path in (REPO / "src" / "holorag").rglob("*.py")
+        for name in absolute_imports(path)
+    }
+    assert ("src/holorag/masking.py", "numpy") in imported
+    allowed = sys.stdlib_module_names | ALLOWED_OUTSIDE_STDLIB
+    assert sorted(entry for entry in imported if entry[1] not in allowed) == []
+
+
+def test_pyproject_depends_on_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in project["dependencies"]]
+    assert names == ["numpy"]
