@@ -5,7 +5,6 @@ from .base import (
     GenerationResult,
     ModelBackend,
     PromptRole,
-    SufficiencyVerdict,
     parse_verdict,
 )
 from .http import HttpBackend, resolve_api_key
@@ -21,7 +20,6 @@ __all__ = [
     "MockBackend",
     "ModelBackend",
     "PromptRole",
-    "SufficiencyVerdict",
     "load_template",
     "parse_verdict",
     "render_prompt",

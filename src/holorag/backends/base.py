@@ -62,7 +62,6 @@ class GenerationRequest:
     query: str
     context_docs: Tuple[DocRef, ...] = ()
     prior: Optional[str] = None
-    max_tokens: int = 256
     iteration: int = 0
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class GenerationRequest:
         object.__setattr__(self, "context_docs", tuple(self.context_docs))
         if self.prompt_role in DOC_READING_ROLES and not self.context_docs:
             raise ValueError(f"role {self.prompt_role.value} requires context documents")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
 
     def doc_ids(self) -> Tuple[str, ...]:
         return tuple(ref.doc_id for ref in self.context_docs)
@@ -100,23 +97,15 @@ class GenerationResult:
             raise ValueError(f"finish_reason must be one of {FINISH_REASONS}")
 
 
-@dataclass(frozen=True)
-class SufficiencyVerdict:
-    """Parsed yes/no answer to "is this material enough to answer the query"."""
-
-    sufficient: bool
-    rationale: str = ""
-
-
 _VERDICT_RE = re.compile(r"[a-zA-Z]+")
 
 
-def parse_verdict(text: str) -> SufficiencyVerdict:
-    """Parse a constrained yes/no response.
+def parse_verdict(text: str) -> bool:
+    """Parse a constrained yes/no response: True for "yes", False for "no".
 
     The first alphabetic word must be "yes" or "no" (any case); the rest of
-    the response becomes the rationale.  Anything else is an error, never a
-    silent default.
+    the response is ignored.  Anything else is an error, never a silent
+    default.
     """
     match = _VERDICT_RE.search(text)
     if match is None:
@@ -124,8 +113,7 @@ def parse_verdict(text: str) -> SufficiencyVerdict:
     word = match.group(0).lower()
     if word not in ("yes", "no"):
         raise UnparseableVerdictError(f"expected yes or no, got {match.group(0)!r}")
-    rationale = text[match.end():].strip(" \t-:,.;—")
-    return SufficiencyVerdict(sufficient=(word == "yes"), rationale=rationale)
+    return word == "yes"
 
 
 class ModelBackend(ABC):

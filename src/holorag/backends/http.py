@@ -1,10 +1,14 @@
 """OpenAI-compatible chat-completions backend.
 
-Generation posts to ``{base_url}/chat/completions`` at temperature 0 with
-per-token log-probabilities requested, passed on unchanged; a missing,
-non-numeric, non-finite or positive one raises MissingLogprobsError.
-Embeddings post to ``{base_url}/embeddings``.  Transport failures, 429 and 5xx
-are retried.  The transport is injectable so wire transcripts replay in tests.
+Generation posts to ``{base_url}/chat/completions`` at temperature 0 with a
+budget of ``MAX_TOKENS`` tokens for every role and per-token log-probabilities
+requested, passed on unchanged; a missing, non-numeric, non-finite or
+positive one raises MissingLogprobsError.  Embeddings post to
+``{base_url}/embeddings``.  Only a 2xx reply is a success.  Transport
+failures, 429 and 5xx are retried; any other status, a 3xx included, fails
+at once and names its status.  The base URL's http or https scheme and its
+host are checked on construction, as a ConfigError before any request.  The
+transport is injectable so wire transcripts replay in tests.
 
 The real transport is the standard library's ``urllib.request``: one
 connection per call, HTTPS through Python's default SSL context, proxies
@@ -16,8 +20,8 @@ imported, and no redirect followed.  It maps each outcome for ``_post``:
 - a body that is not JSON, or not UTF-8, is a BackendUnavailableError;
 - every other failure is a BackendUnavailableError too: an ``OSError``
   (urllib's ``URLError``, a refused connection, a timeout), an
-  ``http.client.HTTPException`` and a ``ValueError`` (a URL that is not
-  http or https).  A bare ``OSError`` would exit as a user error.
+  ``http.client.HTTPException`` and a ``ValueError`` (a URL urllib cannot
+  use).  A bare ``OSError`` would exit as a user error.
 """
 
 import http.client
@@ -25,6 +29,7 @@ import json
 import os
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from typing import Callable, Optional, Tuple
 
@@ -34,6 +39,7 @@ from .base import GenerationRequest, GenerationResult, ModelBackend
 from .prompts import render_prompt
 
 DEFAULT_API_KEY_ENV = "HOLORAG_API_KEY"
+MAX_TOKENS = 256
 
 # transport(url, payload, headers, timeout) -> (status_code, parsed_json_body)
 Transport = Callable[[str, dict, dict, float], Tuple[int, dict]]
@@ -53,8 +59,6 @@ def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float) ->
     try:
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
         request = urllib.request.Request(url, data=data, headers=headers, method="POST")
-        if request.type not in ("http", "https"):
-            raise ValueError(f"unsupported URL scheme {request.type!r}")
         try:
             with _OPENER.open(request, timeout=timeout) as response:
                 status, raw = response.status, response.read()
@@ -83,8 +87,9 @@ def resolve_api_key(api_key_env: str = DEFAULT_API_KEY_ENV) -> str:
 class HttpBackend(ModelBackend):
     """Client for an OpenAI-compatible endpoint with bounded retries.
 
-    Without an injected transport, the API key is read from ``api_key_env``
-    once, on construction, so a missing key is a ConfigError before any request.
+    On construction, a base URL that is not http or https, or has no host, is
+    a ConfigError, and without an injected transport the API key is read from
+    ``api_key_env`` once, so a missing key is a ConfigError before any request.
     """
 
     def __init__(
@@ -99,6 +104,9 @@ class HttpBackend(ModelBackend):
     ):
         if not base_url:
             raise ConfigError("HTTP backend needs a base URL")
+        parts = urllib.parse.urlsplit(base_url)
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise ConfigError(f"base URL must be http:// or https:// and a host, got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.timeout = timeout
@@ -121,7 +129,7 @@ class HttpBackend(ModelBackend):
             except BackendUnavailableError as exc:
                 last_error = exc
                 continue
-            if status < 400:
+            if 200 <= status < 300:
                 return body
             last_error = BackendUnavailableError(f"{url} returned status {status}: {body}")
             if status < 500 and status != 429:
@@ -136,7 +144,7 @@ class HttpBackend(ModelBackend):
             "messages": [{"role": "user", "content": render_prompt(request)}],
             "temperature": 0,
             "logprobs": True,
-            "max_tokens": request.max_tokens,
+            "max_tokens": MAX_TOKENS,
         }
         body = self._post("/chat/completions", payload)
         try:

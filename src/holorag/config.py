@@ -45,7 +45,6 @@ class RunConfig:
     api_key_env: str = "HOLORAG_API_KEY"
     timeout: float = 30.0
     max_retries: int = 2
-    max_tokens: int = 256
     parallelism: int = 1
     scoring_mode: str = "cosine"
     skip_on_error: bool = True
@@ -64,8 +63,8 @@ class RunConfig:
             raise ConfigError("alpha must be > 0")
         if not (0.0 < self.h < 1.0):
             raise ConfigError("h must be in (0, 1)")
-        if self.k < 1 or self.max_iters < 1 or self.max_tokens < 1:
-            raise ConfigError("k, max_iters, and max_tokens must be >= 1")
+        if self.k < 1 or self.max_iters < 1:
+            raise ConfigError("k and max_iters must be >= 1")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}")

@@ -17,12 +17,12 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Set, Tuple, Union
 
-from .backends.base import DocRef, GenerationRequest, ModelBackend, PromptRole
+from .backends.base import DocRef, ModelBackend, PromptRole
 from .config import RunConfig
 from .errors import HoloRagError, MissingGoldDocumentError, UnparseableScoreError
 from .index import Pool, merge_pools, pools_by_name, top_k
 from .jsonl import json_objects, line_error
-from .pipeline import ROUTE_HQP, ROUTE_LQP, run_pipeline
+from .pipeline import ROUTE_HQP, ROUTE_LQP, _generate, run_pipeline
 
 NDCG_K = 5
 CORRECT_THRESHOLD = 4
@@ -191,20 +191,15 @@ def judge_accuracy(
     The judge sees only the query, the prediction, and the gold answer, and
     must end its reply with a bare integer.  One retry on an unparseable
     response, then the error propagates.  Scores of 4 or 5 count as correct.
+    Both attempts go through the pipeline's ``_generate``, unlogged.
     """
-    request = GenerationRequest(
-        prompt_role=PromptRole.JUDGE_SCORE,
-        query=query,
-        context_docs=(
-            DocRef(doc_id="prediction", text=prediction),
-            DocRef(doc_id="gold", text=gold),
-        ),
-    )
+    docs = (DocRef(doc_id="prediction", text=prediction), DocRef(doc_id="gold", text=gold))
     try:
-        score = _parse_judge_score(judge.generate(request).text)
+        reply = _generate(judge, None, "judge", PromptRole.JUDGE_SCORE, query, docs)
+        score = _parse_judge_score(reply.text)
     except UnparseableScoreError:
-        retry = replace(request, iteration=1)
-        score = _parse_judge_score(judge.generate(retry).text)
+        retry = _generate(judge, None, "judge", PromptRole.JUDGE_SCORE, query, docs, iteration=1)
+        score = _parse_judge_score(retry.text)
     return score, score >= CORRECT_THRESHOLD
 
 

@@ -25,14 +25,26 @@ DEFAULT_ALPHA = 0.5
 
 MASK_LEVELS = (0.0, 0.5, 1.0)
 
+# JSON value types that np.array(..., dtype=float64) would silently turn into numbers
+_NOT_NUMBERS = frozenset({str, bool, type(None)})
+
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Nonempty, finite, read-only 1-D real vector whose L2 norm is finite."""
+    """Nonempty, finite, read-only 1-D real vector whose L2 norm is finite.
+
+    A list or tuple holding a string, boolean or null entry is a TypeError
+    that names the type.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.values, (list, tuple)):
+            wrong = _NOT_NUMBERS.intersection(map(type, self.values))
+            if wrong:
+                name = min(kind.__name__ for kind in wrong)
+                raise TypeError(f"vector entries must be numbers, got {name}")
         arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("expected a nonempty 1-D real vector")

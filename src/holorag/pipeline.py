@@ -6,8 +6,9 @@ straight to synthesis; high-uncertainty queries get salient-knowledge
 extraction and iterative fine-print mining first.  The initial answer exists
 only to be measured: it is never fed back into any later request.
 
-Each stage takes the documents it reads, and every model call of the
-pipeline goes through ``_generate``, which builds, sends and logs one request.
+Each stage takes the documents it reads.  Every generation call in the
+package, the judge's in ``evaluation`` included, goes through ``_generate``,
+which builds, sends and logs one request.
 Every run produces an AnswerTrace whose agent log uses logical step counters
 (never wall-clock time) so identical runs serialize byte-identically.
 """
@@ -169,19 +170,17 @@ def _generate(
     docs: Sequence[DocRef],
     prior: Optional[str] = None,
     iteration: int = 0,
-    max_tokens: int = 256,
 ) -> GenerationResult:
-    """Build, send and log one agent request: the pipeline's only model call.
+    """Build, send and log one request: the package's only generation call.
 
-    The "generate" event is appended after the call returns, so a call that
-    raises leaves no event.
+    The "generate" event is appended to ``log`` after the call returns, so a
+    call that raises leaves no event; with ``log`` None nothing is logged.
     """
     request = GenerationRequest(
         prompt_role=role,
         query=query,
         context_docs=tuple(docs),
         prior=prior,
-        max_tokens=max_tokens,
         iteration=iteration,
     )
     result = backend.generate(request)
@@ -224,9 +223,9 @@ def prune(
         probe = _generate(
             backend, log, "pruner", PromptRole.SUFFICIENCY_PROBE, query, top[:n], iteration=n
         )
-        verdict = parse_verdict(probe.text)
-        _log_event(log, "pruner", "verdict", n=n, sufficient=verdict.sufficient)
-        if verdict.sufficient:
+        sufficient = parse_verdict(probe.text)
+        _log_event(log, "pruner", "verdict", n=n, sufficient=sufficient)
+        if sufficient:
             return PrunedSet(selected=top[:n], n_used=n, capacity=k, terminated_early=True)
     return PrunedSet(selected=top, n_used=limit, capacity=k, terminated_early=False)
 
@@ -273,9 +272,9 @@ def decouple(
         probe = _generate(
             backend, log, "decoupler", PromptRole.SUFFICIENCY_PROBE, query, fineprint, iteration=t
         )
-        verdict = parse_verdict(probe.text)
-        _log_event(log, "decoupler", "answerable", t=t, sufficient=verdict.sufficient)
-        if verdict.sufficient:
+        sufficient = parse_verdict(probe.text)
+        _log_event(log, "decoupler", "answerable", t=t, sufficient=sufficient)
+        if sufficient:
             break
     return tuple(iterations)
 
@@ -342,15 +341,7 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
         ]
         pruned = prune(query, candidates, config.k, backend, log=log)
 
-        initial = _generate(
-            backend,
-            log,
-            "judger",
-            PromptRole.ANSWER,
-            query,
-            pruned.selected,
-            max_tokens=config.max_tokens,
-        )
+        initial = _generate(backend, log, "judger", PromptRole.ANSWER, query, pruned.selected)
 
         route = classify_pair(initial, config.h)
         # measured for uncertainty only; the text is never reused downstream

@@ -28,6 +28,7 @@ from holorag.errors import (
 )
 from holorag.backends import http as http_module
 from holorag.config import RunConfig
+from holorag.evaluation import judge_accuracy
 from holorag.pipeline import ROUTE_HQP, ROUTE_LQP, classify_pair, run_pipeline
 
 # The two answer shapes of perfbench/stub_server.py, copied: six tokens at
@@ -64,15 +65,13 @@ class TestRequestAndResultTypes:
 
 class TestVerdictParsing:
     def test_yes_with_reason(self):
-        verdict = parse_verdict("YES — the chart states it")
-        assert verdict.sufficient
-        assert "chart states it" in verdict.rationale
+        assert parse_verdict("YES — the chart states it") is True
 
     def test_plain_no(self):
-        assert parse_verdict("no").sufficient is False
+        assert parse_verdict("no") is False
 
     def test_mixed_case(self):
-        assert parse_verdict("Yes, covered.").sufficient
+        assert parse_verdict("Yes, covered.") is True
 
     def test_maybe_rejected(self):
         with pytest.raises(UnparseableVerdictError):
@@ -140,7 +139,7 @@ class TestMockBackend:
         probe = mock.generate(
             GenerationRequest(PromptRole.SUFFICIENCY_PROBE, "q", (DocRef("d"),))
         )
-        assert parse_verdict(probe.text).sufficient is False
+        assert parse_verdict(probe.text) is False
         judge = mock.generate(
             GenerationRequest(PromptRole.JUDGE_SCORE, "q", (DocRef("prediction"),))
         )
@@ -179,6 +178,9 @@ class TestMockBackend:
             '{"role": "answer", "query": "q1", "docs": ["d1", 2], "text": "42", '
             '"token_probs": [1.0]}',
             '{"role": "answer", "query": "q1", "docs": ["d1"], "text": "42", "token_probs": []}',
+            '{"embed": "query", "key": "q2", "vector": ["1", true]}',
+            '{"embed": "query", "key": "q2", "vector": [true, false]}',
+            '{"embed": "query", "key": "q2", "vector": [null, 1.0]}',
         ],
         ids=[
             "document-kind",
@@ -191,6 +193,9 @@ class TestMockBackend:
             "docs-a-string",
             "doc-id-not-string",
             "empty-token-probs",
+            "vector-str-and-bool",
+            "vector-bool",
+            "vector-null",
         ],
     )
     def test_from_file_bad_line_reports_line_number(self, tmp_path, bad_line):
@@ -373,7 +378,9 @@ class TestHttpBackend:
         return scripted_http([{"status": 200, "body": body}])[0]
 
     @pytest.mark.parametrize(
-        "vector", [[], [None, 1.0], ["x", 1.0], [1e200, 1.0]], ids=["empty", "null", "str", "huge"]
+        "vector",
+        [[], [None, 1.0], ["x", 1.0], [1e200, 1.0], ["1.0", "0.0"], [True, False]],
+        ids=["empty", "null", "str", "huge", "numeric-str", "bool"],
     )
     def test_malformed_embedding_vector(self, vector):
         with pytest.raises(BackendUnavailableError, match="malformed embedding response"):
@@ -403,7 +410,7 @@ HTTP_FAILURES = [
     pytest.param([Reply(502, b"<html>Bad Gateway</html>")], 5.0, "non-JSON", 3, id="html-502"),
     pytest.param(
         [Reply(307, {"error": "moved"}, headers={"Location": "/v1/moved"})], 5.0,
-        "malformed completion response", 1, id="307-not-followed",
+        "status 307", 1, id="307-not-followed",
     ),
     pytest.param(
         [Reply(200, OK_REPLY.body, delay=1.0)], SLOW_TIMEOUT, "after 3 attempts.*timed out", 3,
@@ -479,22 +486,37 @@ class TestHttpOverLoopback:
         assert len(calls) == 3
 
     @pytest.mark.parametrize(
-        "base_url, message",
-        [
-            ("{host_port}/v1", "unsupported URL scheme '127.0.0.1'"),
-            ("v1", "unknown url type"),
-            ("file:///v1", "unsupported URL scheme 'file'"),
-        ],
-        ids=["host-port", "path-only", "file"],
+        "base_url",
+        ["{host_port}/v1", "v1", "file:///v1", "http:///v1"],
+        ids=["host-port", "path-only", "file", "no-host"],
     )
-    def test_base_url_without_http_scheme(self, monkeypatch, base_url, message):
+    def test_base_url_without_http_scheme(self, monkeypatch, base_url):
+        """A base URL that is not http or https, or has no host, fails on construction."""
         calls = self.count_transport_calls(monkeypatch)
         with LoopbackServer([OK_REPLY]) as server:
             host_port = server.url.removeprefix("http://").removesuffix("/v1")
-            backend = self.real_backend(monkeypatch, base_url.format(host_port=host_port))
-            with pytest.raises(BackendUnavailableError, match=f"after 3 attempts.*{message}"):
-                backend.generate(any_request())
-        assert (len(calls), len(server.requests)) == (3, 0)
+            with pytest.raises(ConfigError, match="must be http:// or https:// and a host"):
+                self.real_backend(monkeypatch, base_url.format(host_port=host_port))
+        assert (len(calls), len(server.requests)) == (0, 0)
+
+    def test_every_chat_request_sends_one_token_budget(self, monkeypatch):
+        """The answer request and the judge's request both carry max_tokens 256."""
+        replies = [
+            Reply(200, EMBEDDING_RESPONSE["body"]),
+            Reply(200, completion("YES - covered", [0.0])["body"]),
+            Reply(200, completion("initial", [-0.1])["body"]),
+            Reply(200, completion("final", [0.0])["body"]),
+            Reply(200, completion("5", [0.0])["body"]),
+        ]
+        with LoopbackServer(replies) as server:
+            backend = self.real_backend(monkeypatch, server.url)
+            trace = run_pipeline("q", demo_pool(), RunConfig(), backend)
+            assert judge_accuracy(trace.final_answer, "final", backend, query="q") == (5, True)
+        payloads = [r["payload"] for r in server.requests]
+        prompts = [p["messages"][0]["content"] for p in payloads[1:]]
+        assert prompts[1].startswith("Answer the question using only")
+        assert prompts[3].startswith("Score how well the prediction")
+        assert [p["max_tokens"] for p in payloads[1:]] == [256] * 4
 
     def test_key_is_read_once_on_construction(self, monkeypatch):
         with LoopbackServer([OK_REPLY]) as server:

@@ -42,13 +42,14 @@ ANSWER_FLAGS = {
     "--api-key-env",
     "--timeout",
     "--max-retries",
-    "--max-tokens",
     "--parallelism",
     "--scoring-mode",
     "--no-skip-on-error",
 }
 
-REMOVED_KEYS = ("tau", "beta", "n_submasks", "seed", "eps", "fallback_on_probe_error")
+REMOVED_KEYS = (
+    "tau", "beta", "n_submasks", "seed", "eps", "fallback_on_probe_error", "max_tokens"
+)
 
 
 @pytest.fixture
@@ -250,12 +251,19 @@ def served(*replies):
 def test_http_transport_failure_exits_backend_error(
     tmp_path, monkeypatch, capsys, endpoint, keep_scheme, flags
 ):
-    """No failure of the real transport exits 1: each is a backend error (exit 2)."""
+    """No failure of the real transport exits 1: each is a backend error (exit 2).
+
+    A base URL without an http scheme is a configuration error instead: exit
+    1 before any request.
+    """
     monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
     with endpoint() as server:
         url = server.url if keep_scheme else server.url.removeprefix("http://")
         code = main(http_answer_args(tmp_path, url, "--max-retries", "0", *flags))
-    assert code == EXIT_BACKEND_ERROR
+    if keep_scheme:
+        assert code == EXIT_BACKEND_ERROR
+    else:
+        assert (code, server.requests) == (EXIT_USER_ERROR, [])
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -417,7 +425,6 @@ OUT_OF_RANGE = {
     "h": [0.0, 1.0, 2.0],
     "k": [0, -3],
     "max_iters": [0],
-    "max_tokens": [0],
     "parallelism": [0],
     "timeout": [0.0, -1.0],
     "max_retries": [-1],

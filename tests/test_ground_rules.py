@@ -36,3 +36,34 @@ def test_pyproject_depends_on_numpy_only():
     project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def calls_by_function(path: Path):
+    """(innermost enclosing function or "<module>", callee name) of every call in ``path``.
+
+    The callee is named by its bare name or, for ``x.attr(...)``, by ``attr``.
+    """
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            yield function, getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "<module>")
+
+
+def test_one_generation_request_path():
+    """`pipeline._generate` alone builds a GenerationRequest and calls ``.generate``."""
+    found = sorted(
+        (str(path.relative_to(REPO)), function, name)
+        for path in (REPO / "src" / "holorag").rglob("*.py")
+        for function, name in calls_by_function(path)
+        if name in ("GenerationRequest", "generate")
+    )
+    assert found == [
+        ("src/holorag/pipeline.py", "_generate", "GenerationRequest"),
+        ("src/holorag/pipeline.py", "_generate", "generate"),
+    ]

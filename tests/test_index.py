@@ -116,6 +116,24 @@ class TestIngest:
             ingest_corpus(path)
         assert info.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "embedding, kind",
+        [(["1.0", "0.0"], "str"), ([True, False], "bool"), ([None, 1.0], "NoneType")],
+        ids=["str", "bool", "null"],
+    )
+    def test_wrong_entry_type_names_line(self, tmp_path, embedding, kind):
+        path = tmp_path / "typed.jsonl"
+        write_corpus(
+            path,
+            [
+                {"doc_id": "a", "pool": "p", "embedding": [1.0, 0.0]},
+                {"doc_id": "b", "pool": "p", "embedding": embedding},
+            ],
+        )
+        with pytest.raises(CorpusParseError, match=f"must be numbers, got {kind}") as info:
+            ingest_corpus(path)
+        assert info.value.line_number == 2
+
 
 class TestTopK:
     def test_single_document(self):
@@ -176,6 +194,11 @@ class TestTopK:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="must be finite"):
                 top_k(pool, query, k=2)
+
+    def test_plain_sequence_query_type_checked(self):
+        pool = make_pool("p", [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+        with pytest.raises(TypeError, match="got bool"):
+            top_k(pool, [True, False], k=2)
 
     @pytest.mark.parametrize("scoring", ["cosine", "masked"])
     def test_zero_document_scores_zero(self, scoring):

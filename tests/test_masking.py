@@ -40,6 +40,28 @@ class TestEmbedding:
         with pytest.raises(ValueError, match="norm must be finite"):
             masking.Embedding(values)
 
+    @pytest.mark.parametrize(
+        "values, kind",
+        [
+            (["1.0", 0.0], "str"),
+            ([1.0, True], "bool"),
+            ((None, 1.0), "NoneType"),
+            ([None, "1", True], "NoneType"),
+        ],
+        ids=["str", "bool", "null", "three-kinds"],
+    )
+    def test_non_number_entries_rejected(self, values, kind):
+        with pytest.raises(TypeError, match=f"got {kind}$"):
+            masking.Embedding(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1, 2.0], (np.float64(1.0), np.int64(2)), np.array([1, 2]), np.array([1.0, 2.0])],
+        ids=["int-and-float", "numpy-scalars", "int-array", "float-array"],
+    )
+    def test_real_entries_accepted(self, values):
+        assert masking.Embedding(values).values.tolist() == [1.0, 2.0]
+
 
 class TestL2Normalize:
     def test_three_four_five(self):
