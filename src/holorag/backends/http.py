@@ -6,9 +6,10 @@ requested, passed on unchanged; a missing, non-numeric, non-finite or
 positive one raises MissingLogprobsError.  Embeddings post to
 ``{base_url}/embeddings``.  Only a 2xx reply is a success.  Transport
 failures, 429 and 5xx are retried; any other status, a 3xx included, fails
-at once and names its status.  The base URL's http or https scheme and its
-host are checked on construction, as a ConfigError before any request.  The
-transport is injectable so wire transcripts replay in tests.
+at once and names its status.  The base URL's http or https scheme, its host
+and its port (none, or an integer in 0-65535) are checked on construction, as
+a ConfigError before any request.  The transport is injectable so wire
+transcripts replay in tests.
 
 The real transport is the standard library's ``urllib.request``: one
 connection per call, HTTPS through Python's default SSL context, proxies
@@ -87,8 +88,9 @@ def resolve_api_key(api_key_env: str = DEFAULT_API_KEY_ENV) -> str:
 class HttpBackend(ModelBackend):
     """Client for an OpenAI-compatible endpoint with bounded retries.
 
-    On construction, a base URL that is not http or https, or has no host, is
-    a ConfigError, and without an injected transport the API key is read from
+    On construction, a base URL that does not parse, is not http or https,
+    has no host or has a port that is not an integer in 0-65535 is a
+    ConfigError, and without an injected transport the API key is read from
     ``api_key_env`` once, so a missing key is a ConfigError before any request.
     """
 
@@ -104,7 +106,11 @@ class HttpBackend(ModelBackend):
     ):
         if not base_url:
             raise ConfigError("HTTP backend needs a base URL")
-        parts = urllib.parse.urlsplit(base_url)
+        try:
+            parts = urllib.parse.urlsplit(base_url)
+            parts.port  # raises ValueError unless the port is empty or 0-65535
+        except ValueError as exc:
+            raise ConfigError(f"malformed base URL {base_url!r}: {exc}") from exc
         if parts.scheme not in ("http", "https") or not parts.netloc:
             raise ConfigError(f"base URL must be http:// or https:// and a host, got {base_url!r}")
         self.base_url = base_url.rstrip("/")

@@ -4,14 +4,16 @@ A pool is stored as columns: one read-only (n, d) float64 matrix holding
 every embedding once, and beside it the (pool_name, doc_id) key and the
 metadata of each row.  Pools are immutable after construction; ingestion and
 merging build new pools.  Retrieval is an exact full scan (corpora here are
-desk scale): both scoring modes share one row-wise cosine formula, masked
-scoring walks the rows in fixed blocks so no query allocates an (n, d)
-temporary, and one tie-safe cut ranks both modes, so equal rows score equal
-and ties break by doc_id, then pool name.  A snapshot (format 2) holds the
-records' keys and metadata as JSON lines and the matrix after them as raw
-little-endian float64, so saving and loading never format or parse a float;
-format 1 snapshots, all JSON lines, still load.  Every JSON line, of a corpus
-or a snapshot, is read by the shared reader, `jsonl.json_objects`.
+desk scale): both scoring modes share one row-wise cosine formula, and one
+tie-safe cut ranks both modes, so equal rows score equal and ties break by
+doc_id, then pool name.  Masked scoring walks the live rows in fixed blocks:
+each block is gathered into one (block, d) buffer allocated once per query
+and masked in place, so no query allocates an (n, d) temporary.  A snapshot
+(format 2) holds the records' keys and metadata as JSON lines and the matrix
+after them as raw little-endian float64, so saving and loading never format
+or parse a float; format 1 snapshots, all JSON lines, still load.  Every JSON
+line, of a corpus or a snapshot, is read by the shared reader,
+`jsonl.json_objects`.
 """
 
 import itertools
@@ -279,8 +281,11 @@ def top_k(
 
     A plain-sequence query gets `Embedding`'s checks, so a NaN raises ValueError.
     ``scoring="masked"`` first multiplies every document by its hybrid mask
-    against the query (`mask_pipeline`, one call per block of live rows),
-    whose band width is ``alpha``; its numerical guard eps is a constant.
+    against the query, whose band width is ``alpha``; its numerical guard eps
+    is a constant.  The live rows are gathered block by block into one
+    (block, d) buffer that the call allocates once; `mask_pipeline`, looked
+    up as this module's global once per block, masks the block, and the
+    documents are multiplied into the weights it returns.
     Both modes then score each row with the same row-wise formula,
     dot(q, x) / (|q| |x|), so exact duplicate rows score bit-identically,
     in one block or in two.  Cosine mode divides by the norms the pool
@@ -318,12 +323,16 @@ def top_k(
         # are left out and score 0, as the `where` below scores them in cosine
         rows = np.flatnonzero(pool._norms)
         dots, norms = np.empty(len(rows)), np.empty(len(rows))
+        gathered = np.empty((min(len(rows), _BLOCK_ROWS), pool.dimension))
         for start in range(0, len(rows), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            docs = pool.matrix[rows[block]]
-            docs *= mask_pipeline(q, docs, alpha)
-            dots[block] = np.einsum("ij,j->i", docs, q)
-            norms[block] = np.sqrt(np.einsum("ij,ij->i", docs, docs))
+            picked = rows[block]
+            # the indices come from flatnonzero, so "clip" never clips
+            docs = np.take(pool.matrix, picked, axis=0, out=gathered[: len(picked)], mode="clip")
+            masked = mask_pipeline(q, docs, alpha)
+            np.multiply(masked, docs, out=masked)
+            dots[block] = np.einsum("ij,j->i", masked, q)
+            norms[block] = np.sqrt(np.einsum("ij,ij->i", masked, masked))
     else:
         rows, norms = slice(None), pool._norms
         dots = np.einsum("ij,j->i", pool.matrix, q)

@@ -10,6 +10,14 @@ The band width alpha is the method's one setting.  ``DEFAULT_EPS``, fixed at
 nonzero, and a squashed row whose spread falls below it counts as degenerate.
 One call masks a whole document matrix against a query, or a whole batch of
 pairs, so retrieval and batch construction share the same arithmetic.
+
+`mask_pipeline` works in two (n, d) buffers with ``out=`` ufuncs.  Its
+reductions are the formulas ``np.linalg.norm``, ``.mean`` and ``.std`` use on
+one 1-D vector, spelled out so none allocates an (n, d) array: sqrt(x.dot(x)),
+one BLAS dot per row, add.reduce(x) / n and sqrt(add.reduce((x - mean)**2) / n).
+So the weights equal the staged oracle in ``tests/mask_oracle.py`` bit for
+bit.  The row-wise ``np.linalg.norm(rows, axis=-1)`` sums pairwise instead,
+which differs in the last bit and moves entries tied at a threshold.
 """
 
 import math
@@ -57,11 +65,23 @@ class Embedding:
         object.__setattr__(self, "values", arr)
 
 
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+def _unit_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``rows`` scaled to unit length into ``out``; each norm is one BLAS dot
+    per row, as ``np.linalg.norm`` takes the norm of a single vector."""
+    norms = np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0])
     if not np.all(norms > 0.0):
         raise ZeroVectorError("cannot normalize a vector with zero norm")
-    return rows / norms
+    return np.divide(rows, norms, out=out)
+
+
+def _row_mean_std(rows: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population standard deviation of each row, as ``ndarray.mean``
+    and ``.std`` compute them; ``scratch`` receives the squared deviations."""
+    n = rows.shape[-1]
+    mean = np.add.reduce(rows, axis=-1, keepdims=True) / n
+    np.subtract(rows, mean, out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    return mean, np.sqrt(np.add.reduce(scratch, axis=-1, keepdims=True) / n)
 
 
 def mask_pipeline(
@@ -91,18 +111,31 @@ def mask_pipeline(
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    q = np.asarray(queries, dtype=np.float64)
-    d = np.asarray(documents, dtype=np.float64)
+    # contiguous rows, so every row is reduced in the same order as a 1-D vector
+    q = np.asarray(queries, dtype=np.float64, order="C")
+    d = np.asarray(documents, dtype=np.float64, order="C")
     if q.shape[-1:] != d.shape[-1:] or (q.ndim > 1 and q.shape != d.shape):
         raise DimensionMismatchError(
             f"query shape {q.shape} does not pair with document shape {d.shape}"
         )
-    raw = np.abs(_unit_rows(q) * _unit_rows(d))
-    z = (raw - raw.mean(axis=-1, keepdims=True)) / (raw.std(axis=-1, keepdims=True) + DEFAULT_EPS)
-    s = 1.0 / (1.0 + np.exp(-z))
-    mu = s.mean(axis=-1, keepdims=True)
-    sigma = s.std(axis=-1, keepdims=True)
-    weights = ((s > mu - alpha * sigma).astype(np.float64) + (s > mu + alpha * sigma)) / 2.0
+    # s holds the unit queries, then |q * x|, then the sigmoid; weights holds
+    # the unit documents, then the squared deviations, then the weights
+    s = np.empty(d.shape)
+    weights = np.empty(d.shape)
+    unit_q = _unit_rows(q, s if q.ndim > 1 else np.empty(q.shape))
+    np.multiply(unit_q, _unit_rows(d, weights), out=s)
+    np.abs(s, out=s)
+    mean, std = _row_mean_std(s, weights)
+    # sigmoid(z) = 1 / (1 + exp(-z)); a / (-b) is bitwise -(a / b)
+    np.subtract(s, mean, out=s)
+    np.divide(s, -(std + DEFAULT_EPS), out=s)
+    np.exp(s, out=s)
+    np.add(s, 1.0, out=s)
+    np.divide(1.0, s, out=s)
+    mu, sigma = _row_mean_std(s, weights)
+    level = np.greater(s, mu - alpha * sigma).view(np.uint8)
+    level += np.greater(s, mu + alpha * sigma)
+    np.multiply(level, 0.5, out=weights)
     weights[sigma[..., 0] < DEFAULT_EPS] = 1.0
     return weights
 

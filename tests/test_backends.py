@@ -386,6 +386,28 @@ class TestHttpBackend:
         with pytest.raises(BackendUnavailableError, match="malformed embedding response"):
             self.embedding_backend(vector).embed_query("q")
 
+    @pytest.mark.parametrize(
+        "base_url",
+        ["http://127.0.0.1:abc/v1", "http://127.0.0.1:99999/v1", "http://[::1/v1"],
+        ids=["non-numeric-port", "port-out-of-range", "unclosed-ipv6"],
+    )
+    def test_malformed_base_url_is_config_error(self, base_url):
+        """A base URL `urlsplit` cannot parse, or whose port is not in 0-65535,
+        is a configuration mistake: a ConfigError on construction, not retries."""
+        transport = TranscriptTransport([])
+        with pytest.raises(ConfigError, match="malformed base URL"):
+            HttpBackend(base_url=base_url, model="m", transport=transport)
+        assert transport.calls == []
+
+    @pytest.mark.parametrize(
+        "base_url",
+        ["http://127.0.0.1:8080/v1", "https://rag.example/v1", "http://[::1]:8080/v1"],
+        ids=["port", "no-port", "ipv6-port"],
+    )
+    def test_well_formed_base_url_constructs(self, base_url):
+        backend = HttpBackend(base_url=base_url, model="m", transport=TranscriptTransport([]))
+        assert backend.base_url == base_url
+
     def test_malformed_embedding_fails_the_trace(self):
         trace = run_pipeline("q", demo_pool(), RunConfig(), self.embedding_backend(["x", 1.0]))
         assert trace.failed

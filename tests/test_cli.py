@@ -267,6 +267,15 @@ def test_http_transport_failure_exits_backend_error(
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("port", ["abc", "99999"])
+def test_http_bad_port_exits_user_error(tmp_path, monkeypatch, capsys, port):
+    """A base URL with a bad port fails as configuration (exit 1), before any request."""
+    monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
+    url = f"http://127.0.0.1:{port}/v1"
+    assert main(http_answer_args(tmp_path, url)) == EXIT_USER_ERROR
+    assert capsys.readouterr().err.startswith(f"error: malformed base URL {url!r}: ")
+
+
 def test_http_answer_runs_without_requests(tmp_path):
     """The package needs no third-party HTTP client: `requests` cannot even be imported."""
     script = (

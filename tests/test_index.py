@@ -402,6 +402,64 @@ class TestBlockedScoring:
                 WHOLE_POOL[scoring](pool, query, k),
             )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        block=st.sampled_from([2, 3, 5, 8, index._BLOCK_ROWS]),
+        edges=st.integers(1, 3),
+        d=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_masked_gather_matches_whole_pool_oracle(self, data, block, edges, d, seed):
+        # the live rows cross 1 to 3 block edges, usually ending in a partial
+        # block, and the gather skips dead rows wherever they fall
+        live = data.draw(st.integers(edges * block + 1, (edges + 1) * block), label="live")
+        n_dead = data.draw(st.integers(0, 6), label="n_dead")
+        n = live + n_dead
+        at = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=n_dead, max_size=n_dead, unique=True)
+        )
+        kinds = data.draw(st.lists(st.booleans(), min_size=n_dead, max_size=n_dead))
+        rng = np.random.default_rng(seed)
+        dead = {i: np.full(d, 1e-200 if tiny else 0.0) for i, tiny in zip(at, kinds)}
+        pool = gaussian_pool(rng, n, d, dead)
+        query = rng.normal(size=d)
+        k = data.draw(st.integers(1, n), label="k")
+        with mock.patch.object(index, "_BLOCK_ROWS", block):
+            everything = top_k(pool, Embedding(query), k=n, scoring="masked")
+            cut = top_k(pool, Embedding(query), k=k, scoring="masked")
+        assert_same_ranking(everything, mask_oracle.whole_top_k_masked(pool, query, n))
+        assert_same_ranking(cut, mask_oracle.whole_top_k_masked(pool, query, k))
+
+    @pytest.mark.parametrize(
+        "n, dead",
+        [
+            (2 * B + 3, {5: 0.0, B + 7: 1e-200}),
+            # the benchmark's pool: 10k rows, 4 of them zero, so 20 blocks
+            (10_000, {3: 0.0, 999: 0.0, 5_000: 0.0, 9_999: 0.0}),
+        ],
+    )
+    def test_mask_pipeline_called_once_per_block_through_module_global(
+        self, monkeypatch, n, dead
+    ):
+        """The benchmark wraps `index.mask_pipeline` to count and time it per query."""
+        sizes = []
+        original = index.mask_pipeline
+
+        def spy(queries, documents, *args, **kwargs):
+            sizes.append(len(documents))
+            return original(queries, documents, *args, **kwargs)
+
+        monkeypatch.setattr(index, "mask_pipeline", spy)
+        rng = np.random.default_rng(25)
+        pool = gaussian_pool(rng, n, 8, {i: np.full(8, v) for i, v in dead.items()})
+        live = n - len(dead)
+        top_k(pool, Embedding(rng.normal(size=8)), k=5, scoring="masked")
+        assert len(sizes) == math.ceil(live / self.B)
+        assert sum(sizes) == live and set(sizes[:-1]) <= {self.B}
+        top_k(pool, Embedding(rng.normal(size=8)), k=5, scoring="cosine")
+        assert len(sizes) == math.ceil(live / self.B)
+
     def test_masked_top_k_allocates_no_pool_sized_temporary(self):
         rng = np.random.default_rng(24)
         n, d = 20_000, 64

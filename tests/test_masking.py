@@ -332,6 +332,37 @@ def assert_rows_match_oracle(queries, documents, weights, alpha=0.5):
         np.testing.assert_array_equal(w, mask_oracle.mask_pipeline(q, d, alpha).weights)
 
 
+def threshold_ties(query, document, alpha):
+    """How many entries of the pair's staged sigmoid equal mu +/- alpha*sigma exactly."""
+    c = standardize_sigmoid(correlation(l2_normalize(query), l2_normalize(document)))
+    s = c.standardized
+    mu, sigma = float(s.mean()), float(s.std())
+    return int(np.sum(s == mu - alpha * sigma) + np.sum(s == mu + alpha * sigma))
+
+
+def large_d_rows(rng, d, k):
+    """Nine (d,) rows for the large-d cases, each nonzero.
+
+    Rows 0 and 1 take two values, k entries the larger one: 2.0 and 1.0 on
+    the quarter grid, then 0.3 and 0.1, whose sums round.  Against a
+    constant-magnitude query at alpha = sqrt((d - k) / k), their larger
+    entries land exactly on the upper threshold, so a norm, mean or std
+    summed in another order moves them off it.  Row 2 is a constant
+    magnitude with random signs, so against such a query sigma < eps.
+    Rows 3-5 are on the quarter grid of [-2, 2], row 5 repeating row 3;
+    rows 6-8 are Gaussian.
+    """
+    rows = np.empty((9, d))
+    rows[0], rows[1] = 1.0, 0.1
+    rows[0, :k], rows[1, :k] = 2.0, 0.3
+    rows[2] = rng.choice([-0.75, 0.75], size=d)
+    rows[3:5] = rng.integers(-8, 9, size=(2, d)) / 4.0
+    rows[3:5, -1] = 1.0
+    rows[5] = rows[3]
+    rows[6:] = rng.normal(size=(3, d))
+    return rows
+
+
 class TestMaskPipeline:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), d=st.integers(1, 64), n=st.integers(1, 6), one_query=st.booleans())
@@ -351,6 +382,39 @@ class TestMaskPipeline:
             documents[1::5] = documents[0]
             for queries in (rng.normal(size=d), rng.normal(size=documents.shape)):
                 assert_rows_match_oracle(queries, documents, mask_pipeline(queries, documents))
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["broadcast", "paired"])
+    @pytest.mark.parametrize("d, k", [(129, 54), (256, 105), (768, 365)])
+    def test_large_d_matches_staged_oracle_bitwise(self, d, k, paired):
+        # np.add.reduce sums more than 128 entries in pairwise blocks; the
+        # row-wise reductions must still agree with the oracle's 1-D ones
+        rng = np.random.default_rng(d)
+        documents = large_d_rows(rng, d, k)
+        if paired:
+            queries = large_d_rows(rng, d, k)[::-1].copy()
+            queries[:3] = rng.choice([-1.0, 1.0], size=(3, d))
+        else:
+            queries = np.ones(d)
+        alpha = math.sqrt((d - k) / k)
+        paired_queries = np.broadcast_to(queries, documents.shape)
+        for row in (0, 1):
+            ties = threshold_ties(paired_queries[row], documents[row], alpha)
+            assert ties == k, "no exact threshold tie: this numpy rounds differently; change k"
+        weights = mask_pipeline(queries, documents, alpha)
+        assert np.all(weights[2] == 1.0)
+        assert_rows_match_oracle(queries, documents, weights, alpha)
+
+    def test_read_only_inputs_left_unchanged(self):
+        rng = np.random.default_rng(42)
+        documents = rng.normal(size=(6, 130))
+        for queries in (rng.normal(size=130), rng.normal(size=(6, 130))):
+            want = mask_pipeline(queries.copy(), documents.copy())
+            frozen_q, frozen_d = queries.copy(), documents.copy()
+            frozen_q.setflags(write=False)
+            frozen_d.setflags(write=False)
+            np.testing.assert_array_equal(mask_pipeline(frozen_q, frozen_d), want)
+            np.testing.assert_array_equal(frozen_q, queries)
+            np.testing.assert_array_equal(frozen_d, documents)
 
     def test_three_band_hand_case(self):
         # c = [0.6, 0.3, 0] z-scores to [1.22, 0, -1.22]: one entry per band
