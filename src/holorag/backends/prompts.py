@@ -2,13 +2,21 @@
 
 Templates are versioned text artifacts shipped with the package, one per
 prompt role.  Placeholders are replaced literally (no format-string parsing),
-so document text containing braces cannot break rendering.
+so document text containing braces cannot break rendering.  The judge's
+retry (``iteration`` >= 1) gets a corrective line after its template: at
+temperature 0 an unchanged prompt would get the same unparseable reply.
 """
 
 from functools import lru_cache
 from importlib import resources
 
 from .base import GenerationRequest, PromptRole
+
+# Appended, never prepended: a server may route on the prompt's first line.
+JUDGE_RETRY_NOTE = (
+    "\nYour previous reply did not end with a bare score. Reply again, and put "
+    "only the integer score, 1-5, on the final line.\n"
+)
 
 
 @lru_cache(maxsize=None)
@@ -28,9 +36,14 @@ def render_context(request: GenerationRequest) -> str:
 
 
 def render_prompt(request: GenerationRequest) -> str:
-    """Fill a role template with the request's query, context, and prior."""
+    """Fill a role template with the request's query, context, and prior.
+
+    The judge's retry, at ``iteration`` >= 1, ends with JUDGE_RETRY_NOTE.
+    """
     text = load_template(request.prompt_role)
     text = text.replace("{query}", request.query)
     text = text.replace("{context}", render_context(request))
     text = text.replace("{prior}", request.prior or "(none)")
+    if request.prompt_role is PromptRole.JUDGE_SCORE and request.iteration >= 1:
+        text += JUDGE_RETRY_NOTE
     return text

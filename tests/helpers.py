@@ -132,7 +132,11 @@ ALL_SCENARIOS = ("lqp", "lqp_first", "hqp_early", "hqp_two", "hqp_max", "failure
 
 
 class TranscriptTransport:
-    """Replays a recorded list of wire responses in order."""
+    """Replays a recorded list of wire responses in order.
+
+    An entry is ``{"status", "body"}`` with optional reply ``"headers"``, or
+    ``{"raise": message}`` for a transport failure.
+    """
 
     def __init__(self, entries):
         self.entries = list(entries)
@@ -145,7 +149,7 @@ class TranscriptTransport:
         entry = self.entries.pop(0)
         if "raise" in entry:
             raise BackendUnavailableError(entry["raise"])
-        return entry["status"], entry["body"]
+        return entry["status"], entry["body"], entry.get("headers", {})
 
 
 def load_transcript(name: str):

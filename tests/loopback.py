@@ -1,5 +1,6 @@
 """A scripted HTTP server on 127.0.0.1 for tests of the real HTTP transport."""
 
+import itertools
 import json
 import socket
 import threading
@@ -11,44 +12,65 @@ from typing import Dict, List, Sequence, Union
 
 @dataclass(frozen=True)
 class Reply:
-    """One scripted response: a dict body goes out as JSON, bytes as they are."""
+    """One scripted response: a dict body goes out as JSON, bytes as they are.
+
+    ``close`` closes the connection after the reply without sending
+    ``Connection: close``, as a server that drops an idle connection does.
+    """
 
     status: int
     body: Union[dict, bytes]
     delay: float = 0.0
     headers: Dict[str, str] = field(default_factory=dict)
+    close: bool = False
+
+
+HANG_UP = Reply(0, b"")  # read the request, then close the connection without a reply
 
 
 class LoopbackServer:
-    """Answers the n-th POST with the n-th reply; the last reply repeats.
+    """Answers the n-th request with the n-th reply; the last reply repeats.
 
-    Use as a context manager.  ``requests`` records each POST's path,
-    headers and JSON payload in arrival order, so its length is the number
-    of attempts the server saw.
+    Use as a context manager.  ``requests`` records each POST's (or, as a
+    proxy sees a tunnel, CONNECT's) method, target path, headers, JSON
+    payload and connection number in arrival order, so its length is the
+    number of attempts the server saw.  Connections are numbered from 1 in
+    the order they were accepted.
     """
 
     def __init__(self, replies: Sequence[Reply]):
         self.replies = list(replies)
         self.requests: List[dict] = []
         self._lock = threading.Lock()
+        connection_numbers = itertools.count(1)
         owner = self
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
             disable_nagle_algorithm = True  # head and body go out in two writes
 
+            def setup(self):
+                super().setup()
+                self.connection_number = next(connection_numbers)
+
             def do_POST(self):
                 raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 with owner._lock:
                     owner.requests.append(
                         {
+                            "method": self.command,
                             "path": self.path,
                             "headers": dict(self.headers),
-                            "payload": json.loads(raw),
+                            "payload": json.loads(raw) if raw else None,
+                            "connection": self.connection_number,
                         }
                     )
                     reply = owner.replies[min(len(owner.requests), len(owner.replies)) - 1]
-                time.sleep(reply.delay)
+                if reply is HANG_UP:
+                    self.close_connection = True
+                    return
+                if reply.delay:  # tests that patch time.sleep see only the client's
+                    time.sleep(reply.delay)
                 body = reply.body
                 if not isinstance(body, bytes):
                     body = json.dumps(body).encode()
@@ -61,6 +83,10 @@ class LoopbackServer:
                     self.wfile.write(body)
                 except (BrokenPipeError, ConnectionResetError):
                     pass  # the client timed out and hung up
+                if reply.close:
+                    self.close_connection = True
+
+            do_CONNECT = do_POST
 
             def log_message(self, format, *args):
                 pass

@@ -1,11 +1,15 @@
 """Tests for the backend boundary: types, parsing, mock scripting, HTTP replay."""
 
+import base64
+import email.utils
 import math
+import sys
+import time
 
 import pytest
 
 from helpers import TranscriptTransport, demo_pool, load_transcript
-from loopback import ClosedPort, LoopbackServer, Reply
+from loopback import HANG_UP, ClosedPort, LoopbackServer, Reply
 from holorag.backends import (
     DocRef,
     GenerationRequest,
@@ -28,7 +32,7 @@ from holorag.errors import (
 )
 from holorag.backends import http as http_module
 from holorag.config import RunConfig
-from holorag.evaluation import judge_accuracy
+from holorag.evaluation import QaExample, evaluate_e2e, judge_accuracy
 from holorag.pipeline import ROUTE_HQP, ROUTE_LQP, classify_pair, run_pipeline
 
 # The two answer shapes of perfbench/stub_server.py, copied: six tokens at
@@ -82,6 +86,25 @@ class TestVerdictParsing:
             parse_verdict("   ")
 
 
+JUDGE_PROMPT = (
+    "Score how well the prediction answers the question compared to the\n"
+    "reference answer, on a 1-5 scale: 5 fully correct; 4 generally correct but\n"
+    "less concise; 3 partially correct; 2 mostly incorrect; 1 incorrect.\n"
+    "\n"
+    "Question: how many?\n"
+    "\n"
+    "[prediction] twelve\n"
+    "[gold] 12\n"
+    "\n"
+    "Reply with a one-line justification, then the score as a bare integer on\n"
+    "the final line.\n"
+)
+JUDGE_RETRY_LINE = (
+    "\nYour previous reply did not end with a bare score. Reply again, and put "
+    "only the integer score, 1-5, on the final line.\n"
+)
+
+
 class TestTemplates:
     @pytest.mark.parametrize("role", list(PromptRole))
     def test_all_templates_load(self, role):
@@ -107,6 +130,22 @@ class TestTemplates:
         )
         prompt = render_prompt(req)
         assert '{"json": [1, 2]}' in prompt
+
+    def test_judge_retry_appends_a_corrective_line(self):
+        """Iteration 0 renders the bare template; the retry ends with one more line."""
+        docs = (DocRef("prediction", text="twelve"), DocRef("gold", text="12"))
+        first, retry = (
+            render_prompt(GenerationRequest(PromptRole.JUDGE_SCORE, "how many?", docs, iteration=i))
+            for i in (0, 1)
+        )
+        assert first == JUDGE_PROMPT
+        assert retry == JUDGE_PROMPT + JUDGE_RETRY_LINE
+
+    def test_only_the_judge_retry_changes(self):
+        docs = (DocRef("d1", text="body"),)
+        for role in (PromptRole.SUFFICIENCY_PROBE, PromptRole.SUMMARIZE):
+            requests = [GenerationRequest(role, "q", docs, iteration=i) for i in (0, 1)]
+            assert len({render_prompt(request) for request in requests}) == 1
 
 
 class TestMockBackend:
@@ -326,14 +365,71 @@ class TestHttpBackend:
         assert backend.generate(any_request()).text == "42"
         assert len(transport.calls) == 2
 
-    def test_rate_limit_exhausts_retries(self, monkeypatch):
-        waits = []
+    @staticmethod
+    def record_backoff(monkeypatch):
+        """Record each sleep, and each jitter draw's bounds; a draw returns half its upper bound."""
+        waits, draws = [], []
         monkeypatch.setattr("holorag.backends.http.time.sleep", waits.append)
+
+        def uniform(low, high):
+            draws.append((low, high))
+            return high / 2
+
+        monkeypatch.setattr("holorag.backends.http.random.uniform", uniform)
+        return waits, draws
+
+    def test_rate_limit_exhausts_retries(self, monkeypatch):
+        waits, draws = self.record_backoff(monkeypatch)
         backend, transport = scripted_http([{"status": 429, "body": {}}] * 3, retry_wait=0.5)
         with pytest.raises(BackendUnavailableError, match="after 3 attempts.*429"):
             backend.generate(any_request())
         assert len(transport.calls) == 3
-        assert waits == [0.5, 1.0]
+        assert draws == [(0.0, 0.5), (0.0, 1.0)]
+        assert waits == [0.25, 0.5]
+
+    def test_backoff_bound_doubles_per_attempt(self, monkeypatch):
+        waits, draws = self.record_backoff(monkeypatch)
+        backend, _ = scripted_http([{"raise": "boom"}] * 4, max_retries=3, retry_wait=0.5)
+        with pytest.raises(BackendUnavailableError, match="after 4 attempts"):
+            backend.generate(any_request())
+        assert draws == [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0)]
+        assert waits == [0.25, 0.5, 1.0]
+
+    @pytest.mark.parametrize("status", [429, 503])
+    @pytest.mark.parametrize(
+        "retry_after, wait",
+        [
+            ("0", 0.0),
+            (" 3 ", 3.0),
+            ("86400", http_module.RETRY_AFTER_CAP_S),
+            ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
+            ("Sun Nov  6 08:49:37 1994", 0.0),
+        ],
+        ids=["zero", "seconds", "capped", "past-date", "past-asctime"],
+    )
+    def test_retry_after_replaces_the_backoff(self, monkeypatch, status, retry_after, wait):
+        waits, draws = self.record_backoff(monkeypatch)
+        refused = {"status": status, "body": {}, "headers": {"Retry-After": retry_after}}
+        backend, _ = scripted_http([refused, completion("42", [0.0])], retry_wait=5.0)
+        assert backend.generate(any_request()).text == "42"
+        assert (waits, draws) == ([wait], [])
+
+    def test_retry_after_date_waits_until_then(self, monkeypatch):
+        waits, draws = self.record_backoff(monkeypatch)
+        when = email.utils.formatdate(time.time() + 10, usegmt=True)
+        refused = {"status": 503, "body": {}, "headers": {"Retry-After": when}}
+        backend, _ = scripted_http([refused, completion("42", [0.0])], retry_wait=5.0)
+        backend.generate(any_request())
+        assert draws == []
+        assert 8.0 < waits[0] <= 10.0
+
+    @pytest.mark.parametrize("retry_after", ["soon", "1.5", "-1", ""])
+    def test_unreadable_retry_after_falls_back_to_jitter(self, monkeypatch, retry_after):
+        waits, draws = self.record_backoff(monkeypatch)
+        refused = {"status": 429, "body": {}, "headers": {"Retry-After": retry_after}}
+        backend, _ = scripted_http([refused, completion("42", [0.0])], retry_wait=5.0)
+        backend.generate(any_request())
+        assert (waits, draws) == ([2.5], [(0.0, 5.0)])
 
     def test_client_error_no_retry(self):
         backend, transport = scripted_http(
@@ -458,14 +554,15 @@ class TestHttpOverLoopback:
 
     @staticmethod
     def count_transport_calls(monkeypatch):
+        """Record the URL of every call into the real transport."""
         calls = []
-        real = http_module._urllib_transport
+        real = http_module._KeepAliveTransport.__call__
 
-        def counted(*args):
+        def counted(self, *args):
             calls.append(args[0])
-            return real(*args)
+            return real(self, *args)
 
-        monkeypatch.setattr(http_module, "_urllib_transport", counted)
+        monkeypatch.setattr(http_module._KeepAliveTransport, "__call__", counted)
         return calls
 
     @pytest.mark.parametrize(
@@ -478,6 +575,7 @@ class TestHttpOverLoopback:
             result = self.real_backend(monkeypatch, server.url).generate(any_request())
         assert (result.text, result.token_logprobs) == ("42", (-0.1, -0.2))
         assert len(server.requests) == attempts
+        assert {r["connection"] for r in server.requests} == {1}
         first = server.requests[0]
         assert first["path"] == "/v1/chat/completions"
         assert first["headers"]["Authorization"] == "Bearer test-key"
@@ -548,3 +646,176 @@ class TestHttpOverLoopback:
             with pytest.raises(ConfigError, match="missing API key: set the HOLORAG_API_KEY"):
                 HttpBackend(base_url=server.url, model="m")
         assert server.requests[0]["headers"]["Authorization"] == "Bearer test-key"
+
+
+def text_reply(text, **options):
+    return Reply(200, completion(text, [0.0])["body"], **options)
+
+
+def connections(server):
+    return [request["connection"] for request in server.requests]
+
+
+class TestKeepAlive:
+    """The real transport keeps one connection per thread and drops it on any failure."""
+
+    real_backend = staticmethod(TestHttpOverLoopback.real_backend)
+
+    @staticmethod
+    def record_sleeps(monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("holorag.backends.http.time.sleep", sleeps.append)
+        return sleeps
+
+    def test_sequential_calls_share_one_connection(self, monkeypatch):
+        with LoopbackServer([OK_REPLY]) as server:
+            backend = self.real_backend(monkeypatch, server.url)
+            for _ in range(5):
+                assert backend.generate(any_request()).text == "42"
+        assert connections(server) == [1] * 5
+
+    def test_stale_connection_is_resent_once_at_once(self, monkeypatch):
+        """A server that closed the idle connection costs no attempt and no sleep."""
+        sleeps = self.record_sleeps(monkeypatch)
+        replies = [text_reply("A", close=True), text_reply("B"), text_reply("C")]
+        with LoopbackServer(replies) as server:
+            backend = self.real_backend(monkeypatch, server.url)
+            texts = [backend.generate(any_request()).text for _ in range(3)]
+        assert texts == ["A", "B", "C"]
+        assert connections(server) == [1, 2, 2]
+        assert sleeps == []
+
+    def test_failed_resend_is_an_attempt(self, monkeypatch):
+        """The stale resend goes out once; if the fresh connection fails too, that is an attempt."""
+        sleeps = self.record_sleeps(monkeypatch)
+        with LoopbackServer([text_reply("A"), HANG_UP, HANG_UP, text_reply("B")]) as server:
+            backend = self.real_backend(monkeypatch, server.url)
+            texts = [backend.generate(any_request()).text for _ in range(2)]
+        assert texts == ["A", "B"]
+        assert connections(server) == [1, 1, 2, 3]
+        assert sleeps == [0.0]
+
+    @pytest.mark.parametrize(
+        "first, timeout, expected_connections",
+        [
+            (text_reply("A", delay=1.0), SLOW_TIMEOUT, [1, 2, 2]),
+            (Reply(200, b"not json"), 5.0, [1, 1, 1]),
+        ],
+        ids=["timed-out", "non-json"],
+    )
+    def test_failed_reply_never_answers_a_later_request(
+        self, monkeypatch, first, timeout, expected_connections
+    ):
+        with LoopbackServer([first, text_reply("B"), text_reply("C")]) as server:
+            backend = self.real_backend(monkeypatch, server.url, timeout)
+            texts = [backend.generate(any_request()).text for _ in range(2)]
+        assert texts == ["B", "C"]
+        assert connections(server) == expected_connections
+
+    def test_parallel_evaluation_keeps_one_connection_per_worker(self, monkeypatch):
+        """At parallelism N, evaluate_e2e opens at most N connections and reports as at 1.
+
+        One reply serves every role: embedding, YES probe, answer, summary and
+        a judge score of 5 on its last line, so the arrival order is free.
+        """
+        body = {**EMBEDDING_RESPONSE["body"], **completion("YES - covered\n5", [0.0])["body"]}
+        dataset = [
+            QaExample(f"e{i}", f"q{i}", {("charts", "d1")}, "covered") for i in range(8)
+        ]
+        rows, interval = {}, sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to shake out shared state
+        try:
+            for parallelism in (1, 2, 4):
+                with LoopbackServer([Reply(200, body)]) as server:
+                    backend = self.real_backend(monkeypatch, server.url)
+                    config = RunConfig(parallelism=parallelism)
+                    report = evaluate_e2e(dataset, [demo_pool()], config, backend, backend)
+                rows[parallelism] = report.per_example
+                assert len(server.requests) == 5 * len(dataset)
+                assert len(set(connections(server))) <= parallelism
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows[1] == rows[2] == rows[4]
+        assert [(r.error, r.judge_score) for r in rows[4]] == [(None, 5)] * len(dataset)
+
+    def test_judge_retry_sends_the_corrective_prompt(self, monkeypatch):
+        replies = [text_reply("looks plausible"), text_reply("matches\n4")]
+        with LoopbackServer(replies) as server:
+            backend = self.real_backend(monkeypatch, server.url)
+            assert judge_accuracy("twelve", "12", backend, query="how many?") == (4, True)
+        prompts = [r["payload"]["messages"][0]["content"] for r in server.requests]
+        assert prompts == [JUDGE_PROMPT, JUDGE_PROMPT + JUDGE_RETRY_LINE]
+        assert connections(server) == [1, 1]
+
+    def test_retry_after_is_obeyed_over_http(self, monkeypatch):
+        """A 429 asking for 0 s and a 503 asking for a day: 0 s, then the cap."""
+        sleeps = self.record_sleeps(monkeypatch)
+        monkeypatch.setattr("holorag.backends.http.random.uniform", None)  # no draw may happen
+        replies = [
+            Reply(429, {"error": "slow down"}, headers={"Retry-After": "0"}),
+            Reply(503, {"error": "overloaded"}, headers={"Retry-After": "86400"}),
+            OK_REPLY,
+        ]
+        with LoopbackServer(replies) as server:
+            assert self.real_backend(monkeypatch, server.url).generate(any_request()).text == "42"
+        assert sleeps == [0.0, http_module.RETRY_AFTER_CAP_S]
+        assert connections(server) == [1, 1, 1]
+
+
+def basic_credentials(user, password):
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+
+
+class TestProxy:
+    """Proxies come from the environment when the backend is constructed.
+
+    Each origin is a loopback port that refuses connections, so a request
+    that skipped the proxy fails at once and resolves no name.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_proxy_settings(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+
+    @staticmethod
+    def proxy_url(server, credentials=""):
+        return server.url.removesuffix("/v1").replace("http://", f"http://{credentials}")
+
+    def test_http_goes_to_the_proxy_in_absolute_form(self, monkeypatch):
+        with LoopbackServer([OK_REPLY]) as proxy, ClosedPort() as origin:
+            monkeypatch.setenv("http_proxy", self.proxy_url(proxy, "user:p%40ss@"))
+            backend = TestHttpOverLoopback.real_backend(monkeypatch, origin.url)
+            for _ in range(2):
+                assert backend.generate(any_request()).text == "42"
+        assert [r["path"] for r in proxy.requests] == [f"{origin.url}/chat/completions"] * 2
+        headers = proxy.requests[0]["headers"]
+        assert headers["Host"] == origin.url.removeprefix("http://").removesuffix("/v1")
+        assert headers["Proxy-Authorization"] == basic_credentials("user", "p@ss")
+        assert headers["Authorization"] == "Bearer test-key"
+        assert connections(proxy) == [1, 1]
+
+    def test_no_proxy_goes_direct(self, monkeypatch):
+        with LoopbackServer([OK_REPLY]) as proxy, LoopbackServer([OK_REPLY]) as server:
+            monkeypatch.setenv("http_proxy", self.proxy_url(proxy))
+            monkeypatch.setenv("no_proxy", "rag.example, 127.0.0.1")
+            backend = TestHttpOverLoopback.real_backend(monkeypatch, server.url)
+            assert backend.generate(any_request()).text == "42"
+        assert proxy.requests == []
+        assert [r["path"] for r in server.requests] == ["/v1/chat/completions"]
+
+    def test_https_tunnels_through_the_proxy(self, monkeypatch):
+        """CONNECT carries the proxy's credentials and never the API key."""
+        refusal = Reply(403, {"error": "no tunnels here"})
+        with LoopbackServer([refusal]) as proxy, ClosedPort() as origin:
+            monkeypatch.setenv("https_proxy", self.proxy_url(proxy, "user:pw@"))
+            https_url = origin.url.replace("http://", "https://")
+            backend = TestHttpOverLoopback.real_backend(monkeypatch, https_url)
+            with pytest.raises(BackendUnavailableError, match="Tunnel connection failed: 403"):
+                backend.generate(any_request())
+        host_port = origin.url.removeprefix("http://").removesuffix("/v1")
+        assert [(r["method"], r["path"]) for r in proxy.requests] == [("CONNECT", host_port)] * 3
+        headers = proxy.requests[0]["headers"]
+        assert headers["Proxy-Authorization"] == basic_credentials("user", "pw")
+        assert "Authorization" not in headers
