@@ -9,10 +9,11 @@ failures, 429 and 5xx are retried; any other status, a 3xx included, fails
 at once and names its status.  Before a retry ``_post`` sleeps what a 429 or
 5xx reply's ``Retry-After`` asks (delta-seconds or an HTTP-date, RFC 9110
 §10.2.3), at most ``RETRY_AFTER_CAP_S``; otherwise it sleeps a full-jitter
-exponential backoff, ``uniform(0, retry_wait * 2**(attempt - 1))``.  The
-base URL's http or https scheme, its host and its port (none, or an integer
-in 0-65535) are checked on construction, as a ConfigError before any
-request.  The transport is injectable so wire transcripts replay in tests.
+exponential backoff, ``uniform(0, RETRY_WAIT_S * 2**(attempt - 1))``.  The
+base URL's http or https scheme, its host, its port (none, or an integer in
+0-65535) and its lack of a query or fragment are checked on construction,
+as a ConfigError before any request.  The transport is injectable so wire
+transcripts replay in tests.
 
 The real transport is the standard library's ``http.client``.  Each thread
 keeps one HTTP/1.1 connection per backend alive and sends every request
@@ -66,6 +67,7 @@ from .prompts import render_prompt
 
 DEFAULT_API_KEY_ENV = "HOLORAG_API_KEY"
 MAX_TOKENS = 256
+RETRY_WAIT_S = 0.2  # the full-jitter backoff's bound before the first retry; it doubles per retry
 RETRY_AFTER_CAP_S = 30.0  # a longer Retry-After is cut to this, so no run stalls for hours
 
 # transport(url, payload, headers, timeout) -> (status_code, parsed_json_body, reply_headers)
@@ -187,9 +189,10 @@ class HttpBackend(ModelBackend):
     """Client for an OpenAI-compatible endpoint with bounded retries.
 
     On construction, a base URL that does not parse, is not http or https,
-    has no host or has a port that is not an integer in 0-65535 is a
-    ConfigError, and without an injected transport the API key is read from
-    ``api_key_env`` once, so a missing key is a ConfigError before any request.
+    has no host, has a port that is not an integer in 0-65535 or carries a
+    query or a fragment is a ConfigError, and without an injected transport
+    the API key is read from ``api_key_env`` once, so a missing key is a
+    ConfigError before any request.
     """
 
     def __init__(
@@ -200,7 +203,6 @@ class HttpBackend(ModelBackend):
         timeout: float = 30.0,
         max_retries: int = 2,
         transport: Optional[Transport] = None,
-        retry_wait: float = 0.2,
     ):
         if not base_url:
             raise ConfigError("HTTP backend needs a base URL")
@@ -211,11 +213,13 @@ class HttpBackend(ModelBackend):
             raise ConfigError(f"malformed base URL {base_url!r}: {exc}") from exc
         if parts.scheme not in ("http", "https") or not parts.netloc:
             raise ConfigError(f"base URL must be http:// or https:// and a host, got {base_url!r}")
+        if "?" in base_url or "#" in base_url:
+            # "/embeddings" would land in the query or be dropped with the fragment
+            raise ConfigError(f"malformed base URL {base_url!r}: it has a query or fragment")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.timeout = timeout
         self.max_retries = max_retries
-        self.retry_wait = retry_wait
         self._headers = {"Content-Type": "application/json"}
         # only the real transport needs credentials; injected ones replay transcripts
         if transport is None:
@@ -224,11 +228,13 @@ class HttpBackend(ModelBackend):
 
     def _post(self, path: str, payload: dict) -> dict:
         url = f"{self.base_url}{path}"
-        last_error: Optional[Exception] = None
+        # the last failure's message only: a kept exception's traceback holds
+        # this frame, which would keep the backend alive in a reference cycle
+        failure = ""
         retry_after: Optional[float] = None  # seconds the last refusal asked to wait
         for attempt in range(self.max_retries + 1):
             if attempt:
-                backoff_cap = self.retry_wait * 2 ** (attempt - 1)
+                backoff_cap = RETRY_WAIT_S * 2 ** (attempt - 1)
                 time.sleep(random.uniform(0.0, backoff_cap) if retry_after is None else retry_after)
             retry_after = None
             try:
@@ -236,16 +242,16 @@ class HttpBackend(ModelBackend):
                     url, payload, self._headers, self.timeout
                 )
             except BackendUnavailableError as exc:
-                last_error = exc
+                failure = str(exc)
                 continue
             if 200 <= status < 300:
                 return body
-            last_error = BackendUnavailableError(f"{url} returned status {status}: {body}")
+            failure = f"{url} returned status {status}: {body}"
             if status < 500 and status != 429:
-                raise last_error
+                raise BackendUnavailableError(failure)
             retry_after = _retry_after(reply_headers.get("Retry-After"))
         raise BackendUnavailableError(
-            f"{url} failed after {self.max_retries + 1} attempts: {last_error}"
+            f"{url} failed after {self.max_retries + 1} attempts: {failure}"
         )
 
     def generate(self, request: GenerationRequest) -> GenerationResult:

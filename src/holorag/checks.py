@@ -84,7 +84,7 @@ def run_oracle_check(seed: int = 0, n_batches: int = 200) -> dict:
         beta = float(rng.uniform(0.0, 2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ZeroSimilarityWarning)
-            report = total_loss(batch, tau, beta).to_dict()
+            report = total_loss(batch, tau, beta)
         expected = ref_losses(
             batch.queries.tolist(),
             batch.positives.tolist(),
@@ -94,7 +94,7 @@ def run_oracle_check(seed: int = 0, n_batches: int = 200) -> dict:
             beta,
         )
         for key in ("l_in", "l_din", "l_sin", "total"):
-            worst = max(worst, abs(report[key] - expected[key]))
+            worst = max(worst, abs(getattr(report, key) - expected[key]))
     return {
         "suite": "oracle",
         "batches": n_batches,

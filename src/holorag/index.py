@@ -4,16 +4,16 @@ A pool is stored as columns: one read-only (n, d) float64 matrix holding
 every embedding once, and beside it the (pool_name, doc_id) key and the
 metadata of each row.  Pools are immutable after construction; ingestion and
 merging build new pools.  Retrieval is an exact full scan (corpora here are
-desk scale): both scoring modes share one row-wise cosine formula, and one
-tie-safe cut ranks both modes, so equal rows score equal and ties break by
-doc_id, then pool name.  Masked scoring walks the live rows in fixed blocks:
-each block is gathered into one (block, d) buffer allocated once per query
-and masked in place, so no query allocates an (n, d) temporary.  A snapshot
-(format 2) holds the records' keys and metadata as JSON lines and the matrix
-after them as raw little-endian float64, so saving and loading never format
-or parse a float; format 1 snapshots, all JSON lines, still load.  Every JSON
-line, of a corpus or a snapshot, is read by the shared reader,
-`jsonl.json_objects`.
+desk scale): both scoring modes share one row-wise cosine formula, so equal
+rows score equal, and one tie-safe cut ranks both modes: it sorts only the
+rows it keeps, by score, then doc_id, then pool name.  Masked scoring walks
+the live rows in fixed blocks: each block is gathered into one (block, d)
+buffer allocated once per query and masked in place, so no query allocates
+an (n, d) temporary.  A snapshot (format 2) holds the records' keys and
+metadata as JSON lines and the matrix after them as raw little-endian
+float64, so saving and loading never format or parse a float; format 1
+snapshots, all JSON lines, still load.  Every JSON line, of a corpus or a
+snapshot, is read by the shared reader, `jsonl.json_objects`.
 """
 
 import itertools
@@ -59,7 +59,7 @@ class RankedEntry(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class RankedResult:
-    """Top-k retrieval outcome, scores descending, ties by ascending doc_id."""
+    """Top-k retrieval outcome, scores descending, ties by ascending doc_id, then pool name."""
 
     entries: Tuple[RankedEntry, ...]
     k: int
@@ -88,7 +88,7 @@ class Pool:
     copied on construction; every row must be finite with a finite norm.
     The row norms are computed once here and stored, so cosine scoring
     computes only the dots; a row is live, and can be masked, if its norm
-    is nonzero.
+    is nonzero.  No tie order is stored: `top_k` orders the rows at its cut.
     """
 
     name: str
@@ -97,7 +97,6 @@ class Pool:
     metadata: Tuple[dict, ...]
     rows: Dict[Key, int] = field(init=False, repr=False)
     _norms: np.ndarray = field(init=False, repr=False)
-    _tie_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=np.float64)
@@ -116,17 +115,12 @@ class Pool:
             squared_norms = np.einsum("ij,ij->i", matrix, matrix)
         if not np.all(np.isfinite(squared_norms)):
             raise ValueError("embedding rows must be finite with a finite norm")
-        # rank of each row by (doc_id, pool_name), the tie-break of top_k
-        by_doc_id = sorted(range(len(keys)), key=lambda i: (keys[i][1], keys[i][0]))
-        tie_rank = np.empty(len(keys), dtype=np.intp)
-        tie_rank[by_doc_id] = np.arange(len(keys))
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "metadata", metadata)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_norms", np.sqrt(squared_norms))
-        object.__setattr__(self, "_tie_rank", tie_rank)
 
     @property
     def dimension(self) -> int:
@@ -292,8 +286,9 @@ def top_k(
     stored, which are the same row-wise sums.  A record whose embedding
     norm is 0, all-zero or underflowed, scores 0, as does a document its
     mask zeroes.  The cut keeps every row scoring at least the k-th largest
-    score and sorts only those, descending, ties by ascending doc_id, then
-    pool name.
+    score, k rows plus any tied with the k-th, and sorts only those by
+    (-score, doc_id, pool_name), a total order since keys are unique: the
+    same doc_id in two pools of a merged pool falls back to the pool name.
 
     Known limitation: masked scoring pays off when a query matches its gold
     document on a few informative dimensions among many it leaves out.  On
@@ -346,7 +341,7 @@ def top_k(
         kept = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
     else:
         kept = np.arange(n)
-    order = kept[np.lexsort((pool._tie_rank[kept], -scores[kept]))][:k]
+    order = sorted(kept, key=lambda i: (-scores[i], pool.keys[i][1], pool.keys[i][0]))[:k]
     entries = tuple(
         RankedEntry(pool.keys[i][1], pool.keys[i][0], float(scores[i])) for i in order
     )

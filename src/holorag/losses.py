@@ -17,7 +17,7 @@ central-difference checker provides an independent numerical cross-check.
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -72,10 +72,6 @@ class Batch:
         return int(self.queries.shape[0])
 
     @property
-    def dimension(self) -> int:
-        return int(self.queries.shape[1])
-
-    @property
     def n_submasks(self) -> int:
         return int(self.submasks.shape[1])
 
@@ -88,11 +84,6 @@ class LossReport:
     l_din: float
     l_sin: float
     total: float
-    beta: float
-    tau: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def build_batch(
@@ -206,14 +197,7 @@ def total_loss(batch: Batch, tau: float, beta: float) -> LossReport:
         batch.queries, batch.positives, batch.masks, batch.submasks, tau
     )
     _warn_zero_sims(zeros)
-    return LossReport(
-        l_in=l_in,
-        l_din=l_din,
-        l_sin=l_sin,
-        total=l_din + beta * l_sin,
-        beta=beta,
-        tau=tau,
-    )
+    return LossReport(l_in=l_in, l_din=l_din, l_sin=l_sin, total=l_din + beta * l_sin)
 
 
 def _term_backward(
@@ -265,12 +249,11 @@ def loss_gradients(batch: Batch, tau: float, beta: float) -> Tuple[np.ndarray, n
     grad_d += w_dense * da * m
     grad_q += w_dense * dc
 
-    if beta > 0:
-        w_sparse = beta / (batch.size * batch.n_submasks)
-        for s in range(batch.n_submasks):
-            da, dc = _term_backward(q, d, batch.submasks[:, s], tau)
-            grad_q += w_sparse * da
-            grad_d += w_sparse * dc
+    w_sparse = beta / (batch.size * batch.n_submasks)
+    for s in range(batch.n_submasks):
+        da, dc = _term_backward(q, d, batch.submasks[:, s], tau)
+        grad_q += w_sparse * da
+        grad_d += w_sparse * dc
     return grad_q, grad_d
 
 

@@ -45,9 +45,6 @@ class UncertaintyScore:
     normalized: float
     token_count: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class RouteDecision:

@@ -2,9 +2,11 @@
 
 import base64
 import email.utils
+import gc
 import math
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -43,6 +45,12 @@ STUB_ANSWER_TOKENS = 6
 
 BAD_LOGPROBS = [math.nan, math.inf, -math.inf, 0.3, True]
 BAD_LOGPROB_IDS = ["nan", "inf", "-inf", "positive", "true"]
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Retries sleep uniform(0, 0) = 0 s, unless a test sets its own backoff bound."""
+    monkeypatch.setattr(http_module, "RETRY_WAIT_S", 0.0)
 
 
 class TestRequestAndResultTypes:
@@ -274,14 +282,13 @@ def completion(text, logprobs):
     return {"status": 200, "body": {"choices": [choice]}}
 
 
-def scripted_http(entries, max_retries=2, retry_wait=0.0):
+def scripted_http(entries, max_retries=2):
     transport = TranscriptTransport(entries)
     backend = HttpBackend(
         base_url="https://rag.example/v1",
         model="m",
         transport=transport,
         max_retries=max_retries,
-        retry_wait=retry_wait,
     )
     return backend, transport
 
@@ -366,8 +373,10 @@ class TestHttpBackend:
         assert len(transport.calls) == 2
 
     @staticmethod
-    def record_backoff(monkeypatch):
-        """Record each sleep, and each jitter draw's bounds; a draw returns half its upper bound."""
+    def record_backoff(monkeypatch, retry_wait_s):
+        """Set the backoff's first bound to ``retry_wait_s``, and record each sleep and
+        each jitter draw's bounds; a draw returns half its upper bound."""
+        monkeypatch.setattr(http_module, "RETRY_WAIT_S", retry_wait_s)
         waits, draws = [], []
         monkeypatch.setattr("holorag.backends.http.time.sleep", waits.append)
 
@@ -379,8 +388,8 @@ class TestHttpBackend:
         return waits, draws
 
     def test_rate_limit_exhausts_retries(self, monkeypatch):
-        waits, draws = self.record_backoff(monkeypatch)
-        backend, transport = scripted_http([{"status": 429, "body": {}}] * 3, retry_wait=0.5)
+        waits, draws = self.record_backoff(monkeypatch, 0.5)
+        backend, transport = scripted_http([{"status": 429, "body": {}}] * 3)
         with pytest.raises(BackendUnavailableError, match="after 3 attempts.*429"):
             backend.generate(any_request())
         assert len(transport.calls) == 3
@@ -388,8 +397,8 @@ class TestHttpBackend:
         assert waits == [0.25, 0.5]
 
     def test_backoff_bound_doubles_per_attempt(self, monkeypatch):
-        waits, draws = self.record_backoff(monkeypatch)
-        backend, _ = scripted_http([{"raise": "boom"}] * 4, max_retries=3, retry_wait=0.5)
+        waits, draws = self.record_backoff(monkeypatch, 0.5)
+        backend, _ = scripted_http([{"raise": "boom"}] * 4, max_retries=3)
         with pytest.raises(BackendUnavailableError, match="after 4 attempts"):
             backend.generate(any_request())
         assert draws == [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0)]
@@ -408,26 +417,26 @@ class TestHttpBackend:
         ids=["zero", "seconds", "capped", "past-date", "past-asctime"],
     )
     def test_retry_after_replaces_the_backoff(self, monkeypatch, status, retry_after, wait):
-        waits, draws = self.record_backoff(monkeypatch)
+        waits, draws = self.record_backoff(monkeypatch, 5.0)
         refused = {"status": status, "body": {}, "headers": {"Retry-After": retry_after}}
-        backend, _ = scripted_http([refused, completion("42", [0.0])], retry_wait=5.0)
+        backend, _ = scripted_http([refused, completion("42", [0.0])])
         assert backend.generate(any_request()).text == "42"
         assert (waits, draws) == ([wait], [])
 
     def test_retry_after_date_waits_until_then(self, monkeypatch):
-        waits, draws = self.record_backoff(monkeypatch)
+        waits, draws = self.record_backoff(monkeypatch, 5.0)
         when = email.utils.formatdate(time.time() + 10, usegmt=True)
         refused = {"status": 503, "body": {}, "headers": {"Retry-After": when}}
-        backend, _ = scripted_http([refused, completion("42", [0.0])], retry_wait=5.0)
+        backend, _ = scripted_http([refused, completion("42", [0.0])])
         backend.generate(any_request())
         assert draws == []
         assert 8.0 < waits[0] <= 10.0
 
     @pytest.mark.parametrize("retry_after", ["soon", "1.5", "-1", ""])
     def test_unreadable_retry_after_falls_back_to_jitter(self, monkeypatch, retry_after):
-        waits, draws = self.record_backoff(monkeypatch)
+        waits, draws = self.record_backoff(monkeypatch, 5.0)
         refused = {"status": 429, "body": {}, "headers": {"Retry-After": retry_after}}
-        backend, _ = scripted_http([refused, completion("42", [0.0])], retry_wait=5.0)
+        backend, _ = scripted_http([refused, completion("42", [0.0])])
         backend.generate(any_request())
         assert (waits, draws) == ([2.5], [(0.0, 5.0)])
 
@@ -438,6 +447,25 @@ class TestHttpBackend:
         with pytest.raises(BackendUnavailableError, match="401"):
             backend.generate(any_request())
         assert len(transport.calls) == 1
+
+    @pytest.mark.parametrize(
+        "reply",
+        [{"raise": "boom"}, {"status": 400, "body": {}}],
+        ids=["transport-failure", "client-error"],
+    )
+    def test_failed_call_leaves_no_reference_cycle(self, reply):
+        """A backend whose call failed is freed once its last reference goes, with no
+        collection: the failure it kept must not hold its own frame."""
+        backend, _ = scripted_http([reply] * 3)
+        alive = weakref.ref(backend)
+        gc.disable()
+        try:
+            with pytest.raises(BackendUnavailableError):
+                backend.generate(any_request())
+            del backend
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_transport_failures_exhaust_retries(self):
         backend, _ = scripted_http([{"raise": "boom"}] * 3, max_retries=2)
@@ -484,12 +512,24 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize(
         "base_url",
-        ["http://127.0.0.1:abc/v1", "http://127.0.0.1:99999/v1", "http://[::1/v1"],
-        ids=["non-numeric-port", "port-out-of-range", "unclosed-ipv6"],
+        [
+            "http://127.0.0.1:abc/v1",
+            "http://127.0.0.1:99999/v1",
+            "http://[::1/v1",
+            "http://h/v1?key=abc",
+            "http://h/v1?",
+            "http://h/v1#x",
+        ],
+        ids=[
+            "non-numeric-port", "port-out-of-range", "unclosed-ipv6",
+            "query", "empty-query", "fragment",
+        ],
     )
     def test_malformed_base_url_is_config_error(self, base_url):
-        """A base URL `urlsplit` cannot parse, or whose port is not in 0-65535,
-        is a configuration mistake: a ConfigError on construction, not retries."""
+        """A base URL `urlsplit` cannot parse, whose port is not in 0-65535, or
+        that carries a query or a fragment, which the appended path would land
+        behind, is a configuration mistake: a ConfigError on construction, not
+        retries."""
         transport = TranscriptTransport([])
         with pytest.raises(ConfigError, match="malformed base URL"):
             HttpBackend(base_url=base_url, model="m", transport=transport)
@@ -550,7 +590,7 @@ class TestHttpOverLoopback:
     @staticmethod
     def real_backend(monkeypatch, url, timeout=5.0):
         monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
-        return HttpBackend(base_url=url, model="m", timeout=timeout, retry_wait=0.0)
+        return HttpBackend(base_url=url, model="m", timeout=timeout)
 
     @staticmethod
     def count_transport_calls(monkeypatch):

@@ -276,6 +276,18 @@ def test_http_bad_port_exits_user_error(tmp_path, monkeypatch, capsys, port):
     assert capsys.readouterr().err.startswith(f"error: malformed base URL {url!r}: ")
 
 
+def test_http_base_url_query_exits_user_error(tmp_path, monkeypatch, capsys):
+    """A base URL with a query would post to "/v1?key=abc/embeddings": exit 1, no request."""
+    monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
+    with LoopbackServer(HTTP_LQP_REPLIES) as server:
+        url = server.url + "?key=abc"
+        assert main(http_answer_args(tmp_path, url)) == EXIT_USER_ERROR
+    assert server.requests == []
+    assert capsys.readouterr().err == (
+        f"error: malformed base URL {url!r}: it has a query or fragment\n"
+    )
+
+
 def test_http_answer_runs_without_requests(tmp_path):
     """The package needs no third-party HTTP client: `requests` cannot even be imported."""
     script = (

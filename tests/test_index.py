@@ -386,17 +386,23 @@ class TestBlockedScoring:
 
     @pytest.mark.parametrize("scoring", ["cosine", "masked"])
     def test_tie_at_the_cut(self, scoring):
-        # seven equal rows on both sides of a block edge, and k cutting the group at
-        # every place: which tied rows make the cut goes by doc_id, not by partition
+        # seven equal rows on both sides of a block edge, each with a twin of the
+        # same doc_id in pool "a", merged after pool "p"; k cuts the 14 tied rows at
+        # every place: which make the cut goes by doc_id, then pool name, never
+        # by partition or row order
         rng = np.random.default_rng(23)
         query = rng.normal(size=16)
         at = [3, self.B - 1, self.B, self.B + 1, 40, 2 * self.B + 1, 7]
-        pool = gaussian_pool(rng, 2 * self.B + 3, 16, {i: query for i in at})
+        own = gaussian_pool(rng, 2 * self.B + 3, 16, {i: query for i in at})
+        twins = make_pool("a", [(own.keys[i][1], query) for i in at])
+        pool = merge_pools([own, twins])
         everything = WHOLE_POOL[scoring](pool, query, len(pool))
-        group = {pool.keys[i] for i in at}
+        group = {own.keys[i] for i in at} | set(twins.keys)
         first = next(r for r, key in enumerate(everything.doc_keys()) if key in group)
-        assert set(everything.doc_keys()[first:first + len(at)]) == group
-        for k in range(first + 1, first + len(at) + 1):
+        tied = everything.doc_keys()[first:first + len(group)]
+        assert tied == tuple(sorted(group, key=lambda key: (key[1], key[0])))
+        assert [key[0] for key in tied] == ["a", "p"] * len(at)
+        for k in range(first + 1, first + len(group) + 1):
             assert_same_ranking(
                 top_k(pool, Embedding(query), k=k, scoring=scoring),
                 WHOLE_POOL[scoring](pool, query, k),

@@ -268,7 +268,7 @@ class TestTotalLoss:
         a = total_loss(batch, 0.1, 1.3)
         b = total_loss(shuffled, 0.1, 1.3)
         for key in ("l_in", "l_din", "l_sin", "total"):
-            assert abs(a.to_dict()[key] - b.to_dict()[key]) < 1e-12
+            assert abs(getattr(a, key) - getattr(b, key)) < 1e-12
 
     def test_overflow_safety_extreme_sims(self):
         # documents exactly aligned/anti-aligned with queries: similarities +/-1
@@ -280,7 +280,7 @@ class TestTotalLoss:
             submasks=np.ones((2, 1, 2)),
         )
         report = total_loss(batch, tau=0.01, beta=1.0)
-        for value in report.to_dict().values():
+        for value in (report.l_in, report.l_din, report.l_sin, report.total):
             assert math.isfinite(value)
 
     def test_oracle_equivalence_small_batches(self):
@@ -291,7 +291,7 @@ class TestTotalLoss:
             beta = float(rng.uniform(0.0, 2.0))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ZeroSimilarityWarning)
-                got = total_loss(batch, tau, beta).to_dict()
+                got = total_loss(batch, tau, beta)
             want = ref_losses(
                 batch.queries.tolist(),
                 batch.positives.tolist(),
@@ -301,7 +301,7 @@ class TestTotalLoss:
                 beta,
             )
             for key, expected in want.items():
-                assert got[key] == pytest.approx(expected, abs=1e-9)
+                assert getattr(got, key) == pytest.approx(expected, abs=1e-9)
 
 
 class TestGradients:
