@@ -12,10 +12,10 @@ at once and names its status.  Before a retry ``_post`` sleeps what a 429 or
 exponential backoff, ``uniform(0, RETRY_WAIT_S * 2**(attempt - 1))``.  The
 base URL's http or https scheme, its host, its port (none, or an integer in
 0-65535) and its lack of a query or fragment are checked on construction,
-as a ConfigError before any request.  The transport is injectable so wire
-transcripts replay in tests.
+as are the syntax and the port of the proxy URL in use: each is a
+ConfigError before any request.
 
-The real transport is the standard library's ``http.client``.  Each thread
+The transport is the standard library's ``http.client``.  Each thread
 keeps one HTTP/1.1 connection per backend alive and sends every request
 through it: ``http.client`` connections are not thread-safe, and
 ``evaluate_e2e`` shares one backend across its worker threads.  HTTPS goes
@@ -58,7 +58,7 @@ import urllib.parse
 import urllib.request
 import weakref
 from datetime import timezone
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Optional
 
 from ..errors import BackendUnavailableError, ConfigError, MissingLogprobsError
 from ..masking import Embedding
@@ -69,9 +69,6 @@ DEFAULT_API_KEY_ENV = "HOLORAG_API_KEY"
 MAX_TOKENS = 256
 RETRY_WAIT_S = 0.2  # the full-jitter backoff's bound before the first retry; it doubles per retry
 RETRY_AFTER_CAP_S = 30.0  # a longer Retry-After is cut to this, so no run stalls for hours
-
-# transport(url, payload, headers, timeout) -> (status_code, parsed_json_body, reply_headers)
-Transport = Callable[[str, dict, dict, float], Tuple[int, dict, Mapping[str, str]]]
 
 
 class _OwnedConnection:
@@ -87,7 +84,7 @@ class _OwnedConnection:
 
 
 class _KeepAliveTransport:
-    """The real transport: one kept-alive connection per thread to one origin or its proxy."""
+    """One kept-alive connection per thread to one origin or its proxy."""
 
     def __init__(self, base_url: str):
         parts = urllib.parse.urlsplit(base_url)
@@ -97,7 +94,11 @@ class _KeepAliveTransport:
         proxy = urllib.request.getproxies().get(parts.scheme)
         self._proxied = bool(proxy) and not urllib.request.proxy_bypass(parts.netloc)
         if self._proxied:
-            proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            try:
+                proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+                proxy_parts.port  # raises ValueError unless the port is empty or 0-65535
+            except ValueError as exc:  # the URL is not echoed: it may hold a password
+                raise ConfigError(f"malformed {parts.scheme} proxy URL: {exc}") from exc
             self._address = proxy_parts.netloc.rpartition("@")[2]
             if proxy_parts.username is not None:
                 user = urllib.parse.unquote(proxy_parts.username)
@@ -190,8 +191,8 @@ class HttpBackend(ModelBackend):
 
     On construction, a base URL that does not parse, is not http or https,
     has no host, has a port that is not an integer in 0-65535 or carries a
-    query or a fragment is a ConfigError, and without an injected transport
-    the API key is read from ``api_key_env`` once, so a missing key is a
+    query or a fragment is a ConfigError, and so is a malformed proxy URL.
+    The API key is read from ``api_key_env`` once, so a missing key is a
     ConfigError before any request.
     """
 
@@ -202,7 +203,6 @@ class HttpBackend(ModelBackend):
         api_key_env: str = DEFAULT_API_KEY_ENV,
         timeout: float = 30.0,
         max_retries: int = 2,
-        transport: Optional[Transport] = None,
     ):
         if not base_url:
             raise ConfigError("HTTP backend needs a base URL")
@@ -220,11 +220,9 @@ class HttpBackend(ModelBackend):
         self.model = model
         self.timeout = timeout
         self.max_retries = max_retries
-        self._headers = {"Content-Type": "application/json"}
-        # only the real transport needs credentials; injected ones replay transcripts
-        if transport is None:
-            self._headers["Authorization"] = f"Bearer {resolve_api_key(api_key_env)}"
-        self._transport = transport or _KeepAliveTransport(self.base_url)
+        key = resolve_api_key(api_key_env)
+        self._headers = {"Content-Type": "application/json", "Authorization": f"Bearer {key}"}
+        self._transport = _KeepAliveTransport(self.base_url)
 
     def _post(self, path: str, payload: dict) -> dict:
         url = f"{self.base_url}{path}"

@@ -46,8 +46,8 @@ class MockBackend(ModelBackend):
     # -- fixture loading ---------------------------------------------------
 
     @classmethod
-    def from_file(cls, path: Union[str, Path], strict: bool = True) -> "MockBackend":
-        """Load fixtures from a JSON-lines file read by `jsonl.json_objects`.
+    def from_file(cls, path: Union[str, Path]) -> "MockBackend":
+        """Load fixtures from a JSON-lines file read by `jsonl.json_objects` into a strict backend.
 
         Generation lines: {"role", "query", "docs": [ids], "iteration",
         "text", "token_probs"}; each probability in (0, 1] becomes a logprob.
@@ -56,7 +56,7 @@ class MockBackend(ModelBackend):
         probability list, or a vector that `Embedding` rejects raises
         CorpusParseError with its number.
         """
-        backend = cls(strict=strict)
+        backend = cls()
         with Path(path).open("rb") as handle:
             for line_number, data in json_objects(handle):
                 try:

@@ -295,12 +295,12 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
     """Run the whole retrieve-prune-judge-generate pipeline for one query.
 
     Stage failures do not raise: the trace records the error event and comes
-    back without a final answer.  An empty pool raises ValueError and an
-    invalid ``config`` raises ConfigError before any backend call.  The trace
-    echoes ``config.to_dict()``.
+    back without a final answer.  An empty pool raises EmptySequenceError and
+    an invalid ``config`` raises ConfigError before any backend call.  The
+    trace echoes ``config.to_dict()``.
     """
     if len(pool) == 0:
-        raise ValueError("pipeline needs a nonempty pool")
+        raise EmptySequenceError("pipeline needs a nonempty pool")
     config.validate()
     config_echo = config.to_dict()
 

@@ -1,4 +1,5 @@
-"""Shared builders for scripted pipeline scenarios and wire transcripts."""
+"""Shared builders for scripted pipeline scenarios, and the wire transcripts
+that the loopback server replays."""
 
 import json
 import math
@@ -8,7 +9,6 @@ import numpy as np
 
 from holorag.backends import MockBackend
 from holorag.config import RunConfig
-from holorag.errors import BackendUnavailableError
 from holorag.index import Pool
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -131,26 +131,7 @@ def scripted_scenario(kind: str, query: str | None = None, mock: MockBackend | N
 ALL_SCENARIOS = ("lqp", "lqp_first", "hqp_early", "hqp_two", "hqp_max", "failure")
 
 
-class TranscriptTransport:
-    """Replays a recorded list of wire responses in order.
-
-    An entry is ``{"status", "body"}`` with optional reply ``"headers"``, or
-    ``{"raise": message}`` for a transport failure.
-    """
-
-    def __init__(self, entries):
-        self.entries = list(entries)
-        self.calls = []
-
-    def __call__(self, url, payload, headers, timeout):
-        if not self.entries:
-            raise AssertionError("transcript exhausted")
-        self.calls.append({"url": url, "payload": payload})
-        entry = self.entries.pop(0)
-        if "raise" in entry:
-            raise BackendUnavailableError(entry["raise"])
-        return entry["status"], entry["body"], entry.get("headers", {})
-
-
 def load_transcript(name: str):
+    """A recorded list of wire replies: ``{"status", "body"}`` with optional reply
+    ``"headers"``, or ``{"raise": message}`` for a transport failure."""
     return json.loads((DATA_DIR / name).read_text("utf-8"))

@@ -94,7 +94,7 @@ class LoopbackServer:
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self._server.server_address[1]}/v1"
         self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.005}
         )
 
     def __enter__(self) -> "LoopbackServer":

@@ -1,6 +1,7 @@
 """Tests for the backend boundary: types, parsing, mock scripting, HTTP replay."""
 
 import base64
+import contextlib
 import email.utils
 import gc
 import math
@@ -10,7 +11,7 @@ import weakref
 
 import pytest
 
-from helpers import TranscriptTransport, demo_pool, load_transcript
+from helpers import demo_pool, load_transcript
 from loopback import HANG_UP, ClosedPort, LoopbackServer, Reply
 from holorag.backends import (
     DocRef,
@@ -30,9 +31,11 @@ from holorag.errors import (
     FixtureMissError,
     MissingLogprobsError,
     ProbabilityOutOfRangeError,
+    UnparseableScoreError,
     UnparseableVerdictError,
 )
 from holorag.backends import http as http_module
+from holorag.backends.prompts import JUDGE_RETRY_NOTE
 from holorag.config import RunConfig
 from holorag.evaluation import QaExample, evaluate_e2e, judge_accuracy
 from holorag.pipeline import ROUTE_HQP, ROUTE_LQP, classify_pair, run_pipeline
@@ -282,25 +285,48 @@ def completion(text, logprobs):
     return {"status": 200, "body": {"choices": [choice]}}
 
 
-def scripted_http(entries, max_retries=2):
-    transport = TranscriptTransport(entries)
-    backend = HttpBackend(
-        base_url="https://rag.example/v1",
-        model="m",
-        transport=transport,
-        max_retries=max_retries,
-    )
-    return backend, transport
+def transcript_reply(entry):
+    """The loopback reply for a transcript entry: a ``{"raise": ...}`` entry hangs up."""
+    if "raise" in entry:
+        return HANG_UP
+    return Reply(entry["status"], entry["body"], headers=entry.get("headers", {}))
 
 
-def http_backend(transcript_name):
-    return scripted_http(load_transcript(transcript_name))
+def real_backend(monkeypatch, url, timeout=5.0, max_retries=2):
+    monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
+    return HttpBackend(base_url=url, model="m", timeout=timeout, max_retries=max_retries)
+
+
+@pytest.fixture
+def scripted_http(monkeypatch):
+    """Start(entries, max_retries=2) -> (HttpBackend, LoopbackServer) replaying ``entries``.
+
+    Each call starts its own loopback server, closed at teardown.  A transport
+    failure entry hangs up on a fresh connection, so it costs one attempt; one
+    that followed a reply on a kept-alive connection would be resent as stale.
+    The server repeats its last reply, so teardown fails a test whose backend
+    sent more requests than its script has entries.
+    """
+    scripts = []
+    with contextlib.ExitStack() as servers:
+        def start(entries, max_retries=2):
+            server = servers.enter_context(
+                LoopbackServer([transcript_reply(entry) for entry in entries])
+            )
+            scripts.append((server, len(entries)))
+            return real_backend(monkeypatch, server.url, max_retries=max_retries), server
+
+        yield start
+    for server, scripted in scripts:
+        assert len(server.requests) <= scripted, (
+            f"script exhausted: {len(server.requests)} requests for {scripted} entries"
+        )
 
 
 EMBEDDING_RESPONSE = {"status": 200, "body": {"data": [{"embedding": [1.0, 0.05, 0.02, 0.01]}]}}
 
 
-def pipeline_over_http(answer_logprobs):
+def pipeline_over_http(scripted_http, answer_logprobs):
     """run_pipeline on the demo pool: embed, one YES probe, the answer, a summary."""
     entries = [
         EMBEDDING_RESPONSE,
@@ -312,65 +338,65 @@ def pipeline_over_http(answer_logprobs):
 
 
 class TestHttpBackend:
-    def test_happy_path_parses_probs(self):
-        backend, transport = http_backend("transcript_happy.json")
+    def test_happy_path_parses_probs(self, scripted_http):
+        backend, server = scripted_http(load_transcript("transcript_happy.json"))
         result = backend.generate(any_request())
         assert result.text == "42"
         assert result.finish_reason == "stop"
         assert result.token_logprobs == (-0.105360515657826, -0.051293294387551)
-        payload = transport.calls[0]["payload"]
+        payload = server.requests[0]["payload"]
         assert payload["temperature"] == 0
         assert payload["logprobs"] is True
 
-    def test_replay_is_deterministic(self):
-        first = http_backend("transcript_happy.json")[0].generate(any_request())
-        second = http_backend("transcript_happy.json")[0].generate(any_request())
+    def test_replay_is_deterministic(self, scripted_http):
+        first = scripted_http(load_transcript("transcript_happy.json"))[0].generate(any_request())
+        second = scripted_http(load_transcript("transcript_happy.json"))[0].generate(any_request())
         assert first == second
 
-    def test_missing_logprobs(self):
-        backend, _ = http_backend("transcript_missing_logprobs.json")
+    def test_missing_logprobs(self, scripted_http):
+        backend, _ = scripted_http(load_transcript("transcript_missing_logprobs.json"))
         with pytest.raises(MissingLogprobsError):
             backend.generate(any_request())
 
-    def test_retry_after_500(self):
-        backend, transport = http_backend("transcript_retry.json")
+    def test_retry_after_500(self, scripted_http):
+        backend, server = scripted_http(load_transcript("transcript_retry.json"))
         result = backend.generate(any_request())
         assert result.text == "ready now"
         assert result.finish_reason == "length"
-        assert len(transport.calls) == 2
+        assert len(server.requests) == 2
 
-    def test_extreme_logprob_routes(self):
+    def test_extreme_logprob_routes(self, scripted_http):
         # e^-800 underflows to 0; the token adds 0 entropy instead of failing
         backend, _ = scripted_http([completion("42", [-800.0, 0.0])])
         assert backend.generate(any_request()).token_logprobs == (-800.0, 0.0)
-        trace = pipeline_over_http([-800.0, 0.0])
+        trace = pipeline_over_http(scripted_http, [-800.0, 0.0])
         assert trace.error is None
         assert trace.route.kind == ROUTE_LQP
         assert trace.route.score.raw_entropy == 0.0
         assert trace.final_answer == "final"
 
     @pytest.mark.parametrize("bad", BAD_LOGPROBS, ids=BAD_LOGPROB_IDS)
-    def test_bad_logprob_is_a_backend_error(self, bad):
+    def test_bad_logprob_is_a_backend_error(self, scripted_http, bad):
         backend, _ = scripted_http([completion("42", [-0.1, bad])])
         with pytest.raises(MissingLogprobsError, match="malformed logprob entries"):
             backend.generate(any_request())
-        trace = pipeline_over_http([-0.1, bad])
+        trace = pipeline_over_http(scripted_http, [-0.1, bad])
         assert trace.failed
         assert trace.route is None
         assert trace.final_answer is None
         assert "MissingLogprobsError" in trace.error
 
     @pytest.mark.parametrize("logprob, route", STUB_ANSWER_SHAPES, ids=["lqp", "hqp"])
-    def test_stub_answer_shapes_route(self, logprob, route):
+    def test_stub_answer_shapes_route(self, scripted_http, logprob, route):
         backend, _ = scripted_http([completion("initial", [logprob] * STUB_ANSWER_TOKENS)])
         assert classify_pair(backend.generate(any_request()), RunConfig().h).kind == route
 
-    def test_rate_limit_then_success(self):
-        backend, transport = scripted_http(
+    def test_rate_limit_then_success(self, scripted_http):
+        backend, server = scripted_http(
             [{"status": 429, "body": {"error": {"message": "slow down"}}}, completion("42", [0.0])]
         )
         assert backend.generate(any_request()).text == "42"
-        assert len(transport.calls) == 2
+        assert len(server.requests) == 2
 
     @staticmethod
     def record_backoff(monkeypatch, retry_wait_s):
@@ -387,16 +413,16 @@ class TestHttpBackend:
         monkeypatch.setattr("holorag.backends.http.random.uniform", uniform)
         return waits, draws
 
-    def test_rate_limit_exhausts_retries(self, monkeypatch):
+    def test_rate_limit_exhausts_retries(self, monkeypatch, scripted_http):
         waits, draws = self.record_backoff(monkeypatch, 0.5)
-        backend, transport = scripted_http([{"status": 429, "body": {}}] * 3)
+        backend, server = scripted_http([{"status": 429, "body": {}}] * 3)
         with pytest.raises(BackendUnavailableError, match="after 3 attempts.*429"):
             backend.generate(any_request())
-        assert len(transport.calls) == 3
+        assert len(server.requests) == 3
         assert draws == [(0.0, 0.5), (0.0, 1.0)]
         assert waits == [0.25, 0.5]
 
-    def test_backoff_bound_doubles_per_attempt(self, monkeypatch):
+    def test_backoff_bound_doubles_per_attempt(self, monkeypatch, scripted_http):
         waits, draws = self.record_backoff(monkeypatch, 0.5)
         backend, _ = scripted_http([{"raise": "boom"}] * 4, max_retries=3)
         with pytest.raises(BackendUnavailableError, match="after 4 attempts"):
@@ -416,14 +442,16 @@ class TestHttpBackend:
         ],
         ids=["zero", "seconds", "capped", "past-date", "past-asctime"],
     )
-    def test_retry_after_replaces_the_backoff(self, monkeypatch, status, retry_after, wait):
+    def test_retry_after_replaces_the_backoff(
+        self, monkeypatch, scripted_http, status, retry_after, wait
+    ):
         waits, draws = self.record_backoff(monkeypatch, 5.0)
         refused = {"status": status, "body": {}, "headers": {"Retry-After": retry_after}}
         backend, _ = scripted_http([refused, completion("42", [0.0])])
         assert backend.generate(any_request()).text == "42"
         assert (waits, draws) == ([wait], [])
 
-    def test_retry_after_date_waits_until_then(self, monkeypatch):
+    def test_retry_after_date_waits_until_then(self, monkeypatch, scripted_http):
         waits, draws = self.record_backoff(monkeypatch, 5.0)
         when = email.utils.formatdate(time.time() + 10, usegmt=True)
         refused = {"status": 503, "body": {}, "headers": {"Retry-After": when}}
@@ -433,27 +461,29 @@ class TestHttpBackend:
         assert 8.0 < waits[0] <= 10.0
 
     @pytest.mark.parametrize("retry_after", ["soon", "1.5", "-1", ""])
-    def test_unreadable_retry_after_falls_back_to_jitter(self, monkeypatch, retry_after):
+    def test_unreadable_retry_after_falls_back_to_jitter(
+        self, monkeypatch, scripted_http, retry_after
+    ):
         waits, draws = self.record_backoff(monkeypatch, 5.0)
         refused = {"status": 429, "body": {}, "headers": {"Retry-After": retry_after}}
         backend, _ = scripted_http([refused, completion("42", [0.0])])
         backend.generate(any_request())
         assert (waits, draws) == ([2.5], [(0.0, 5.0)])
 
-    def test_client_error_no_retry(self):
-        backend, transport = scripted_http(
+    def test_client_error_no_retry(self, scripted_http):
+        backend, server = scripted_http(
             [{"status": 401, "body": {"error": {"message": "bad key"}}}]
         )
         with pytest.raises(BackendUnavailableError, match="401"):
             backend.generate(any_request())
-        assert len(transport.calls) == 1
+        assert len(server.requests) == 1
 
     @pytest.mark.parametrize(
         "reply",
         [{"raise": "boom"}, {"status": 400, "body": {}}],
         ids=["transport-failure", "client-error"],
     )
-    def test_failed_call_leaves_no_reference_cycle(self, reply):
+    def test_failed_call_leaves_no_reference_cycle(self, scripted_http, reply):
         """A backend whose call failed is freed once its last reference goes, with no
         collection: the failure it kept must not hold its own frame."""
         backend, _ = scripted_http([reply] * 3)
@@ -467,23 +497,32 @@ class TestHttpBackend:
         finally:
             gc.enable()
 
-    def test_transport_failures_exhaust_retries(self):
+    def test_malformed_score_transcript_fails_after_one_retry(self, scripted_http):
+        """Two prose judge replies: the retry carries the corrective note, then the error."""
+        backend, server = scripted_http(load_transcript("transcript_malformed_score.json"))
+        with pytest.raises(UnparseableScoreError):
+            judge_accuracy("twelve", "12", backend, query="how many?")
+        prompts = [r["payload"]["messages"][0]["content"] for r in server.requests]
+        assert len(prompts) == 2
+        assert prompts[1].endswith(JUDGE_RETRY_NOTE)
+
+    def test_transport_failures_exhaust_retries(self, scripted_http):
         backend, _ = scripted_http([{"raise": "boom"}] * 3, max_retries=2)
         with pytest.raises(BackendUnavailableError, match="after 3 attempts"):
             backend.generate(any_request())
 
-    def test_embedding_endpoint(self):
-        backend, transport = http_backend("transcript_embedding.json")
+    def test_embedding_endpoint(self, scripted_http):
+        backend, server = scripted_http(load_transcript("transcript_embedding.json"))
         emb = backend.embed_query("hello")
         assert list(emb.values) == [0.6, 0.8, 0.0]
-        assert transport.calls[0]["url"].endswith("/embeddings")
+        assert server.requests[0]["path"] == "/v1/embeddings"
 
-    def test_malformed_body(self):
+    def test_malformed_body(self, scripted_http):
         backend, _ = scripted_http([{"status": 200, "body": {"nope": True}}])
         with pytest.raises(BackendUnavailableError, match="malformed"):
             backend.generate(any_request())
 
-    def test_null_content_is_a_backend_error(self):
+    def test_null_content_is_a_backend_error(self, scripted_http):
         # OpenAI-compatible servers send "content": null for refusals and tool calls
         null_reply = completion(None, [0.0])
         backend, _ = scripted_http([null_reply])
@@ -497,7 +536,7 @@ class TestHttpBackend:
         assert "malformed completion response" in trace.error
 
     @staticmethod
-    def embedding_backend(vector):
+    def embedding_backend(scripted_http, vector):
         body = {"data": [{"object": "embedding", "index": 0, "embedding": vector}]}
         return scripted_http([{"status": 200, "body": body}])[0]
 
@@ -506,9 +545,9 @@ class TestHttpBackend:
         [[], [None, 1.0], ["x", 1.0], [1e200, 1.0], ["1.0", "0.0"], [True, False]],
         ids=["empty", "null", "str", "huge", "numeric-str", "bool"],
     )
-    def test_malformed_embedding_vector(self, vector):
+    def test_malformed_embedding_vector(self, scripted_http, vector):
         with pytest.raises(BackendUnavailableError, match="malformed embedding response"):
-            self.embedding_backend(vector).embed_query("q")
+            self.embedding_backend(scripted_http, vector).embed_query("q")
 
     @pytest.mark.parametrize(
         "base_url",
@@ -525,27 +564,26 @@ class TestHttpBackend:
             "query", "empty-query", "fragment",
         ],
     )
-    def test_malformed_base_url_is_config_error(self, base_url):
+    def test_malformed_base_url_is_config_error(self, monkeypatch, base_url):
         """A base URL `urlsplit` cannot parse, whose port is not in 0-65535, or
         that carries a query or a fragment, which the appended path would land
         behind, is a configuration mistake: a ConfigError on construction, not
         retries."""
-        transport = TranscriptTransport([])
         with pytest.raises(ConfigError, match="malformed base URL"):
-            HttpBackend(base_url=base_url, model="m", transport=transport)
-        assert transport.calls == []
+            real_backend(monkeypatch, base_url)
 
     @pytest.mark.parametrize(
         "base_url",
         ["http://127.0.0.1:8080/v1", "https://rag.example/v1", "http://[::1]:8080/v1"],
         ids=["port", "no-port", "ipv6-port"],
     )
-    def test_well_formed_base_url_constructs(self, base_url):
-        backend = HttpBackend(base_url=base_url, model="m", transport=TranscriptTransport([]))
+    def test_well_formed_base_url_constructs(self, monkeypatch, base_url):
+        backend = real_backend(monkeypatch, base_url)
         assert backend.base_url == base_url
 
-    def test_malformed_embedding_fails_the_trace(self):
-        trace = run_pipeline("q", demo_pool(), RunConfig(), self.embedding_backend(["x", 1.0]))
+    def test_malformed_embedding_fails_the_trace(self, scripted_http):
+        backend = self.embedding_backend(scripted_http, ["x", 1.0])
+        trace = run_pipeline("q", demo_pool(), RunConfig(), backend)
         assert trace.failed
         assert trace.final_answer is None
         assert "malformed embedding response" in trace.error
@@ -577,24 +615,12 @@ HTTP_FAILURES = [
 ]
 
 
-def injected_twin(reply, timeout):
-    """A transcript entry for ``reply``: its status and JSON body, or a transport failure."""
-    if isinstance(reply.body, bytes) or reply.delay > timeout:
-        return {"raise": "transport failure"}
-    return {"status": reply.status, "body": reply.body}
-
-
 class TestHttpOverLoopback:
-    """The real transport against a local server: each outcome matches its transcript twin."""
-
-    @staticmethod
-    def real_backend(monkeypatch, url, timeout=5.0):
-        monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
-        return HttpBackend(base_url=url, model="m", timeout=timeout)
+    """The transport against a local server: each outcome and its attempt count."""
 
     @staticmethod
     def count_transport_calls(monkeypatch):
-        """Record the URL of every call into the real transport."""
+        """Record the URL of every call into the transport."""
         calls = []
         real = http_module._KeepAliveTransport.__call__
 
@@ -612,7 +638,7 @@ class TestHttpOverLoopback:
     )
     def test_success(self, monkeypatch, replies, attempts):
         with LoopbackServer(replies) as server:
-            result = self.real_backend(monkeypatch, server.url).generate(any_request())
+            result = real_backend(monkeypatch, server.url).generate(any_request())
         assert (result.text, result.token_logprobs) == ("42", (-0.1, -0.2))
         assert len(server.requests) == attempts
         assert {r["connection"] for r in server.requests} == {1}
@@ -621,28 +647,20 @@ class TestHttpOverLoopback:
         assert first["headers"]["Authorization"] == "Bearer test-key"
         assert first["headers"]["Content-Type"] == "application/json"
         assert first["payload"]["logprobs"] is True
-        twin, transport = scripted_http([injected_twin(r, 5.0) for r in replies])
-        assert twin.generate(any_request()) == result
-        assert len(transport.calls) == attempts
 
     @pytest.mark.parametrize("replies, timeout, message, attempts", HTTP_FAILURES)
-    def test_failure_matches_injected_twin(self, monkeypatch, replies, timeout, message, attempts):
+    def test_failure_is_a_backend_error(self, monkeypatch, replies, timeout, message, attempts):
         with LoopbackServer(replies) as server:
-            with pytest.raises(BackendUnavailableError, match=message) as real:
-                self.real_backend(monkeypatch, server.url, timeout).generate(any_request())
+            with pytest.raises(BackendUnavailableError, match=message) as failure:
+                real_backend(monkeypatch, server.url, timeout).generate(any_request())
+        assert type(failure.value) is BackendUnavailableError
         assert len(server.requests) == attempts
-        script = [replies[min(i, len(replies) - 1)] for i in range(attempts)]
-        twin, transport = scripted_http([injected_twin(r, timeout) for r in script])
-        with pytest.raises(BackendUnavailableError) as injected:
-            twin.generate(any_request())
-        assert type(real.value) is type(injected.value) is BackendUnavailableError
-        assert len(transport.calls) == attempts
 
     def test_closed_port(self, monkeypatch):
         calls = self.count_transport_calls(monkeypatch)
         with ClosedPort() as closed:
             with pytest.raises(BackendUnavailableError, match="after 3 attempts.*refused"):
-                self.real_backend(monkeypatch, closed.url).generate(any_request())
+                real_backend(monkeypatch, closed.url).generate(any_request())
         assert len(calls) == 3
 
     @pytest.mark.parametrize(
@@ -656,7 +674,7 @@ class TestHttpOverLoopback:
         with LoopbackServer([OK_REPLY]) as server:
             host_port = server.url.removeprefix("http://").removesuffix("/v1")
             with pytest.raises(ConfigError, match="must be http:// or https:// and a host"):
-                self.real_backend(monkeypatch, base_url.format(host_port=host_port))
+                real_backend(monkeypatch, base_url.format(host_port=host_port))
         assert (len(calls), len(server.requests)) == (0, 0)
 
     def test_every_chat_request_sends_one_token_budget(self, monkeypatch):
@@ -669,7 +687,7 @@ class TestHttpOverLoopback:
             Reply(200, completion("5", [0.0])["body"]),
         ]
         with LoopbackServer(replies) as server:
-            backend = self.real_backend(monkeypatch, server.url)
+            backend = real_backend(monkeypatch, server.url)
             trace = run_pipeline("q", demo_pool(), RunConfig(), backend)
             assert judge_accuracy(trace.final_answer, "final", backend, query="q") == (5, True)
         payloads = [r["payload"] for r in server.requests]
@@ -680,7 +698,7 @@ class TestHttpOverLoopback:
 
     def test_key_is_read_once_on_construction(self, monkeypatch):
         with LoopbackServer([OK_REPLY]) as server:
-            backend = self.real_backend(monkeypatch, server.url)
+            backend = real_backend(monkeypatch, server.url)
             monkeypatch.delenv("HOLORAG_API_KEY")
             backend.generate(any_request())
             with pytest.raises(ConfigError, match="missing API key: set the HOLORAG_API_KEY"):
@@ -699,8 +717,6 @@ def connections(server):
 class TestKeepAlive:
     """The real transport keeps one connection per thread and drops it on any failure."""
 
-    real_backend = staticmethod(TestHttpOverLoopback.real_backend)
-
     @staticmethod
     def record_sleeps(monkeypatch):
         sleeps = []
@@ -709,7 +725,7 @@ class TestKeepAlive:
 
     def test_sequential_calls_share_one_connection(self, monkeypatch):
         with LoopbackServer([OK_REPLY]) as server:
-            backend = self.real_backend(monkeypatch, server.url)
+            backend = real_backend(monkeypatch, server.url)
             for _ in range(5):
                 assert backend.generate(any_request()).text == "42"
         assert connections(server) == [1] * 5
@@ -719,7 +735,7 @@ class TestKeepAlive:
         sleeps = self.record_sleeps(monkeypatch)
         replies = [text_reply("A", close=True), text_reply("B"), text_reply("C")]
         with LoopbackServer(replies) as server:
-            backend = self.real_backend(monkeypatch, server.url)
+            backend = real_backend(monkeypatch, server.url)
             texts = [backend.generate(any_request()).text for _ in range(3)]
         assert texts == ["A", "B", "C"]
         assert connections(server) == [1, 2, 2]
@@ -729,7 +745,7 @@ class TestKeepAlive:
         """The stale resend goes out once; if the fresh connection fails too, that is an attempt."""
         sleeps = self.record_sleeps(monkeypatch)
         with LoopbackServer([text_reply("A"), HANG_UP, HANG_UP, text_reply("B")]) as server:
-            backend = self.real_backend(monkeypatch, server.url)
+            backend = real_backend(monkeypatch, server.url)
             texts = [backend.generate(any_request()).text for _ in range(2)]
         assert texts == ["A", "B"]
         assert connections(server) == [1, 1, 2, 3]
@@ -747,7 +763,7 @@ class TestKeepAlive:
         self, monkeypatch, first, timeout, expected_connections
     ):
         with LoopbackServer([first, text_reply("B"), text_reply("C")]) as server:
-            backend = self.real_backend(monkeypatch, server.url, timeout)
+            backend = real_backend(monkeypatch, server.url, timeout)
             texts = [backend.generate(any_request()).text for _ in range(2)]
         assert texts == ["B", "C"]
         assert connections(server) == expected_connections
@@ -767,7 +783,7 @@ class TestKeepAlive:
         try:
             for parallelism in (1, 2, 4):
                 with LoopbackServer([Reply(200, body)]) as server:
-                    backend = self.real_backend(monkeypatch, server.url)
+                    backend = real_backend(monkeypatch, server.url)
                     config = RunConfig(parallelism=parallelism)
                     report = evaluate_e2e(dataset, [demo_pool()], config, backend, backend)
                 rows[parallelism] = report.per_example
@@ -781,7 +797,7 @@ class TestKeepAlive:
     def test_judge_retry_sends_the_corrective_prompt(self, monkeypatch):
         replies = [text_reply("looks plausible"), text_reply("matches\n4")]
         with LoopbackServer(replies) as server:
-            backend = self.real_backend(monkeypatch, server.url)
+            backend = real_backend(monkeypatch, server.url)
             assert judge_accuracy("twelve", "12", backend, query="how many?") == (4, True)
         prompts = [r["payload"]["messages"][0]["content"] for r in server.requests]
         assert prompts == [JUDGE_PROMPT, JUDGE_PROMPT + JUDGE_RETRY_LINE]
@@ -797,7 +813,7 @@ class TestKeepAlive:
             OK_REPLY,
         ]
         with LoopbackServer(replies) as server:
-            assert self.real_backend(monkeypatch, server.url).generate(any_request()).text == "42"
+            assert real_backend(monkeypatch, server.url).generate(any_request()).text == "42"
         assert sleeps == [0.0, http_module.RETRY_AFTER_CAP_S]
         assert connections(server) == [1, 1, 1]
 
@@ -813,12 +829,6 @@ class TestProxy:
     that skipped the proxy fails at once and resolves no name.
     """
 
-    @pytest.fixture(autouse=True)
-    def no_proxy_settings(self, monkeypatch):
-        for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
-            monkeypatch.delenv(name, raising=False)
-            monkeypatch.delenv(name.upper(), raising=False)
-
     @staticmethod
     def proxy_url(server, credentials=""):
         return server.url.removesuffix("/v1").replace("http://", f"http://{credentials}")
@@ -826,7 +836,7 @@ class TestProxy:
     def test_http_goes_to_the_proxy_in_absolute_form(self, monkeypatch):
         with LoopbackServer([OK_REPLY]) as proxy, ClosedPort() as origin:
             monkeypatch.setenv("http_proxy", self.proxy_url(proxy, "user:p%40ss@"))
-            backend = TestHttpOverLoopback.real_backend(monkeypatch, origin.url)
+            backend = real_backend(monkeypatch, origin.url)
             for _ in range(2):
                 assert backend.generate(any_request()).text == "42"
         assert [r["path"] for r in proxy.requests] == [f"{origin.url}/chat/completions"] * 2
@@ -840,10 +850,23 @@ class TestProxy:
         with LoopbackServer([OK_REPLY]) as proxy, LoopbackServer([OK_REPLY]) as server:
             monkeypatch.setenv("http_proxy", self.proxy_url(proxy))
             monkeypatch.setenv("no_proxy", "rag.example, 127.0.0.1")
-            backend = TestHttpOverLoopback.real_backend(monkeypatch, server.url)
+            backend = real_backend(monkeypatch, server.url)
             assert backend.generate(any_request()).text == "42"
         assert proxy.requests == []
         assert [r["path"] for r in server.requests] == ["/v1/chat/completions"]
+
+    @pytest.mark.parametrize(
+        "proxy",
+        ["http://[::1", "http://h:abc", "h:99999"],
+        ids=["unclosed-ipv6", "non-numeric-port", "port-out-of-range"],
+    )
+    def test_malformed_proxy_url_is_config_error(self, monkeypatch, proxy):
+        """A proxy URL that will be used is checked on construction, as the base URL is."""
+        with LoopbackServer([OK_REPLY]) as server:
+            monkeypatch.setenv("http_proxy", proxy)
+            with pytest.raises(ConfigError, match="malformed http proxy URL: "):
+                real_backend(monkeypatch, server.url)
+        assert server.requests == []
 
     def test_https_tunnels_through_the_proxy(self, monkeypatch):
         """CONNECT carries the proxy's credentials and never the API key."""
@@ -851,7 +874,7 @@ class TestProxy:
         with LoopbackServer([refusal]) as proxy, ClosedPort() as origin:
             monkeypatch.setenv("https_proxy", self.proxy_url(proxy, "user:pw@"))
             https_url = origin.url.replace("http://", "https://")
-            backend = TestHttpOverLoopback.real_backend(monkeypatch, https_url)
+            backend = real_backend(monkeypatch, https_url)
             with pytest.raises(BackendUnavailableError, match="Tunnel connection failed: 403"):
                 backend.generate(any_request())
         host_port = origin.url.removeprefix("http://").removesuffix("/v1")

@@ -177,6 +177,19 @@ def test_failed_example_keeps_backend_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: no fixture for role=summarize")
 
 
+def test_answer_over_empty_snapshot_exits_user_error(tmp_path, capsys):
+    """`answer` over the snapshot of an empty corpus is an `error:` line and exit 1."""
+    corpus, snapshot = tmp_path / "corpus.jsonl", tmp_path / "empty.snap"
+    corpus.write_bytes(b"")
+    with pytest.warns(UserWarning, match="contained no records"):
+        assert main(["ingest", str(corpus), "-o", str(snapshot)]) == EXIT_OK
+    fixtures = tmp_path / "fixtures.jsonl"
+    fixtures.write_text(json.dumps(QUERY_EMBEDDING) + "\n", encoding="utf-8")
+    args = ["answer", str(snapshot), "--query", "q", "--fixtures", str(fixtures)]
+    assert main(args) == EXIT_USER_ERROR
+    assert capsys.readouterr().err == "error: pipeline needs a nonempty pool\n"
+
+
 @pytest.mark.parametrize("command", ["eval", "answer"])
 def test_wrong_dimension_query_exits_user_error(command, tmp_path, capsys):
     """A query embedding that does not fit the pool is a data error (exit 1)."""
@@ -286,6 +299,19 @@ def test_http_base_url_query_exits_user_error(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         f"error: malformed base URL {url!r}: it has a query or fragment\n"
     )
+
+
+@pytest.mark.parametrize(
+    "proxy", ["http://[::1", "http://h:abc"], ids=["unclosed-ipv6", "non-numeric-port"]
+)
+def test_http_malformed_proxy_exits_user_error(tmp_path, monkeypatch, capsys, proxy):
+    """A malformed proxy URL fails as configuration (exit 1), before any request."""
+    monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
+    monkeypatch.setenv("http_proxy", proxy)
+    with LoopbackServer(HTTP_LQP_REPLIES) as server:
+        assert main(http_answer_args(tmp_path, server.url)) == EXIT_USER_ERROR
+    assert server.requests == []
+    assert capsys.readouterr().err.startswith("error: malformed http proxy URL: ")
 
 
 def test_http_answer_runs_without_requests(tmp_path):
