@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from ..errors import ProbabilityOutOfRangeError, UnparseableVerdictError
-from ..masking import Embedding
+from ..masking import Embedding, check_numbers
 
 
 class PromptRole(str, Enum):
@@ -78,7 +78,7 @@ class GenerationRequest:
 class GenerationResult:
     """Generated text plus the natural-log probability of each emitted token.
 
-    The one check on token confidence: each logprob is finite and <= 0, unclamped.
+    The one check on token confidence: each logprob is a number, finite and <= 0, unclamped.
     """
 
     text: str
@@ -88,6 +88,7 @@ class GenerationResult:
     def __post_init__(self):
         if not isinstance(self.text, str):
             raise TypeError(f"text must be a string, got {type(self.text).__name__}")
+        check_numbers(self.token_logprobs, "token logprobs")
         logprobs = tuple(float(lp) for lp in self.token_logprobs)
         for lp in logprobs:
             if not (math.isfinite(lp) and lp <= 0.0):

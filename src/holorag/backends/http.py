@@ -9,18 +9,18 @@ failures, 429 and 5xx are retried; any other status, a 3xx included, fails
 at once and names its status.  Before a retry ``_post`` sleeps what a 429 or
 5xx reply's ``Retry-After`` asks (delta-seconds or an HTTP-date, RFC 9110
 §10.2.3), at most ``RETRY_AFTER_CAP_S``; otherwise it sleeps a full-jitter
-exponential backoff, ``uniform(0, RETRY_WAIT_S * 2**(attempt - 1))``.  The
-base URL's http or https scheme, its host, its port (none, or an integer in
-0-65535) and its lack of a query or fragment are checked on construction,
-as are the syntax and the port of the proxy URL in use: each is a
-ConfigError before any request.
+exponential backoff, ``uniform(0, RETRY_WAIT_S * 2**(attempt - 1))``.  On
+construction, ``_split_url`` gives the base URL and the proxy URL in use
+one check: each needs a host and a port that is none or an integer in
+0-65535.  The base URL also needs an http or https scheme and no query or
+fragment.  Each failure is a ConfigError before any request.
 
-The transport is the standard library's ``http.client``.  Each thread
-keeps one HTTP/1.1 connection per backend alive and sends every request
-through it: ``http.client`` connections are not thread-safe, and
-``evaluate_e2e`` shares one backend across its worker threads.  HTTPS goes
-through Python's default SSL context, and no redirect is followed.  Two
-rules keep a kept-alive connection in step with its replies:
+``HttpBackend`` sends through the standard library's ``http.client``.
+Each thread keeps one HTTP/1.1 connection per backend alive and sends
+every request through it: ``http.client`` connections are not thread-safe,
+and ``evaluate_e2e`` shares one backend across its worker threads.  HTTPS
+goes through Python's default SSL context, and no redirect is followed.
+Two rules keep a kept-alive connection in step with its replies:
 
 - any exception while a request is sent or its reply read closes the
   connection, so a late or half-read reply never answers the next request;
@@ -35,7 +35,7 @@ that ``no_proxy`` names goes direct.  An http:// request goes to the proxy
 with the absolute URL as its target; an https:// one tunnels through it
 with CONNECT.  Credentials in the proxy URL go out as
 ``Proxy-Authorization``.  A thread's connection closes when the thread ends
-or the backend is discarded.  The transport maps each outcome for ``_post``:
+or the backend is discarded.  Each attempt maps its outcome for ``_post``:
 
 - a reply with a status, any status, is ``(status, parsed body, headers)``;
 - a body that is not JSON, or not UTF-8, is a BackendUnavailableError;
@@ -72,9 +72,9 @@ RETRY_AFTER_CAP_S = 30.0  # a longer Retry-After is cut to this, so no run stall
 
 
 class _OwnedConnection:
-    """A thread's connection, closed when the thread ends or the transport is discarded.
+    """A thread's connection, closed when the thread ends or the backend is discarded.
 
-    A finalizer, not ``__del__``: when the transport dies in a reference cycle,
+    A finalizer, not ``__del__``: when the backend dies in a reference cycle,
     the collector runs finalizer callbacks before it finalizes the socket.
     """
 
@@ -83,74 +83,19 @@ class _OwnedConnection:
         weakref.finalize(self, conn.close)
 
 
-class _KeepAliveTransport:
-    """One kept-alive connection per thread to one origin or its proxy."""
+def _split_url(url: str, label: str) -> urllib.parse.SplitResult:
+    """``url`` split, once its port (none, or an integer in 0-65535) and its host are checked.
 
-    def __init__(self, base_url: str):
-        parts = urllib.parse.urlsplit(base_url)
-        self._origin = self._address = parts.netloc.rpartition("@")[2]
-        self._context = ssl.create_default_context() if parts.scheme == "https" else None
-        self._proxy_headers = {}
-        proxy = urllib.request.getproxies().get(parts.scheme)
-        self._proxied = bool(proxy) and not urllib.request.proxy_bypass(parts.netloc)
-        if self._proxied:
-            try:
-                proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-                proxy_parts.port  # raises ValueError unless the port is empty or 0-65535
-            except ValueError as exc:  # the URL is not echoed: it may hold a password
-                raise ConfigError(f"malformed {parts.scheme} proxy URL: {exc}") from exc
-            self._address = proxy_parts.netloc.rpartition("@")[2]
-            if proxy_parts.username is not None:
-                user = urllib.parse.unquote(proxy_parts.username)
-                password = urllib.parse.unquote(proxy_parts.password or "")
-                token = base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
-                self._proxy_headers["Proxy-Authorization"] = f"Basic {token}"
-        self._local = threading.local()
-
-    def _connection(self) -> http.client.HTTPConnection:
-        owned = getattr(self._local, "owned", None)
-        if owned is None:
-            if self._context is None:
-                conn = http.client.HTTPConnection(self._address)
-            else:
-                conn = http.client.HTTPSConnection(self._address, context=self._context)
-                if self._proxied:
-                    conn.set_tunnel(self._origin, headers=self._proxy_headers)
-            owned = self._local.owned = _OwnedConnection(conn)
-        return owned.conn
-
-    def _exchange(self, target: str, body: bytes, headers: dict, timeout: float):
-        conn = self._connection()
-        while True:
-            reused, response = conn.sock is not None, None
-            conn.timeout = timeout
-            if reused:
-                conn.sock.settimeout(timeout)
-            try:
-                conn.request("POST", target, body, headers)
-                response = conn.getresponse()
-                return response.status, response.read(), response.headers
-            except BaseException as exc:
-                conn.close()  # drop it: what is left on it must not answer the next request
-                stale = isinstance(exc, (ConnectionResetError, BrokenPipeError))
-                if not (reused and response is None and stale):
-                    raise
-
-    def __call__(self, url: str, payload: dict, headers: dict, timeout: float):
-        try:
-            body = json.dumps(payload, allow_nan=False).encode("utf-8")
-            if self._proxied and self._context is None:  # http:// through a proxy
-                target, headers = url, {**headers, **self._proxy_headers}
-            else:
-                parts = urllib.parse.urlsplit(url)
-                target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-            status, raw, reply_headers = self._exchange(target, body, headers, timeout)
-        except (OSError, http.client.HTTPException, ValueError) as exc:
-            raise BackendUnavailableError(f"request to {url} failed: {exc}") from exc
-        try:
-            return status, json.loads(raw), reply_headers
-        except ValueError as exc:
-            raise BackendUnavailableError(f"non-JSON response from {url}") from exc
+    ``label`` names the URL in the ConfigError; a proxy's leaves it out, as it may hold a password.
+    """
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # raises ValueError unless the port is empty or 0-65535
+    except ValueError as exc:
+        raise ConfigError(f"malformed {label}: {exc}") from exc
+    if not parts.hostname:  # "http://", "http://:9" and "http://user@" have none
+        raise ConfigError(f"malformed {label}: it must be http:// or https:// and a host")
+    return parts
 
 
 def _retry_after(value: Optional[str]) -> Optional[float]:
@@ -189,11 +134,10 @@ def resolve_api_key(api_key_env: str = DEFAULT_API_KEY_ENV) -> str:
 class HttpBackend(ModelBackend):
     """Client for an OpenAI-compatible endpoint with bounded retries.
 
-    On construction, a base URL that does not parse, is not http or https,
-    has no host, has a port that is not an integer in 0-65535 or carries a
-    query or a fragment is a ConfigError, and so is a malformed proxy URL.
-    The API key is read from ``api_key_env`` once, so a missing key is a
-    ConfigError before any request.
+    Construction checks the base and proxy URLs, reads the API key from
+    ``api_key_env`` once, and works out what every request needs: the
+    address to connect to, the tunnel, the request-target prefix and the
+    headers.  A bad URL or a missing key is a ConfigError before any request.
     """
 
     def __init__(
@@ -206,12 +150,8 @@ class HttpBackend(ModelBackend):
     ):
         if not base_url:
             raise ConfigError("HTTP backend needs a base URL")
-        try:
-            parts = urllib.parse.urlsplit(base_url)
-            parts.port  # raises ValueError unless the port is empty or 0-65535
-        except ValueError as exc:
-            raise ConfigError(f"malformed base URL {base_url!r}: {exc}") from exc
-        if parts.scheme not in ("http", "https") or not parts.netloc:
+        parts = _split_url(base_url, f"base URL {base_url!r}")
+        if parts.scheme not in ("http", "https"):
             raise ConfigError(f"base URL must be http:// or https:// and a host, got {base_url!r}")
         if "?" in base_url or "#" in base_url:
             # "/embeddings" would land in the query or be dropped with the fragment
@@ -222,10 +162,71 @@ class HttpBackend(ModelBackend):
         self.max_retries = max_retries
         key = resolve_api_key(api_key_env)
         self._headers = {"Content-Type": "application/json", "Authorization": f"Bearer {key}"}
-        self._transport = _KeepAliveTransport(self.base_url)
+        self._address = origin = parts.netloc.rpartition("@")[2]
+        self._context = ssl.create_default_context() if parts.scheme == "https" else None
+        self._tunnel = None  # set_tunnel's (host, headers) when https goes through a proxy
+        self._target_prefix = parts.path.rstrip("/")
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(parts.netloc):
+            proxy_url = proxy if "://" in proxy else f"http://{proxy}"
+            proxy_parts = _split_url(proxy_url, f"{parts.scheme} proxy URL")
+            self._address = proxy_parts.netloc.rpartition("@")[2]
+            proxy_headers = {}
+            if proxy_parts.username is not None:
+                user = urllib.parse.unquote(proxy_parts.username)
+                password = urllib.parse.unquote(proxy_parts.password or "")
+                token = base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+            if self._context is None:  # http://: the proxy gets the absolute URL
+                self._target_prefix = self.base_url
+                self._headers.update(proxy_headers)
+            else:  # https://: CONNECT carries the proxy's credentials, never the API key
+                self._tunnel = (origin, proxy_headers)
+        self._local = threading.local()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        owned = getattr(self._local, "owned", None)
+        if owned is None:
+            if self._context is None:
+                conn = http.client.HTTPConnection(self._address)
+            else:
+                conn = http.client.HTTPSConnection(self._address, context=self._context)
+                if self._tunnel is not None:
+                    conn.set_tunnel(self._tunnel[0], headers=self._tunnel[1])
+            owned = self._local.owned = _OwnedConnection(conn)
+        return owned.conn
+
+    def _exchange(self, target: str, body: bytes):
+        conn = self._connection()
+        while True:
+            reused, response = conn.sock is not None, None
+            conn.timeout = self.timeout
+            if reused:
+                conn.sock.settimeout(self.timeout)
+            try:
+                conn.request("POST", target, body, self._headers)
+                response = conn.getresponse()
+                return response.status, response.read(), response.headers
+            except BaseException as exc:
+                conn.close()  # drop it: what is left on it must not answer the next request
+                stale = isinstance(exc, (ConnectionResetError, BrokenPipeError))
+                if not (reused and response is None and stale):
+                    raise
+
+    def _attempt(self, url: str, target: str, body: bytes):
+        """One attempt at ``url``: (status, parsed body, headers), or a BackendUnavailableError."""
+        try:
+            status, raw, reply_headers = self._exchange(target, body)
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            raise BackendUnavailableError(f"request to {url} failed: {exc}") from exc
+        try:
+            return status, json.loads(raw), reply_headers
+        except ValueError as exc:
+            raise BackendUnavailableError(f"non-JSON response from {url}") from exc
 
     def _post(self, path: str, payload: dict) -> dict:
-        url = f"{self.base_url}{path}"
+        url, target = f"{self.base_url}{path}", f"{self._target_prefix}{path}"
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         # the last failure's message only: a kept exception's traceback holds
         # this frame, which would keep the backend alive in a reference cycle
         failure = ""
@@ -236,15 +237,13 @@ class HttpBackend(ModelBackend):
                 time.sleep(random.uniform(0.0, backoff_cap) if retry_after is None else retry_after)
             retry_after = None
             try:
-                status, body, reply_headers = self._transport(
-                    url, payload, self._headers, self.timeout
-                )
+                status, reply, reply_headers = self._attempt(url, target, body)
             except BackendUnavailableError as exc:
                 failure = str(exc)
                 continue
             if 200 <= status < 300:
-                return body
-            failure = f"{url} returned status {status}: {body}"
+                return reply
+            failure = f"{url} returned status {status}: {reply}"
             if status < 500 and status != 429:
                 raise BackendUnavailableError(failure)
             retry_after = _retry_after(reply_headers.get("Retry-After"))

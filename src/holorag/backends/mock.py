@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, Sequence, Tuple, Union
 
 from ..errors import FixtureMissError
 from ..jsonl import json_objects, line_error
-from ..masking import Embedding
+from ..masking import Embedding, check_numbers
 from .base import GenerationRequest, GenerationResult, ModelBackend, PromptRole
 
 GenKey = Tuple[str, str, FrozenSet[str], int]
@@ -94,6 +94,7 @@ class MockBackend(ModelBackend):
         for doc_id in doc_ids:
             _check_str("each doc id", doc_id)
         key = (PromptRole(role).value, query, frozenset(doc_ids), operator.index(iteration))
+        check_numbers(token_probs, "token_probs")
         logprobs = tuple(math.log(p) for p in token_probs)
         if not logprobs:
             raise ValueError("token_probs must not be empty")

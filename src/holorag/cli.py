@@ -79,6 +79,8 @@ def _load_pools(paths: Sequence[str]) -> List:
 
 def _select_pool(pools, pool_mode: str, pool_name: Optional[str]):
     if pool_mode == "all":
+        if pool_name:  # a name would be ignored: all-pool mode searches every pool
+            raise ConfigError(f"--pool {pool_name!r} needs single-pool mode, not pool mode 'all'")
         return merge_pools(pools)
     if pool_name:
         by_name = pools_by_name(pools)

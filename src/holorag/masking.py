@@ -33,26 +33,30 @@ DEFAULT_ALPHA = 0.5
 
 MASK_LEVELS = (0.0, 0.5, 1.0)
 
-# JSON value types that np.array(..., dtype=float64) would silently turn into numbers
-_NOT_NUMBERS = frozenset({str, bool, type(None)})
+# JSON value types, and bytes, that float() or np.array(..., dtype=float64) would turn into numbers
+_NOT_NUMBERS = frozenset({str, bytes, bool, type(None)})
+
+
+def check_numbers(values, what: str) -> None:
+    """Raise a TypeError naming the type of any string, bytes, boolean or null in ``values``."""
+    wrong = _NOT_NUMBERS.intersection(map(type, values))
+    if wrong:
+        raise TypeError(f"{what} must be numbers, got {min(kind.__name__ for kind in wrong)}")
 
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """Nonempty, finite, read-only 1-D real vector whose L2 norm is finite.
 
-    A list or tuple holding a string, boolean or null entry is a TypeError
-    that names the type.
+    A list or tuple holding a string, bytes, boolean or null entry is a
+    TypeError that names the type.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
         if isinstance(self.values, (list, tuple)):
-            wrong = _NOT_NUMBERS.intersection(map(type, self.values))
-            if wrong:
-                name = min(kind.__name__ for kind in wrong)
-                raise TypeError(f"vector entries must be numbers, got {name}")
+            check_numbers(self.values, "vector entries")
         arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("expected a nonempty 1-D real vector")

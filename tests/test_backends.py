@@ -46,8 +46,8 @@ from holorag.pipeline import ROUTE_HQP, ROUTE_LQP, classify_pair, run_pipeline
 STUB_ANSWER_SHAPES = [(-0.001, ROUTE_LQP), (math.log(0.5), ROUTE_HQP)]
 STUB_ANSWER_TOKENS = 6
 
-BAD_LOGPROBS = [math.nan, math.inf, -math.inf, 0.3, True]
-BAD_LOGPROB_IDS = ["nan", "inf", "-inf", "positive", "true"]
+BAD_LOGPROBS = [math.nan, math.inf, -math.inf, 0.3, True, False, "-0.5"]
+BAD_LOGPROB_IDS = ["nan", "inf", "-inf", "positive", "true", "false", "numeric-str"]
 
 
 @pytest.fixture(autouse=True)
@@ -72,6 +72,16 @@ class TestRequestAndResultTypes:
                 GenerationResult(text="x", token_logprobs=(-0.5, bad))
         result = GenerationResult(text="x", token_logprobs=(0.0, -800.0))
         assert result.token_logprobs == (0.0, -800.0)
+
+    @pytest.mark.parametrize(
+        "bad, kind",
+        [("-0.5", "str"), (b"-0.5", "bytes"), (False, "bool"), (None, "NoneType")],
+        ids=["str", "bytes", "false", "null"],
+    )
+    def test_logprobs_must_be_numbers(self, bad, kind):
+        """float() would read "-0.5" and b"-0.5" as numbers, and False as probability 1."""
+        with pytest.raises(TypeError, match=f"token logprobs must be numbers, got {kind}$"):
+            GenerationResult(text="x", token_logprobs=(-0.5, bad))
 
     def test_finish_reason_constrained(self):
         with pytest.raises(ValueError):
@@ -228,6 +238,8 @@ class TestMockBackend:
             '{"role": "answer", "query": "q1", "docs": ["d1", 2], "text": "42", '
             '"token_probs": [1.0]}',
             '{"role": "answer", "query": "q1", "docs": ["d1"], "text": "42", "token_probs": []}',
+            '{"role": "answer", "query": "q1", "docs": ["d1"], "text": "42", '
+            '"token_probs": [true]}',
             '{"embed": "query", "key": "q2", "vector": ["1", true]}',
             '{"embed": "query", "key": "q2", "vector": [true, false]}',
             '{"embed": "query", "key": "q2", "vector": [null, 1.0]}',
@@ -243,6 +255,7 @@ class TestMockBackend:
             "docs-a-string",
             "doc-id-not-string",
             "empty-token-probs",
+            "token-prob-true",
             "vector-str-and-bool",
             "vector-bool",
             "vector-null",
@@ -295,6 +308,19 @@ def transcript_reply(entry):
 def real_backend(monkeypatch, url, timeout=5.0, max_retries=2):
     monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
     return HttpBackend(base_url=url, model="m", timeout=timeout, max_retries=max_retries)
+
+
+def count_attempts(monkeypatch):
+    """Record the URL of every attempt a backend makes."""
+    attempts = []
+    real = HttpBackend._attempt
+
+    def counted(self, url, *args):
+        attempts.append(url)
+        return real(self, url, *args)
+
+    monkeypatch.setattr(HttpBackend, "_attempt", counted)
+    return attempts
 
 
 @pytest.fixture
@@ -558,19 +584,23 @@ class TestHttpBackend:
             "http://h/v1?key=abc",
             "http://h/v1?",
             "http://h/v1#x",
+            "http://:9/v1",
+            "http://user@/v1",
         ],
         ids=[
             "non-numeric-port", "port-out-of-range", "unclosed-ipv6",
-            "query", "empty-query", "fragment",
+            "query", "empty-query", "fragment", "port-without-host", "user-without-host",
         ],
     )
     def test_malformed_base_url_is_config_error(self, monkeypatch, base_url):
-        """A base URL `urlsplit` cannot parse, whose port is not in 0-65535, or
-        that carries a query or a fragment, which the appended path would land
-        behind, is a configuration mistake: a ConfigError on construction, not
-        retries."""
+        """A base URL `urlsplit` cannot parse, whose port is not in 0-65535, whose
+        authority has no host, or that carries a query or a fragment, which the
+        appended path would land behind, is a configuration mistake: a
+        ConfigError on construction, not retries."""
+        attempts = count_attempts(monkeypatch)
         with pytest.raises(ConfigError, match="malformed base URL"):
             real_backend(monkeypatch, base_url)
+        assert attempts == []
 
     @pytest.mark.parametrize(
         "base_url",
@@ -616,20 +646,7 @@ HTTP_FAILURES = [
 
 
 class TestHttpOverLoopback:
-    """The transport against a local server: each outcome and its attempt count."""
-
-    @staticmethod
-    def count_transport_calls(monkeypatch):
-        """Record the URL of every call into the transport."""
-        calls = []
-        real = http_module._KeepAliveTransport.__call__
-
-        def counted(self, *args):
-            calls.append(args[0])
-            return real(self, *args)
-
-        monkeypatch.setattr(http_module._KeepAliveTransport, "__call__", counted)
-        return calls
+    """The backend against a local server: each outcome and its attempt count."""
 
     @pytest.mark.parametrize(
         "replies, attempts",
@@ -657,11 +674,11 @@ class TestHttpOverLoopback:
         assert len(server.requests) == attempts
 
     def test_closed_port(self, monkeypatch):
-        calls = self.count_transport_calls(monkeypatch)
+        attempts = count_attempts(monkeypatch)
         with ClosedPort() as closed:
             with pytest.raises(BackendUnavailableError, match="after 3 attempts.*refused"):
                 real_backend(monkeypatch, closed.url).generate(any_request())
-        assert len(calls) == 3
+        assert len(attempts) == 3
 
     @pytest.mark.parametrize(
         "base_url",
@@ -670,12 +687,12 @@ class TestHttpOverLoopback:
     )
     def test_base_url_without_http_scheme(self, monkeypatch, base_url):
         """A base URL that is not http or https, or has no host, fails on construction."""
-        calls = self.count_transport_calls(monkeypatch)
+        attempts = count_attempts(monkeypatch)
         with LoopbackServer([OK_REPLY]) as server:
             host_port = server.url.removeprefix("http://").removesuffix("/v1")
             with pytest.raises(ConfigError, match="must be http:// or https:// and a host"):
                 real_backend(monkeypatch, base_url.format(host_port=host_port))
-        assert (len(calls), len(server.requests)) == (0, 0)
+        assert (len(attempts), len(server.requests)) == (0, 0)
 
     def test_every_chat_request_sends_one_token_budget(self, monkeypatch):
         """The answer request and the judge's request both carry max_tokens 256."""
@@ -715,7 +732,7 @@ def connections(server):
 
 
 class TestKeepAlive:
-    """The real transport keeps one connection per thread and drops it on any failure."""
+    """The backend keeps one connection per thread and drops it on any failure."""
 
     @staticmethod
     def record_sleeps(monkeypatch):
@@ -857,11 +874,12 @@ class TestProxy:
 
     @pytest.mark.parametrize(
         "proxy",
-        ["http://[::1", "http://h:abc", "h:99999"],
-        ids=["unclosed-ipv6", "non-numeric-port", "port-out-of-range"],
+        ["http://[::1", "http://h:abc", "h:99999", "http://", "http://:8080"],
+        ids=["unclosed-ipv6", "non-numeric-port", "port-out-of-range", "no-host", "port-only"],
     )
     def test_malformed_proxy_url_is_config_error(self, monkeypatch, proxy):
-        """A proxy URL that will be used is checked on construction, as the base URL is."""
+        """A proxy URL that will be used is checked on construction, as the base URL
+        is: one with no host would fail every request as a backend error."""
         with LoopbackServer([OK_REPLY]) as server:
             monkeypatch.setenv("http_proxy", proxy)
             with pytest.raises(ConfigError, match="malformed http proxy URL: "):

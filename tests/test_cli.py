@@ -107,6 +107,16 @@ def test_removed_config_keys_rejected(key, retrieve_args, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["charts", "nosuch"])
+def test_pool_name_in_all_pool_mode_exits_user_error(name, retrieve_args, capsys):
+    """All-pool mode searches every pool, so a --pool name it would ignore is exit 1."""
+    assert main(retrieve_args + ["--pool-mode", "all", "--pool", name]) == EXIT_USER_ERROR
+    assert capsys.readouterr().err == (
+        f"error: --pool {name!r} needs single-pool mode, not pool mode 'all'\n"
+    )
+    assert main(retrieve_args + ["--pool-mode", "all"]) == EXIT_OK
+
+
 def test_malformed_fixture_line_exits_user_error(retrieve_args, tmp_path, capsys):
     fixtures = tmp_path / "fixtures.jsonl"
     with fixtures.open("a", encoding="utf-8") as handle:
@@ -289,6 +299,16 @@ def test_http_bad_port_exits_user_error(tmp_path, monkeypatch, capsys, port):
     assert capsys.readouterr().err.startswith(f"error: malformed base URL {url!r}: ")
 
 
+@pytest.mark.parametrize("url", ["http://:9/v1", "http://user@/v1"], ids=["port", "user"])
+def test_http_base_url_without_host_exits_user_error(tmp_path, monkeypatch, capsys, url):
+    """An authority with a port or a user but no host fails as configuration (exit 1)."""
+    monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
+    assert main(http_answer_args(tmp_path, url)) == EXIT_USER_ERROR
+    assert capsys.readouterr().err == (
+        f"error: malformed base URL {url!r}: it must be http:// or https:// and a host\n"
+    )
+
+
 def test_http_base_url_query_exits_user_error(tmp_path, monkeypatch, capsys):
     """A base URL with a query would post to "/v1?key=abc/embeddings": exit 1, no request."""
     monkeypatch.setenv("HOLORAG_API_KEY", "test-key")
@@ -302,7 +322,9 @@ def test_http_base_url_query_exits_user_error(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "proxy", ["http://[::1", "http://h:abc"], ids=["unclosed-ipv6", "non-numeric-port"]
+    "proxy",
+    ["http://[::1", "http://h:abc", "http://", "http://:8080"],
+    ids=["unclosed-ipv6", "non-numeric-port", "no-host", "port-only"],
 )
 def test_http_malformed_proxy_exits_user_error(tmp_path, monkeypatch, capsys, proxy):
     """A malformed proxy URL fails as configuration (exit 1), before any request."""

@@ -67,3 +67,15 @@ def test_one_generation_request_path():
         ("src/holorag/pipeline.py", "_generate", "GenerationRequest"),
         ("src/holorag/pipeline.py", "_generate", "generate"),
     ]
+
+
+def test_one_url_check():
+    """`http._split_url` alone parses a URL: the base and proxy URLs share one check,
+    and no request parses a URL."""
+    found = sorted(
+        (str(path.relative_to(REPO)), function)
+        for path in (REPO / "src" / "holorag").rglob("*.py")
+        for function, name in calls_by_function(path)
+        if name in ("urlsplit", "urlparse", "urlunsplit", "urlunparse")
+    )
+    assert found == [("src/holorag/backends/http.py", "_split_url")]

@@ -44,11 +44,12 @@ class TestEmbedding:
         "values, kind",
         [
             (["1.0", 0.0], "str"),
+            ([b"1.0", 0.0], "bytes"),
             ([1.0, True], "bool"),
             ((None, 1.0), "NoneType"),
             ([None, "1", True], "NoneType"),
         ],
-        ids=["str", "bool", "null", "three-kinds"],
+        ids=["str", "bytes", "bool", "null", "three-kinds"],
     )
     def test_non_number_entries_rejected(self, values, kind):
         with pytest.raises(TypeError, match=f"got {kind}$"):
