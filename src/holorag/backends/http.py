@@ -167,7 +167,7 @@ class HttpBackend(ModelBackend):
         self._tunnel = None  # set_tunnel's (host, headers) when https goes through a proxy
         self._target_prefix = parts.path.rstrip("/")
         proxy = urllib.request.getproxies().get(parts.scheme)
-        if proxy and not urllib.request.proxy_bypass(parts.netloc):
+        if proxy and not urllib.request.proxy_bypass(origin):
             proxy_url = proxy if "://" in proxy else f"http://{proxy}"
             proxy_parts = _split_url(proxy_url, f"{parts.scheme} proxy URL")
             self._address = proxy_parts.netloc.rpartition("@")[2]

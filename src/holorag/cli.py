@@ -20,6 +20,7 @@ from .config import CHOICES, RunConfig, field_type
 from .errors import ConfigError, HoloRagError
 from .evaluation import evaluate_e2e, evaluate_retrieval, load_dataset
 from .index import ingest_corpus, load_snapshot, merge_pools, pools_by_name, save_snapshot, top_k
+from .jsonl import atomic_write
 from .pipeline import run_pipeline
 
 EXIT_OK = 0
@@ -131,7 +132,8 @@ def cmd_answer(args: argparse.Namespace) -> int:
     pool = _select_pool(pools, config.pool_mode, args.pool)
     trace = run_pipeline(args.query, pool, config, backend)
     if args.trace:
-        Path(args.trace).write_text(trace.to_json() + "\n", encoding="utf-8")
+        with atomic_write(args.trace) as handle:
+            handle.write((trace.to_json() + "\n").encode("utf-8"))
     if trace.failed:
         print(f"error: {trace.error}", file=sys.stderr)
         return _exit_code(trace.exception)
@@ -150,7 +152,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         # the same endpoint serves the judging fixtures
         report = evaluate_e2e(dataset, pools, config, backend, backend)
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
+        with atomic_write(args.report) as handle:
+            handle.write((report.to_json() + "\n").encode("utf-8"))
     print(report.render_table())
     if report.mean_ndcg5 is not None:
         print(f"mean nDCG@5 = {report.mean_ndcg5:.4f}")

@@ -7,23 +7,30 @@ merging build new pools.  Retrieval is an exact full scan (corpora here are
 desk scale): both scoring modes share one row-wise cosine formula, so equal
 rows score equal, and one tie-safe cut ranks both modes: it sorts only the
 rows it keeps, by score, then doc_id, then pool name.  Masked scoring walks
-the live rows in fixed blocks: each block is gathered into one (block, d)
-buffer allocated once per query and masked in place, so no query allocates
-an (n, d) temporary.  A snapshot (format 2) holds the records' keys and
+the live rows in fixed blocks, spread over one worker per CPU this process
+may run on: the calling thread and the threads of one module-wide pool each
+take the next block until none is left.  Each worker gathers its blocks
+into its own (block, d) buffer and masks them in place, so no query
+allocates an (n, d) temporary.  Every row is scored by the same arithmetic
+whichever thread scans it, so scores do not depend on the worker count.
+A snapshot (format 2) holds the records' keys and
 metadata as JSON lines and the matrix after them as raw little-endian
 float64, so saving and loading never format or parse a float; format 1
 snapshots, all JSON lines, still load.  Every JSON line, of a corpus or a
 snapshot, is read by the shared reader, `jsonl.json_objects`.
 """
 
+import functools
 import itertools
 import json
 import os
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +42,7 @@ from .errors import (
     FormatVersionMismatchError,
     ZeroVectorError,
 )
-from .jsonl import json_objects, line_error
+from .jsonl import atomic_write, json_objects, line_error
 from .masking import DEFAULT_ALPHA, Embedding, mask_pipeline
 
 SNAPSHOT_FORMAT_VERSION = 2
@@ -47,6 +54,14 @@ MERGED_POOL_NAME = "all"
 
 # rows per block of masked scoring: the block's mask temporaries stay in cache
 _BLOCK_ROWS = 512
+
+# threads that scan the blocks of one masked query, the caller included; numpy
+# releases the GIL inside its loops over blocks this size
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_executor: Optional[ThreadPoolExecutor] = None
+_executor_lock = threading.Lock()
 
 Key = Tuple[str, str]
 
@@ -264,6 +279,51 @@ def ingest_corpus(path: Union[str, Path]) -> Pool:
     return Pool(name=keys[0][0], matrix=matrix, keys=keys, metadata=metadata)
 
 
+def _scan_executor() -> ThreadPoolExecutor:
+    """The module's pool of ``_WORKERS - 1`` scan threads, created on first use."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="holorag-scan")
+        return _executor
+
+
+def _forget_executor() -> None:
+    """A forked child has none of its parent's threads, so it starts a pool of its own."""
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)
+
+
+def _scan_blocks(
+    pool: Pool, q: np.ndarray, alpha: float, rows: np.ndarray,
+    dots: np.ndarray, norms: np.ndarray, starts: Iterator[int],
+) -> None:
+    """Mask and score the blocks of the live ``rows`` that begin at the ``starts``
+    this call takes; other threads may take from the same iterator.
+
+    Each block is gathered into one (block, d) buffer of this call's own,
+    masked by `mask_pipeline`, looked up as this module's global once per
+    block, and multiplied into the weights it returns; its dots with ``q``
+    and masked norms go to the block's slice of ``dots`` and ``norms``.
+    """
+    gathered = np.empty((min(len(rows), _BLOCK_ROWS), pool.dimension))
+    # each start is one call of the range iterator's C next, which the GIL
+    # makes atomic, so no two threads take the same block
+    for start in starts:
+        block = slice(start, start + _BLOCK_ROWS)
+        picked = rows[block]
+        # the indices come from flatnonzero, so "clip" never clips
+        docs = np.take(pool.matrix, picked, axis=0, out=gathered[: len(picked)], mode="clip")
+        masked = mask_pipeline(q, docs, alpha)
+        np.multiply(masked, docs, out=masked)
+        dots[block] = np.einsum("ij,j->i", masked, q)
+        norms[block] = np.sqrt(np.einsum("ij,ij->i", masked, masked))
+
+
 def top_k(
     pool: Pool,
     query: Union[Embedding, Sequence[float]],
@@ -276,10 +336,14 @@ def top_k(
     A plain-sequence query gets `Embedding`'s checks, so a NaN raises ValueError.
     ``scoring="masked"`` first multiplies every document by its hybrid mask
     against the query, whose band width is ``alpha``; its numerical guard eps
-    is a constant.  The live rows are gathered block by block into one
-    (block, d) buffer that the call allocates once; `mask_pipeline`, looked
-    up as this module's global once per block, masks the block, and the
-    documents are multiplied into the weights it returns.
+    is a constant.  The live rows are masked in blocks of ``_BLOCK_ROWS``
+    by one worker per CPU in this process's affinity mask, at most one per
+    block: the calling thread and the module's scan threads each run
+    `_scan_blocks`, taking the next block until none is left, and the call
+    returns once every worker is done.  A one-block or empty scan, or a
+    one-CPU process, runs `_scan_blocks` in the caller alone.  Each row is
+    scored by the same arithmetic in any block on any thread, so the scores
+    do not depend on the worker count.
     Both modes then score each row with the same row-wise formula,
     dot(q, x) / (|q| |x|), so exact duplicate rows score bit-identically,
     in one block or in two.  Cosine mode divides by the norms the pool
@@ -318,16 +382,18 @@ def top_k(
         # are left out and score 0, as the `where` below scores them in cosine
         rows = np.flatnonzero(pool._norms)
         dots, norms = np.empty(len(rows)), np.empty(len(rows))
-        gathered = np.empty((min(len(rows), _BLOCK_ROWS), pool.dimension))
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            picked = rows[block]
-            # the indices come from flatnonzero, so "clip" never clips
-            docs = np.take(pool.matrix, picked, axis=0, out=gathered[: len(picked)], mode="clip")
-            masked = mask_pipeline(q, docs, alpha)
-            np.multiply(masked, docs, out=masked)
-            dots[block] = np.einsum("ij,j->i", masked, q)
-            norms[block] = np.sqrt(np.einsum("ij,ij->i", masked, masked))
+        starts = range(0, len(rows), _BLOCK_ROWS)
+        # each worker takes the next block when it is free, so a worker that gets
+        # no CPU leaves its blocks to the others; a scan of no rows runs in the caller
+        workers = max(1, min(_WORKERS, len(starts)))
+        scan = functools.partial(_scan_blocks, pool, q, alpha, rows, dots, norms, iter(starts))
+        others = [_scan_executor().submit(scan) for _ in range(1, workers)]
+        try:
+            scan()
+        finally:
+            wait(others)  # no worker outlives the call, even when the caller's raised
+        for future in others:
+            future.result()
     else:
         rows, norms = slice(None), pool._norms
         dots = np.einsum("ij,j->i", pool.matrix, q)
@@ -384,29 +450,22 @@ def save_snapshot(pool: Pool, path: Union[str, Path]) -> None:
       end of the file.
 
     JSON keys are sorted and non-ASCII text is escaped, so identical pools
-    produce byte-identical files.  The file is written beside ``path`` and
-    renamed over it, so an interrupted save leaves any previous snapshot
-    intact.
+    produce byte-identical files.  `atomic_write` writes the file beside
+    ``path`` and renames it over it, so an interrupted save leaves any
+    previous snapshot intact.
     """
-    path = Path(path)
     header = {
         "count": len(pool),
         "dimension": pool.dimension,
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "name": pool.name,
     }
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as handle:
-            handle.write(_json_line(header))
-            for (pool_name, doc_id), metadata in zip(pool.keys, pool.metadata):
-                record = {"doc_id": doc_id, "metadata": metadata, "pool": pool_name}
-                handle.write(_json_line(record))
-            handle.write(np.ascontiguousarray(pool.matrix, dtype=_MATRIX_DTYPE).data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as handle:
+        handle.write(_json_line(header))
+        for (pool_name, doc_id), metadata in zip(pool.keys, pool.metadata):
+            record = {"doc_id": doc_id, "metadata": metadata, "pool": pool_name}
+            handle.write(_json_line(record))
+        handle.write(np.ascontiguousarray(pool.matrix, dtype=_MATRIX_DTYPE).data)
 
 
 def load_snapshot(path: Union[str, Path]) -> Pool:

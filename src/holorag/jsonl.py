@@ -1,13 +1,18 @@
-"""The one reader of JSON-lines input: corpora, snapshot records, datasets and fixtures.
+"""The one reader of JSON-lines input: corpora, snapshot records, datasets and fixtures;
+and the one writer of output files: snapshots, answer traces and eval reports.
 
 JSON Lines (jsonlines.org) fixes UTF-8 and the ``\\n`` separator, so files are
 opened in binary mode and each line is decoded here; a UTF-8 BOM opening a line is skipped.
 A format 2 snapshot ends in a raw float64 matrix after its record lines; the
 caller stops after the records and reads the matrix itself (`index.load_snapshot`).
+Every output file is written beside its path and renamed over it (`atomic_write`).
 """
 
 import json
-from typing import Iterable, Iterator, Tuple
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import BinaryIO, Iterable, Iterator, Tuple, Union
 
 from .errors import CorpusParseError
 
@@ -35,3 +40,21 @@ def json_objects(lines: Iterable[bytes], first_line: int = 1) -> Iterator[Tuple[
         if not isinstance(data, dict):
             raise line_error(line_number, "expected a JSON object")
         yield line_number, data
+
+
+@contextmanager
+def atomic_write(path: Union[str, Path]) -> Iterator[BinaryIO]:
+    """Yield a binary handle on a file beside ``path``, renamed over ``path`` on success.
+
+    If the block raises, or is interrupted, the file is removed and any
+    previous ``path`` is left intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -872,6 +872,16 @@ class TestProxy:
         assert proxy.requests == []
         assert [r["path"] for r in server.requests] == ["/v1/chat/completions"]
 
+    def test_no_proxy_matches_a_base_url_with_user_info(self, monkeypatch):
+        """`no_proxy` is matched against the host and port, not the user info."""
+        with LoopbackServer([OK_REPLY]) as proxy, LoopbackServer([OK_REPLY]) as server:
+            monkeypatch.setenv("http_proxy", self.proxy_url(proxy))
+            monkeypatch.setenv("no_proxy", "127.0.0.1")
+            backend = real_backend(monkeypatch, server.url.replace("http://", "http://user@"))
+            assert backend.generate(any_request()).text == "42"
+        assert proxy.requests == []
+        assert [r["path"] for r in server.requests] == ["/v1/chat/completions"]
+
     @pytest.mark.parametrize(
         "proxy",
         ["http://[::1", "http://h:abc", "h:99999", "http://", "http://:8080"],

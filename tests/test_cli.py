@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import demo_pool
 from loopback import ClosedPort, LoopbackServer, Reply
-from holorag import checks, losses
+from holorag import checks, cli, index, jsonl, losses
 from holorag.cli import EXIT_BACKEND_ERROR, EXIT_OK, EXIT_USER_ERROR, main
 from holorag.config import CHOICES, RunConfig
 from holorag.errors import ConfigError
@@ -657,3 +657,45 @@ def test_corrupted_input_exits_cleanly(data, tmp_path_factory):
     assert code in (EXIT_OK, EXIT_USER_ERROR, EXIT_BACKEND_ERROR)
     if code != EXIT_OK:
         assert "error: " in err
+
+
+class TornHandle:
+    """Writes the first half of what it is given, then fails as a full disk would."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@contextlib.contextmanager
+def torn_write(path):
+    with jsonl.atomic_write(path) as handle:
+        yield TornHandle(handle)
+
+
+@pytest.mark.parametrize("command", ["ingest", "answer", "eval"])
+def test_interrupted_write_keeps_the_previous_file(command, tmp_path, monkeypatch):
+    """The snapshot, the trace and the report are each written beside their path and
+    renamed over it, so a write that fails midway leaves the old file whole."""
+    folder = tmp_path / "in"
+    folder.mkdir()
+    args = command_args(command, write_inputs(folder, input_files(folder)))
+    out = tmp_path / "out" / "written.json"
+    out.parent.mkdir()
+    if command == "ingest":
+        args[3] = str(out)
+    else:
+        args += ["--trace" if command == "answer" else "--report", str(out)]
+    assert run_main(args) == (EXIT_OK, "")
+    before = out.read_bytes()
+    writer = index if command == "ingest" else cli
+    monkeypatch.setattr(writer, "atomic_write", torn_write)
+    force = ["--force"] if command == "ingest" else []
+    assert run_main(args + force) == (
+        EXIT_USER_ERROR, "error: [Errno 28] No space left on device\n"
+    )
+    assert out.read_bytes() == before
+    assert [p.name for p in out.parent.iterdir()] == [out.name]

@@ -1,9 +1,17 @@
 """Tests for corpus ingestion, exact retrieval, merging, and snapshots."""
 
+import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,8 +22,10 @@ from hypothesis.extra.numpy import arrays
 
 import mask_oracle
 from helpers import DATA_DIR, demo_pool, make_pool
-from holorag import index
+from holorag import evaluation, index
+from holorag.backends import MockBackend
 from holorag.cli import EXIT_USER_ERROR, main
+from holorag.config import RunConfig
 from holorag.errors import (
     CorpusParseError,
     DimensionMismatchError,
@@ -31,6 +41,7 @@ from holorag.index import (
     save_snapshot,
     top_k,
 )
+from holorag.evaluation import QaExample, evaluate_retrieval
 from holorag.masking import Embedding
 
 
@@ -462,7 +473,8 @@ class TestBlockedScoring:
         live = n - len(dead)
         top_k(pool, Embedding(rng.normal(size=8)), k=5, scoring="masked")
         assert len(sizes) == math.ceil(live / self.B)
-        assert sum(sizes) == live and set(sizes[:-1]) <= {self.B}
+        # the blocks may run on several threads, so only the smallest may be partial
+        assert sum(sizes) == live and set(sorted(sizes)[1:]) <= {self.B}
         top_k(pool, Embedding(rng.normal(size=8)), k=5, scoring="cosine")
         assert len(sizes) == math.ceil(live / self.B)
 
@@ -484,6 +496,196 @@ class TestBlockedScoring:
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+@contextlib.contextmanager
+def scan_workers(count, block):
+    """Masked scans split the live rows into blocks of ``block`` rows for ``count``
+    workers, whatever the CPU count, with scan threads of their own, which are shut
+    down at the end.  Yields the set of threads that masked a block.
+
+    Each block takes a millisecond longer, so the scan threads, which take the next
+    free block, get blocks even when the caller alone could mask them all first.
+    """
+    threads, original = set(), index.mask_pipeline
+
+    def slowed(queries, documents, *args, **kwargs):
+        threads.add(threading.get_ident())
+        time.sleep(0.001)
+        return original(queries, documents, *args, **kwargs)
+
+    with contextlib.ExitStack() as stack:
+        for name, value in (
+            ("_WORKERS", count), ("_BLOCK_ROWS", block), ("_executor", None),
+            ("mask_pipeline", slowed),
+        ):
+            stack.enter_context(mock.patch.object(index, name, value))
+        try:
+            yield threads
+        finally:
+            if index._executor is not None:
+                index._executor.shutdown()
+
+
+class TestParallelScan:
+    """Masked scoring deals its blocks to several threads; every score must still
+    equal, bit for bit, the one pass over the whole pool."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["no-live-rows", "one-block", "edges"])
+    def test_scores_equal_whole_pool_oracle(self, block, case):
+        rng = np.random.default_rng(block)
+        zero, tiny = np.zeros(8), np.full(8, 1e-200)
+        copy = rng.normal(size=8)
+        if case == "no-live-rows":
+            pool = gaussian_pool(rng, 4, 8, {0: zero, 1: tiny, 2: zero, 3: tiny})
+        elif case == "one-block":
+            pool = gaussian_pool(rng, block + 2, 8, {0: zero, block + 1: tiny})
+        else:
+            # ten blocks of live rows; a dead row at each of the first edges, and
+            # copies on both sides of the others, which threads may scan apart
+            edges = [block * i for i in range(1, 10)]
+            dead = {edge: (zero if i % 2 else tiny) for i, edge in enumerate(edges[:4])}
+            copies = {at: copy for edge in edges[4:] for at in (edge - 1, edge + 4)}
+            pool = gaussian_pool(rng, 10 * block + 4, 8, {**copies, **dead})
+        used = set()
+        for query in rng.normal(size=(3, 8)):
+            with scan_workers(3, block) as threads:
+                got = top_k(pool, Embedding(query), k=len(pool), scoring="masked")
+                cut = top_k(pool, Embedding(query), k=2, scoring="masked")
+            used |= threads
+            assert_same_ranking(got, mask_oracle.whole_top_k_masked(pool, query, len(pool)))
+            assert_same_ranking(cut, mask_oracle.whole_top_k_masked(pool, query, 2))
+        # a scan of no rows or of one block runs in the caller alone
+        caller = {threading.get_ident()}
+        assert {"no-live-rows": not used, "one-block": used == caller}.get(case, len(used) > 1)
+
+    @pytest.mark.parametrize("alpha", [0.0, float("nan")])
+    def test_bad_alpha_raises_the_one_block_error(self, alpha):
+        rng = np.random.default_rng(26)
+        pool = gaussian_pool(rng, 10, 4)
+        query = Embedding(rng.normal(size=4))
+        with pytest.raises(ValueError) as one_block:
+            top_k(pool, query, k=3, scoring="masked", alpha=alpha)
+        with scan_workers(3, 2):
+            with pytest.raises(ValueError) as parallel:
+                top_k(pool, query, k=3, scoring="masked", alpha=alpha)
+        assert str(parallel.value) == str(one_block.value) == (
+            f"alpha must be finite and > 0, got {alpha}"
+        )
+
+    def test_error_on_a_scan_thread_reaches_the_caller(self, monkeypatch):
+        original, raised = index.mask_pipeline, threading.Event()
+
+        def fails_off_the_caller(queries, documents, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raised.set()
+                raise ZeroVectorError("raised on a scan thread")
+            # leave blocks for the scan threads, which take the next free block
+            raised.wait(timeout=10)
+            return original(queries, documents, *args, **kwargs)
+
+        monkeypatch.setattr(index, "mask_pipeline", fails_off_the_caller)
+        rng = np.random.default_rng(27)
+        pool = gaussian_pool(rng, 10, 4)
+        with scan_workers(3, 2):
+            with pytest.raises(ZeroVectorError, match="raised on a scan thread"):
+                top_k(pool, Embedding(rng.normal(size=4)), k=3, scoring="masked")
+
+    def test_parallel_evaluation_equals_serial(self, monkeypatch):
+        """Evaluation threads share the scan threads; nothing they compute may differ."""
+        rng = np.random.default_rng(28)
+        pool = gaussian_pool(rng, 40, 8)
+        backend = MockBackend()
+        dataset = []
+        for i in range(12):
+            gold = pool.keys[i * 3]
+            backend.add_embedding("query", f"q{i}", pool.matrix[i * 3] + rng.normal(size=8))
+            dataset.append(QaExample(f"e{i:02d}", f"q{i}", {gold}, ""))
+        original, ranked = evaluation.top_k, {}
+
+        def record(pool, query, *args, **kwargs):
+            result = original(pool, query, *args, **kwargs)
+            ranked.setdefault(query.values.tobytes(), []).append(result.to_dict())
+            return result
+
+        monkeypatch.setattr(evaluation, "top_k", record)
+        reports, interval = {}, sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to shake out shared state
+        try:
+            for parallelism, workers in ((1, 1), (4, 3)):
+                config = RunConfig(scoring_mode="masked", parallelism=parallelism)
+                with scan_workers(workers, 3):
+                    reports[parallelism] = evaluate_retrieval(
+                        dataset, "single", [pool], backend, config
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[4].per_example == reports[1].per_example
+        assert len(ranked) == len(dataset)
+        assert all(len(runs) == 2 and runs[0] == runs[1] for runs in ranked.values())
+
+    @staticmethod
+    def run_script(body):
+        """Run ``body`` in a fresh interpreter, after a setup that imports holorag and
+        builds ``pool``, eight blocks of four rows, with three scan workers."""
+        setup = """
+            import multiprocessing
+            import threading
+            import numpy as np
+            from holorag import index
+
+            assert threading.active_count() == 1, "import"
+            index._WORKERS, index._BLOCK_ROWS = 3, 4
+            rng = np.random.default_rng(0)
+            n = 30
+            keys = tuple(("p", f"d{i}") for i in range(n))
+            pool = index.Pool("p", rng.normal(size=(n, 8)), keys, ({},) * n)
+            """
+        script = textwrap.dedent(setup) + textwrap.dedent(body)
+        env = dict(os.environ, PYTHONPATH=str(Path(index.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_no_call_starts_a_thread_of_its_own(self):
+        """Importing, and cosine scoring, start no thread; masked scoring starts at
+        most the pool's workers - 1 scan threads, however often it runs."""
+        out = self.run_script(
+            """
+            index.top_k(pool, rng.normal(size=8), 5)
+            assert threading.active_count() == 1, "cosine"
+            for _ in range(100):
+                index.top_k(pool, rng.normal(size=8), 5, scoring="masked")
+            print(threading.active_count())
+            """
+        )
+        assert 1 < int(out) <= 1 + 3 - 1
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork here")
+    def test_forked_child_scans_on_threads_of_its_own(self):
+        """A child forked after a masked scan has none of the scan threads, so it must
+        not wait for them."""
+        out = self.run_script(
+            """
+            query = rng.normal(size=8)
+            want = index.top_k(pool, query, 5, scoring="masked").to_dict()
+
+            def child():
+                assert index.top_k(pool, query, 5, scoring="masked").to_dict() == want
+
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+            proc.join(timeout=20)
+            print(proc.is_alive(), proc.exitcode)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            """
+        )
+        assert out == "False 0\n"
 
 
 class TestMergePools:
