@@ -52,9 +52,10 @@ class MockBackend(ModelBackend):
         Generation lines: {"role", "query", "docs": [ids], "iteration",
         "text", "token_probs"}; each probability in (0, 1] becomes a logprob.
         Embedding lines: {"embed": "query", "key", "vector"}.  A malformed line,
-        a query, key or doc id that is not a string, an empty or out-of-range
-        probability list, or a vector that `Embedding` rejects raises
-        CorpusParseError with its number.
+        a query, key or doc id that is not a string, an iteration that is not
+        an integer or is a boolean, an empty or out-of-range probability list,
+        or a vector that `Embedding` rejects raises CorpusParseError with its
+        number.
         """
         backend = cls()
         with Path(path).open("rb") as handle:
@@ -93,6 +94,7 @@ class MockBackend(ModelBackend):
             raise TypeError(f"docs must be a list of strings, got the string {doc_ids!r}")
         for doc_id in doc_ids:
             _check_str("each doc id", doc_id)
+        check_numbers([iteration], "iteration")  # operator.index takes a boolean
         key = (PromptRole(role).value, query, frozenset(doc_ids), operator.index(iteration))
         check_numbers(token_probs, "token_probs")
         logprobs = tuple(math.log(p) for p in token_probs)

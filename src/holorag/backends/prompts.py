@@ -1,12 +1,14 @@
 """Prompt template loading and rendering.
 
 Templates are versioned text artifacts shipped with the package, one per
-prompt role.  Placeholders are replaced literally (no format-string parsing),
-so document text containing braces cannot break rendering.  The judge's
+prompt role.  The template's placeholders are filled in one pass, each
+literally (no format-string parsing), so a query, document or prior that
+contains braces, or a placeholder's name, is never filled again.  The judge's
 retry (``iteration`` >= 1) gets a corrective line after its template: at
 temperature 0 an unchanged prompt would get the same unparseable reply.
 """
 
+import re
 from functools import lru_cache
 from importlib import resources
 
@@ -17,6 +19,8 @@ JUDGE_RETRY_NOTE = (
     "\nYour previous reply did not end with a bare score. Reply again, and put "
     "only the integer score, 1-5, on the final line.\n"
 )
+
+_PLACEHOLDER = re.compile(r"\{(query|context|prior)\}")
 
 
 @lru_cache(maxsize=None)
@@ -40,10 +44,12 @@ def render_prompt(request: GenerationRequest) -> str:
 
     The judge's retry, at ``iteration`` >= 1, ends with JUDGE_RETRY_NOTE.
     """
-    text = load_template(request.prompt_role)
-    text = text.replace("{query}", request.query)
-    text = text.replace("{context}", render_context(request))
-    text = text.replace("{prior}", request.prior or "(none)")
+    values = {
+        "query": request.query,
+        "context": render_context(request),
+        "prior": request.prior or "(none)",
+    }
+    text = _PLACEHOLDER.sub(lambda match: values[match[1]], load_template(request.prompt_role))
     if request.prompt_role is PromptRole.JUDGE_SCORE and request.iteration >= 1:
         text += JUDGE_RETRY_NOTE
     return text

@@ -72,8 +72,9 @@ def run_oracle_check(seed: int = 0, n_batches: int = 200) -> dict:
     """Compare fast loss values against the naive recomputation.
 
     Each of ``n_batches`` random batches (see `random_batch`) gets a tau
-    from {0.01, 0.1, 1} and a beta from U(0, 2).  The suite passes when every
-    loss value is within ORACLE_TOLERANCE of the oracle's.
+    from {0.01, 0.1, 1} and a beta from U(0, 2).  The suite passes when it
+    ran at least one batch and every loss value is within ORACLE_TOLERANCE
+    of the oracle's.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -100,7 +101,7 @@ def run_oracle_check(seed: int = 0, n_batches: int = 200) -> dict:
         "batches": n_batches,
         "max_abs_error": worst,
         "tolerance": ORACLE_TOLERANCE,
-        "passed": worst < ORACLE_TOLERANCE,
+        "passed": n_batches > 0 and worst < ORACLE_TOLERANCE,
         "seconds": round(time.perf_counter() - started, 3),
     }
 
@@ -113,8 +114,9 @@ def run_gradient_check(
     """Compare analytic gradients against central differences.
 
     Batches cycle through the (B, d) ``sizes`` and GRADIENT_TAUS, at beta=1
-    and a step of GRADIENT_STEP.  The suite passes when the worst relative
-    error (see `finite_difference_check`) is below GRADIENT_TOLERANCE.
+    and a step of GRADIENT_STEP.  The suite passes when it ran at least one
+    batch and the worst relative error (see `finite_difference_check`) is
+    below GRADIENT_TOLERANCE.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -129,6 +131,6 @@ def run_gradient_check(
         "batches": n_batches,
         "max_relative_error": worst,
         "tolerance": GRADIENT_TOLERANCE,
-        "passed": worst < GRADIENT_TOLERANCE,
+        "passed": n_batches > 0 and worst < GRADIENT_TOLERANCE,
         "seconds": round(time.perf_counter() - started, 3),
     }

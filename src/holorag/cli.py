@@ -2,8 +2,8 @@
 
 Subcommands: ingest a corpus into a snapshot, retrieve against snapshots,
 answer a query through the agent pipeline, evaluate a dataset, and run the
-loss/gradient self-checks.  Exit codes: 0 success, 1 user or data error,
-2 backend error.
+loss/gradient self-checks.  Exit codes: 0 success, 1 usage, user or data
+error, 2 backend error.
 """
 
 import argparse
@@ -31,6 +31,15 @@ EXIT_BACKEND_ERROR = 2
 def _exit_code(exc: HoloRagError) -> int:
     """Backend errors (the RuntimeError family) exit 2, data and usage errors 1."""
     return EXIT_BACKEND_ERROR if isinstance(exc, RuntimeError) else EXIT_USER_ERROR
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits EXIT_USER_ERROR, not argparse's 2, which here means a
+    backend error; subparsers are built with this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USER_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -186,7 +195,7 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holorag",
         description="Holistic retrieval and uncertainty-routed generation engine",
     )

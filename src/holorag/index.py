@@ -9,7 +9,9 @@ rows score equal, and one tie-safe cut ranks both modes: it sorts only the
 rows it keeps, by score, then doc_id, then pool name.  Masked scoring walks
 the live rows in fixed blocks, spread over one worker per CPU this process
 may run on: the calling thread and the threads of one module-wide pool each
-take the next block until none is left.  Each worker gathers its blocks
+take the next block until none is left.  The pool is built with the module
+but starts its threads only when the first masked scan submits to it, and a
+forked child builds a pool of its own.  Each worker gathers its blocks
 into its own (block, d) buffer and masks them in place, so no query
 allocates an (n, d) temporary.  Every row is scored by the same arithmetic
 whichever thread scans it, so scores do not depend on the worker count.
@@ -25,7 +27,6 @@ import itertools
 import json
 import os
 import sys
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -60,8 +61,6 @@ _BLOCK_ROWS = 512
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
-_executor: Optional[ThreadPoolExecutor] = None
-_executor_lock = threading.Lock()
 
 Key = Tuple[str, str]
 
@@ -279,23 +278,19 @@ def ingest_corpus(path: Union[str, Path]) -> Pool:
     return Pool(name=keys[0][0], matrix=matrix, keys=keys, metadata=metadata)
 
 
-def _scan_executor() -> ThreadPoolExecutor:
-    """The module's pool of ``_WORKERS - 1`` scan threads, created on first use."""
+def _start_scan_pool() -> None:
+    """Bind ``_executor`` to a new pool of ``_WORKERS - 1`` scan threads, at least one.
+
+    A pool starts no thread until its first submit.  This runs at import, and
+    again in a forked child, which has none of its parent's threads.
+    """
     global _executor
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="holorag-scan")
-        return _executor
+    _executor = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="holorag-scan")
 
 
-def _forget_executor() -> None:
-    """A forked child has none of its parent's threads, so it starts a pool of its own."""
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
-
-
+_start_scan_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_executor)
+    os.register_at_fork(after_in_child=_start_scan_pool)
 
 
 def _scan_blocks(
@@ -340,8 +335,10 @@ def top_k(
     by one worker per CPU in this process's affinity mask, at most one per
     block: the calling thread and the module's scan threads each run
     `_scan_blocks`, taking the next block until none is left, and the call
-    returns once every worker is done.  A one-block or empty scan, or a
-    one-CPU process, runs `_scan_blocks` in the caller alone.  Each row is
+    returns once every worker is done.  The scan pool is built with the
+    module; its threads start when the first masked scan submits to it, and
+    a forked child builds its own.  A one-block or empty scan, or a one-CPU
+    process, runs `_scan_blocks` in the caller alone.  Each row is
     scored by the same arithmetic in any block on any thread, so the scores
     do not depend on the worker count.
     Both modes then score each row with the same row-wise formula,
@@ -387,7 +384,7 @@ def top_k(
         # no CPU leaves its blocks to the others; a scan of no rows runs in the caller
         workers = max(1, min(_WORKERS, len(starts)))
         scan = functools.partial(_scan_blocks, pool, q, alpha, rows, dots, norms, iter(starts))
-        others = [_scan_executor().submit(scan) for _ in range(1, workers)]
+        others = [_executor.submit(scan) for _ in range(1, workers)]
         try:
             scan()
         finally:

@@ -144,13 +144,17 @@ class TestTemplates:
         assert "{query}" not in prompt
 
     def test_braces_in_content_are_safe(self):
-        req = GenerationRequest(
-            prompt_role=PromptRole.ANSWER,
-            query="values like {x}",
-            context_docs=(DocRef("d1", text='{"json": [1, 2]}'),),
-        )
-        prompt = render_prompt(req)
-        assert '{"json": [1, 2]}' in prompt
+        """Each placeholder is filled once: what one value brings in is never filled."""
+        for query, text, prior in (
+            ("values like {x}", '{"json": [1, 2]}', "none yet"),
+            ("what is in {context}?", "twelve", "none yet"),
+            ("how many?", "see {prior} and {query}", "eleven"),
+        ):
+            docs = (DocRef("d1", text=text),)
+            prompt = render_prompt(GenerationRequest(PromptRole.DECOUPLE, query, docs, prior))
+            assert f"Question: {query}\n" in prompt
+            assert f"Salient knowledge:\n[d1] {text}\n" in prompt
+            assert f"Mined details:\n{prior}\n" in prompt
 
     def test_judge_retry_appends_a_corrective_line(self):
         """Iteration 0 renders the bare template; the retry ends with one more line."""
@@ -240,6 +244,8 @@ class TestMockBackend:
             '{"role": "answer", "query": "q1", "docs": ["d1"], "text": "42", "token_probs": []}',
             '{"role": "answer", "query": "q1", "docs": ["d1"], "text": "42", '
             '"token_probs": [true]}',
+            '{"role": "answer", "query": "q1", "docs": ["d1"], "iteration": true, '
+            '"text": "42", "token_probs": [1.0]}',
             '{"embed": "query", "key": "q2", "vector": ["1", true]}',
             '{"embed": "query", "key": "q2", "vector": [true, false]}',
             '{"embed": "query", "key": "q2", "vector": [null, 1.0]}',
@@ -256,6 +262,7 @@ class TestMockBackend:
             "doc-id-not-string",
             "empty-token-probs",
             "token-prob-true",
+            "iteration-true",
             "vector-str-and-bool",
             "vector-bool",
             "vector-null",

@@ -84,8 +84,17 @@ def test_choice_flags_reject_bad_values(name, retrieve_args, capsys):
     flag = "--" + name.replace("_", "-")
     with pytest.raises(SystemExit) as exit_info:
         main(retrieve_args + [flag, "bogus"])
-    assert exit_info.value.code == 2
+    assert exit_info.value.code == EXIT_USER_ERROR
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_missing_required_flag_exits_user_error(retrieve_args, capsys):
+    """A usage error is the user's, so it never exits EXIT_BACKEND_ERROR."""
+    at = retrieve_args.index("--query")
+    with pytest.raises(SystemExit) as exit_info:
+        main(retrieve_args[:at] + retrieve_args[at + 2 :])
+    assert exit_info.value.code == EXIT_USER_ERROR
+    assert "the following arguments are required: --query" in capsys.readouterr().err
 
 
 def test_flag_overrides_config_file(retrieve_args, tmp_path, capsys):
@@ -446,6 +455,18 @@ def test_out_of_range_config_value_exits_user_error(values, retrieve_args, tmp_p
 def test_loss_check_default_arguments_pass(capsys):
     assert main(["loss-check", "--seed", "0"]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("suite", ["oracle", "gradient"])
+def test_loss_check_of_no_batches_fails(suite, count, capsys):
+    """A suite that ran no batch checked nothing, so it does not pass."""
+    args = ["loss-check", "--oracle-batches", "1", "--gradient-batches", "1", "--json"]
+    args[args.index(f"--{suite}-batches") + 1] = str(count)
+    assert main(args) == EXIT_USER_ERROR
+    report = json.loads(capsys.readouterr().out)
+    assert not report[suite]["passed"]
+    assert report["passed"] is False
 
 
 def test_loss_check_injected_bug_fails(monkeypatch, capsys):

@@ -79,3 +79,18 @@ def test_one_url_check():
         if name in ("urlsplit", "urlparse", "urlunsplit", "urlunparse")
     )
     assert found == [("src/holorag/backends/http.py", "_split_url")]
+
+
+def test_thread_pools_are_built_in_two_places():
+    """`evaluation._evaluate` builds the evaluation workers' pool, and
+    `index._start_scan_pool` the masked scan's, at import and after a fork."""
+    found = sorted(
+        (str(path.relative_to(REPO)), function)
+        for path in (REPO / "src" / "holorag").rglob("*.py")
+        for function, name in calls_by_function(path)
+        if name == "ThreadPoolExecutor"
+    )
+    assert found == [
+        ("src/holorag/evaluation.py", "_evaluate"),
+        ("src/holorag/index.py", "_start_scan_pool"),
+    ]

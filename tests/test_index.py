@@ -11,6 +11,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -514,17 +515,15 @@ def scan_workers(count, block):
         time.sleep(0.001)
         return original(queries, documents, *args, **kwargs)
 
+    executor = ThreadPoolExecutor(max(1, count - 1))
     with contextlib.ExitStack() as stack:
+        stack.callback(executor.shutdown)
         for name, value in (
-            ("_WORKERS", count), ("_BLOCK_ROWS", block), ("_executor", None),
+            ("_WORKERS", count), ("_BLOCK_ROWS", block), ("_executor", executor),
             ("mask_pipeline", slowed),
         ):
             stack.enter_context(mock.patch.object(index, name, value))
-        try:
-            yield threads
-        finally:
-            if index._executor is not None:
-                index._executor.shutdown()
+        yield threads
 
 
 class TestParallelScan:
