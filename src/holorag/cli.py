@@ -42,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USER_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy's generators take non-negative integers only."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per non-bool RunConfig field, plus --no-skip-on-error."""
     parser.add_argument("--config", help="JSON config file; flags override its values")
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "loss-check", help="check loss values and gradients on random batches; exit 1 on a failure"
     )
-    p_check.add_argument("--seed", type=int, default=0, help="seed of the random batches")
+    p_check.add_argument("--seed", type=_seed, default=0, help="seed of the random batches")
     p_check.add_argument("--oracle-batches", type=int, default=50, help="batches of loss values")
     p_check.add_argument("--gradient-batches", type=int, default=9, help="batches of gradients")
     p_check.add_argument("--json", action="store_true", help="emit the report as JSON")

@@ -10,15 +10,19 @@ pairs with in-batch negatives:
 * sparse matching: the query-anchored form averaged over the disjoint submask
   parts of the anchor pair, again masking every candidate per term.
 
-The combined objective is dense + beta * sparse.  Gradients treat the masks
-as constants (the thresholding that builds them is piecewise constant) and a
-central-difference checker provides an independent numerical cross-check.
+The combined objective is dense + beta * sparse.  A `Batch` computes every
+term's similarities once, on first use, for `total_loss` and `loss_gradients`
+both; the unmasked terms need no mask product.  Gradients treat the masks as
+constants (the thresholding that builds them is piecewise constant) and a
+central-difference checker, recomputing each loss from raw arrays, provides
+an independent numerical cross-check.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from dataclasses import InitVar, dataclass
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,18 +47,21 @@ class Batch:
     ``queries`` and ``positives`` are (B, d); ``masks`` is (B, d) with entries
     in {0, 0.5, 1}; ``submasks`` is (B, N, d) holding each pair's N disjoint
     mask parts.  positives[j], j != i serve as in-batch negatives for pair i.
+    It keeps read-only copies, so its cached similarities cannot go stale;
+    ``_owned`` lets `build_batch` hand over the fresh arrays it made uncopied.
     """
 
     queries: np.ndarray
     positives: np.ndarray
     masks: np.ndarray
     submasks: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        q = np.asarray(self.queries, dtype=np.float64)
-        d = np.asarray(self.positives, dtype=np.float64)
-        m = np.asarray(self.masks, dtype=np.float64)
-        s = np.asarray(self.submasks, dtype=np.float64)
+    def __post_init__(self, _owned: bool):
+        q, d, m, s = (
+            np.array(arr, dtype=np.float64, copy=not _owned)
+            for arr in (self.queries, self.positives, self.masks, self.submasks)
+        )
         if q.ndim != 2 or q.shape[0] < 1:
             raise ValueError("queries must be a (B, d) array with B >= 1")
         if d.shape != q.shape or m.shape != q.shape:
@@ -75,6 +82,12 @@ class Batch:
     def n_submasks(self) -> int:
         return int(self.submasks.shape[1])
 
+    @cached_property
+    def _sims(self) -> list:
+        """`_masked_sims` of every term, in `_term_inputs` order, built on first use."""
+        terms = _term_inputs(self.queries, self.positives, self.masks, self.submasks)
+        return [_masked_sims(*term) for term in terms]
+
 
 @dataclass(frozen=True)
 class LossReport:
@@ -84,6 +97,13 @@ class LossReport:
     l_din: float
     l_sin: float
     total: float
+
+
+def _rows(vectors: Sequence) -> np.ndarray:
+    """A fresh float64 (B, d) array; an ndarray is copied whole, a list row by row."""
+    if not isinstance(vectors, np.ndarray):
+        vectors = [v.values if isinstance(v, Embedding) else v for v in vectors]
+    return np.array(vectors, dtype=np.float64)
 
 
 def build_batch(
@@ -96,25 +116,20 @@ def build_batch(
     """Derive masks and submasks for raw vector pairs and pack a Batch.
 
     The masks come from one `mask_pipeline` call with band width ``alpha``
-    (its eps is a constant).  Pair i's partition uses seed + i so distinct
-    pairs randomize independently while the whole batch stays reproducible.
+    (its eps is a constant), and the submasks from one `partition_mask` call,
+    which seeds pair i's split with seed + i so distinct pairs randomize
+    independently while the whole batch stays reproducible.
 
     Raises:
         ZeroVectorError: if any query or document has zero norm.
         PartitionTooFineError: if ``n_parts`` exceeds a pair's mask support.
-        ValueError: if alpha is not finite and > 0, or the lists misalign.
+        ValueError: if alpha is not finite and > 0, or the lists are empty or misalign.
     """
-    if len(queries) != len(documents):
-        raise ValueError("queries and documents must align")
-    qs = np.stack([v.values if isinstance(v, Embedding) else v for v in queries])
-    ds = np.stack([v.values if isinstance(v, Embedding) else v for v in documents])
+    if len(queries) != len(documents) or len(queries) == 0:
+        raise ValueError("queries and documents must be nonempty and align")
+    qs, ds = _rows(queries), _rows(documents)
     masks = mask_pipeline(qs, ds, alpha)
-    return Batch(
-        queries=qs,
-        positives=ds,
-        masks=masks,
-        submasks=np.stack([partition_mask(m, n_parts, seed + i) for i, m in enumerate(masks)]),
-    )
+    return Batch(qs, ds, masks, partition_mask(masks, n_parts, seed), _owned=True)
 
 
 def _softmax_loss_rows(sims: np.ndarray, tau: float) -> np.ndarray:
@@ -126,30 +141,37 @@ def _softmax_loss_rows(sims: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _masked_sims(
-    anchors: np.ndarray, cands: np.ndarray, mask_rows: np.ndarray
+    anchors: np.ndarray, cands: np.ndarray, mask_rows: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """sims[i, j] = cos(a_i, c_j * m_i); a pair with a zero vector scores 0.
 
     Also returns the anchor norms (B,), the masked candidate norms
     |c_j * m_i| as a (B, B) matrix, and the (B, B) boolean matrix of pairs
-    whose vectors are both nonzero.
+    whose vectors are both nonzero.  With ``mask_rows`` None no candidate is
+    masked, and the candidate norms are the (B,) row norms |c_j|.
     """
     an = np.linalg.norm(anchors, axis=1)
-    # dot(a_i, c_j * m_i) == dot(a_i * m_i, c_j); |c_j * m_i|^2 == m_i^2 . c_j^2
-    dots = (anchors * mask_rows) @ cands.T
-    cn = np.sqrt(np.square(mask_rows) @ np.square(cands).T)
+    if mask_rows is None:
+        dots = anchors @ cands.T
+        cn = np.linalg.norm(cands, axis=1)
+    else:
+        # dot(a_i, c_j * m_i) == dot(a_i * m_i, c_j); |c_j * m_i|^2 == m_i^2 . c_j^2
+        dots = (anchors * mask_rows) @ cands.T
+        cn = np.sqrt(np.square(mask_rows) @ np.square(cands).T)
     denom = an[:, None] * cn
     valid = denom > 0.0
     sims = np.divide(dots, denom, out=np.zeros_like(dots), where=valid)
     return sims, an, cn, valid
 
 
-def _term_rows(
-    anchors: np.ndarray, cands: np.ndarray, mask_rows: np.ndarray, tau: float
-) -> Tuple[np.ndarray, int]:
-    """Per-anchor loss of one contrastive term and its count of zero-vector pairs."""
-    sims, _, _, valid = _masked_sims(anchors, cands, mask_rows)
-    return _softmax_loss_rows(sims, tau), int(valid.size - np.count_nonzero(valid))
+def _term_inputs(q: np.ndarray, d: np.ndarray, masks: np.ndarray, submasks: np.ndarray):
+    """(anchors, candidates, mask rows or None) of the plain, dense query-anchored,
+    dense document-anchored and sparse terms, making each only when it is reached."""
+    yield q, d, None
+    yield q, d, masks
+    yield d * masks, q, None
+    for s in range(submasks.shape[1]):
+        yield q, d, submasks[:, s]
 
 
 def _warn_zero_sims(count: int) -> None:
@@ -169,41 +191,26 @@ def _check_tau_beta(tau: float, beta: float) -> None:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
 
 
-def _forward(
-    queries: np.ndarray,
-    documents: np.ndarray,
-    masks: np.ndarray,
-    submasks: np.ndarray,
-    tau: float,
-) -> Tuple[float, float, float, int]:
-    """Vectorized (l_in, l_din, l_sin, zero_count) for one batch."""
-    ones = np.ones_like(queries)
-    plain, z0 = _term_rows(queries, documents, ones, tau)
-    fwd, z1 = _term_rows(queries, documents, masks, tau)
-    bwd, z2 = _term_rows(documents * masks, queries, ones, tau)
-    sparse = [
-        _term_rows(queries, documents, submasks[:, s], tau) for s in range(submasks.shape[1])
-    ]
+def _forward(similarities: list, tau: float) -> Tuple[float, float, float, int]:
+    """(l_in, l_din, l_sin, zero_count) from every term's `_masked_sims`."""
+    plain, fwd, bwd, *sparse = (_softmax_loss_rows(sims, tau) for sims, _, _, _ in similarities)
+    zeros = sum(int(valid.size - np.count_nonzero(valid)) for _, _, _, valid in similarities)
     l_in = float(plain.mean())
     l_din = float((0.5 * (fwd + bwd)).mean())
-    l_sin = float((sum(rows for rows, _ in sparse) / len(sparse)).mean())
-    return l_in, l_din, l_sin, z0 + z1 + z2 + sum(z for _, z in sparse)
+    l_sin = float((sum(sparse) / len(sparse)).mean())
+    return l_in, l_din, l_sin, zeros
 
 
 def total_loss(batch: Batch, tau: float, beta: float) -> LossReport:
     """Full loss report: plain, dense, sparse, and dense + beta * sparse."""
     _check_tau_beta(tau, beta)
-    l_in, l_din, l_sin, zeros = _forward(
-        batch.queries, batch.positives, batch.masks, batch.submasks, tau
-    )
+    l_in, l_din, l_sin, zeros = _forward(batch._sims, tau)
     _warn_zero_sims(zeros)
     return LossReport(l_in=l_in, l_din=l_din, l_sin=l_sin, total=l_din + beta * l_sin)
 
 
-def _term_backward(
-    anchors: np.ndarray, cands: np.ndarray, mask_rows: np.ndarray, tau: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Gradients of the summed `_term_rows` loss w.r.t. anchors and candidates.
+def _term_backward(term: tuple, similarities: tuple, tau: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gradients of one term's summed row losses w.r.t. its anchors and candidates.
 
     With S from `_masked_sims`, coef = (softmax(S / tau) - I) / tau is the
     gradient w.r.t. S, W = coef / (|a_i| |c_j m_i|) and V = coef S / |c_j m_i|^2:
@@ -211,10 +218,13 @@ def _term_backward(
         d_anchors = M (W C) - rowsum(coef S) A / |A|^2
         d_cands = W^T (M A) - C (V^T M^2)
 
-    Products of same-shape arrays are elementwise.  Pairs with a zero vector
-    have the constant similarity 0 and pass no gradient.
+    Products of same-shape arrays are elementwise.  An unmasked term (M = 1)
+    drops the mask products, and V^T M^2 becomes the column sums of V.
+    Pairs with a zero vector have the constant similarity 0 and pass no
+    gradient.
     """
-    sims, an, cn, valid = _masked_sims(anchors, cands, mask_rows)
+    anchors, cands, mask_rows = term
+    sims, an, cn, valid = similarities
     z = sims / tau
     p = np.exp(z - z.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
@@ -224,8 +234,12 @@ def _term_backward(
     v = np.divide(coef_s, np.square(cn), out=np.zeros_like(coef), where=valid)
     an_sq = np.square(an)
     radial = coef_s.sum(axis=1) / np.where(an_sq > 0.0, an_sq, 1.0)
-    d_anchors = mask_rows * (w @ cands) - radial[:, None] * anchors
-    d_cands = w.T @ (mask_rows * anchors) - cands * (v.T @ np.square(mask_rows))
+    if mask_rows is None:
+        d_anchors = w @ cands - radial[:, None] * anchors
+        d_cands = w.T @ anchors - cands * v.sum(axis=0)[:, None]
+    else:
+        d_anchors = mask_rows * (w @ cands) - radial[:, None] * anchors
+        d_cands = w.T @ (mask_rows * anchors) - cands * (v.T @ np.square(mask_rows))
     return d_anchors, d_cands
 
 
@@ -237,21 +251,23 @@ def loss_gradients(batch: Batch, tau: float, beta: float) -> Tuple[np.ndarray, n
     """
     _check_tau_beta(tau, beta)
     q, d, m = batch.queries, batch.positives, batch.masks
+    terms = zip(_term_inputs(q, d, m, batch.submasks), batch._sims)
+    next(terms)  # the plain term is not in the combined loss
     w_dense = 0.5 / batch.size
 
     # dense, query anchors: candidates are the documents under the anchor pair's mask
-    da, dc = _term_backward(q, d, m, tau)
+    da, dc = _term_backward(*next(terms), tau)
     grad_q = w_dense * da
     grad_d = w_dense * dc
 
     # dense, masked-document anchors: candidates are the raw queries
-    da, dc = _term_backward(d * m, q, np.ones_like(q), tau)
+    da, dc = _term_backward(*next(terms), tau)
     grad_d += w_dense * da * m
     grad_q += w_dense * dc
 
     w_sparse = beta / (batch.size * batch.n_submasks)
-    for s in range(batch.n_submasks):
-        da, dc = _term_backward(q, d, batch.submasks[:, s], tau)
+    for term, similarities in terms:
+        da, dc = _term_backward(term, similarities, tau)
         grad_q += w_sparse * da
         grad_d += w_sparse * dc
     return grad_q, grad_d
@@ -261,7 +277,8 @@ def finite_difference_check(point: Batch, tau: float, beta: float, step: float) 
     """Worst central-difference discrepancy of the analytic gradients.
 
     Perturbs every query and positive coordinate by +/- step, recomputes the
-    combined loss, and compares against `loss_gradients`.  The per-coordinate
+    combined loss from the raw arrays (never from the batch's cached
+    similarities), and compares against `loss_gradients`.  The per-coordinate
     error is |fd - analytic| / max(1, |fd|, |analytic|), so near-zero
     gradients are judged on absolute error.  Steps near the rounding floor
     (1e-12 and below) lose all their significant digits to cancellation and
@@ -279,7 +296,8 @@ def finite_difference_check(point: Batch, tau: float, beta: float, step: float) 
         arrays = [point.queries, point.positives]
         arrays[which] = arrays[which].copy()
         arrays[which][idx] += delta
-        _, l_din, l_sin, _ = _forward(*arrays, point.masks, point.submasks, tau)
+        terms = _term_inputs(*arrays, point.masks, point.submasks)
+        _, l_din, l_sin, _ = _forward([_masked_sims(*term) for term in terms], tau)
         return l_din + beta * l_sin
 
     worst = 0.0

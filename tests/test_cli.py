@@ -457,6 +457,14 @@ def test_loss_check_default_arguments_pass(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_loss_check_negative_seed_exits_user_error(capsys):
+    """numpy's generators reject a negative seed, so the parser does first."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["loss-check", "--seed", "-1"])
+    assert exit_info.value.code == EXIT_USER_ERROR
+    assert "error: argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("count", [0, -1])
 @pytest.mark.parametrize("suite", ["oracle", "gradient"])
 def test_loss_check_of_no_batches_fails(suite, count, capsys):

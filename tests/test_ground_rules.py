@@ -94,3 +94,15 @@ def test_thread_pools_are_built_in_two_places():
         ("src/holorag/evaluation.py", "_evaluate"),
         ("src/holorag/index.py", "_start_scan_pool"),
     ]
+
+
+def test_similarities_are_built_in_two_places():
+    """A batch's cached `_sims` and the finite-difference checker's perturbed losses
+    (in its ``shifted``) alone call `losses._masked_sims`."""
+    found = sorted(
+        (str(path.relative_to(REPO)), function)
+        for path in (REPO / "src" / "holorag").rglob("*.py")
+        for function, name in calls_by_function(path)
+        if name == "_masked_sims"
+    )
+    assert found == [("src/holorag/losses.py", "_sims"), ("src/holorag/losses.py", "shifted")]

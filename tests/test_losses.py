@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mask_oracle
-from holorag import checks
+from holorag import checks, losses
 from holorag.checks import random_batch
 from holorag.errors import (
     DimensionMismatchError,
@@ -349,6 +349,50 @@ class TestGradients:
                 finite_difference_check(crafted_batch(), 0.5, 1.0, step=step)
 
 
+class TestSharedSimilarities:
+    @pytest.mark.parametrize("first", ["total_loss", "loss_gradients"])
+    def test_one_similarity_pass_per_batch(self, first, monkeypatch):
+        calls = []
+        real = losses._masked_sims
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(losses, "_masked_sims", counted)
+        batch = random_batch(np.random.default_rng(43), b=5, d=12, n_parts=3)
+        arrays = (batch.queries, batch.positives, batch.masks, batch.submasks)
+        steps = {"total_loss": total_loss, "loss_gradients": loss_gradients}
+        second = "loss_gradients" if first == "total_loss" else "total_loss"
+        got = {name: steps[name](batch, 0.1, 1.3) for name in (first, second, first, second)}
+        assert len(calls) == 3 + batch.n_submasks
+
+        fresh = Batch(*arrays)
+        assert total_loss(fresh, 0.1, 1.3) == got["total_loss"]
+        for g, w in zip(loss_gradients(fresh, 0.1, 1.3), got["loss_gradients"]):
+            np.testing.assert_array_equal(g, w)
+        assert len(calls) == 2 * (3 + batch.n_submasks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch=degenerate_batches(), tau=st.sampled_from([0.01, 0.1, 1.0]))
+    def test_unmasked_terms_match_all_ones_masks(self, batch, tau):
+        """The plain and document-anchored terms take no mask; an all-ones mask
+        must give the same similarities and gradients."""
+        q, d = batch.queries, batch.positives
+        for anchors, cands in ((q, d), (d * batch.masks, q)):
+            ones = np.ones_like(anchors)
+            bare = losses._masked_sims(anchors, cands, None)
+            full = losses._masked_sims(anchors, cands, ones)
+            np.testing.assert_array_equal(bare[1], full[1])
+            np.testing.assert_array_equal(bare[3], full[3])
+            for b, f in ((bare[0], full[0]), (np.broadcast_to(bare[2], full[2].shape), full[2])):
+                assert np.abs(b - f).max() <= 1e-12 * max(1.0, float(np.abs(f).max()))
+            got = losses._term_backward((anchors, cands, None), bare, tau)
+            want = losses._term_backward((anchors, cands, ones), full, tau)
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-12 * max(1.0, float(np.abs(w).max()))
+
+
 class TestCheckHarness:
     def test_tune_workload_calls(self):
         """The self-checks run as the tune benchmark calls them, by keyword, and pass."""
@@ -381,6 +425,10 @@ class TestBatchConstruction:
     def test_build_batch_length_mismatch(self):
         with pytest.raises(ValueError, match="align"):
             build_batch([[1.0, 2.0, 3.0]] * 2, [[3.0, 1.0, 2.0]], n_parts=1)
+
+    def test_build_batch_of_no_pairs(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            build_batch(np.empty((0, 3)), np.empty((0, 3)), n_parts=1)
 
     @pytest.mark.parametrize("zero", ["query", "document"])
     def test_build_batch_zero_vector(self, zero):
@@ -425,6 +473,39 @@ class TestBatchConstruction:
         got = build_batch(queries, documents, alpha, n_parts, seed)
         for name in ("queries", "positives", "masks", "submasks"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_batch_owns_copies_of_its_arrays(self):
+        """Writing to the caller's arrays, or to the base they view, after the batch is
+        built changes no loss or gradient, cached or not; and no caller array is frozen."""
+        rng = np.random.default_rng(44)
+        want = random_batch(rng, b=3, d=8, n_parts=2)
+        report, grads = total_loss(want, 0.1, 1.0), loss_gradients(want, 0.1, 1.0)
+        for warm in (False, True):
+            base = np.concatenate([want.queries, want.positives, want.masks])
+            submasks = want.submasks.copy()
+            batch = Batch(base[:3], base[3:6], base[6:], submasks)
+            assert not any(np.shares_memory(getattr(batch, name), arr) for name, arr in (
+                ("queries", base), ("positives", base), ("masks", base), ("submasks", submasks)
+            ))
+            if warm:
+                assert total_loss(batch, 0.1, 1.0) == report
+            assert base.flags.writeable and submasks.flags.writeable
+            base[:] = 1.0
+            submasks[:] = 0.5
+            assert total_loss(batch, 0.1, 1.0) == report
+            for g, w in zip(loss_gradients(batch, 0.1, 1.0), grads):
+                np.testing.assert_array_equal(g, w)
+
+    def test_build_batch_copies_array_inputs(self):
+        rng = np.random.default_rng(45)
+        queries, documents = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
+        batch = build_batch(queries, documents, n_parts=2, seed=4)
+        for arr in (queries, documents):
+            assert arr.flags.writeable
+            assert not any(np.shares_memory(arr, getattr(batch, name))
+                           for name in ("queries", "positives"))
+        np.testing.assert_array_equal(batch.queries, queries)
+        assert not batch.queries.flags.writeable
 
     def test_build_batch_round_trip(self):
         rng = np.random.default_rng(37)

@@ -252,15 +252,19 @@ class TestPartitionMask:
     def _mask(self, weights):
         return np.asarray(weights, dtype=np.float64)
 
+    def _split(self, weights, n_parts, seed):
+        """The (n_parts, d) split of one mask row, through the batched function."""
+        return partition_mask(self._mask(weights)[None], n_parts, seed)[0]
+
     def test_single_part_identity(self):
         mask = self._mask([1.0, 0.5, 0.0, 1.0])
-        parts = partition_mask(mask, 1, seed=3)
+        parts = self._split(mask, 1, seed=3)
         assert parts.shape == (1, 4)
         np.testing.assert_array_equal(parts[0], mask)
 
     def test_two_parts_disjoint_and_reconstruct(self):
         mask = self._mask([1.0, 0.5, 0.0, 1.0])
-        parts = partition_mask(mask, 2, seed=9)
+        parts = self._split(mask, 2, seed=9)
         assert parts.shape == (2, 4)
         np.testing.assert_array_equal(parts[0] * parts[1], np.zeros(4))
         np.testing.assert_array_equal(parts.max(axis=0), mask)
@@ -268,20 +272,20 @@ class TestPartitionMask:
 
     def test_empty_support(self):
         with pytest.raises(PartitionTooFineError):
-            partition_mask(self._mask([0.0, 0.0, 0.0]), 2, seed=0)
+            self._split([0.0, 0.0, 0.0], 2, seed=0)
 
     def test_too_many_parts(self):
         with pytest.raises(PartitionTooFineError):
-            partition_mask(self._mask([1.0, 0.0, 0.5]), 3, seed=0)
+            self._split([1.0, 0.0, 0.5], 3, seed=0)
 
     def test_n_parts_at_least_one(self):
         with pytest.raises(ValueError):
-            partition_mask(self._mask([1.0, 1.0]), 0, seed=0)
+            self._split([1.0, 1.0], 0, seed=0)
 
     def test_determinism(self):
         mask = self._mask([1.0, 0.5, 1.0, 0.0, 0.5, 1.0])
         np.testing.assert_array_equal(
-            partition_mask(mask, 3, seed=123), partition_mask(mask, 3, seed=123)
+            self._split(mask, 3, seed=123), self._split(mask, 3, seed=123)
         )
 
     def test_random_partitions_lawful(self):
@@ -293,21 +297,31 @@ class TestPartitionMask:
                 levels[0] = 1.0
             mask = self._mask(levels)
             n = int(rng.integers(1, min(4, np.count_nonzero(mask)) + 1))
-            stacked = partition_mask(mask, n, seed=int(rng.integers(1 << 31)))
+            stacked = self._split(mask, n, seed=int(rng.integers(1 << 31)))
             np.testing.assert_array_equal(stacked.max(axis=0), mask)
             for i in range(n):
                 for j in range(i + 1, n):
                     assert not np.any(stacked[i] * stacked[j])
 
     def test_matches_staged_oracle(self):
+        # every row of a batch, seeded seed + i, splits as the oracle splits it alone
         rng = np.random.default_rng(34)
         for _ in range(100):
-            levels = rng.choice([0.0, 0.5, 1.0], size=int(rng.integers(1, 32)))
-            levels[0] = 1.0
-            n = int(rng.integers(1, np.count_nonzero(levels) + 1))
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 32)))
+            levels = rng.choice([0.0, 0.5, 1.0], size=shape)
+            levels[:, 0] = 1.0
+            n = int(rng.integers(1, np.count_nonzero(levels, axis=1).min() + 1))
             seed = int(rng.integers(1 << 31))
-            want = mask_oracle.partition_mask(mask_oracle.HybridMask(levels, 0.5), n, seed)
-            np.testing.assert_array_equal(partition_mask(levels, n, seed), np.stack(want.parts))
+            got = partition_mask(levels, n, seed)
+            for i, row in enumerate(levels):
+                want = mask_oracle.partition_mask(mask_oracle.HybridMask(row, 0.5), n, seed + i)
+                np.testing.assert_array_equal(got[i], np.stack(want.parts))
+
+    def test_fails_on_the_row_too_narrow_to_split(self):
+        masks = self._mask([[1.0, 0.5, 1.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.5]])
+        assert partition_mask(masks, 1, seed=0).shape == (3, 1, 3)
+        with pytest.raises(PartitionTooFineError, match="cannot split 1 nonzero"):
+            partition_mask(masks, 2, seed=0)
 
 
 @st.composite
