@@ -7,14 +7,13 @@ merging build new pools.  Retrieval is an exact full scan (corpora here are
 desk scale): both scoring modes share one row-wise cosine formula, so equal
 rows score equal, and one tie-safe cut ranks both modes: it sorts only the
 rows it keeps, by score, then doc_id, then pool name.  Masked scoring walks
-the live rows in fixed blocks, spread over one worker per CPU this process
-may run on: the calling thread and the threads of one module-wide pool each
-take the next block until none is left.  The pool is built with the module
-but starts its threads only when the first masked scan submits to it, and a
-forked child builds a pool of its own.  Each worker gathers its blocks
-into its own (block, d) buffer and masks them in place, so no query
-allocates an (n, d) temporary.  Every row is scored by the same arithmetic
-whichever thread scans it, so scores do not depend on the worker count.
+the live rows in fixed blocks, spread by `workers.share` over the calling
+thread and the threads of the pool that `workers` owns, which the losses
+use too: each worker takes the next block until none is left.  Each worker
+gathers its blocks into its own (block, d) buffer and masks them in place,
+so no query allocates an (n, d) temporary.  Every row is scored by the same
+arithmetic whichever thread scans it, so scores do not depend on the worker
+count.
 A snapshot (format 2) holds the records' keys and
 metadata as JSON lines and the matrix after them as raw little-endian
 float64, so saving and loading never format or parse a float; format 1
@@ -28,13 +27,13 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import workers
 from .config import CHOICES
 from .errors import (
     CorpusParseError,
@@ -55,12 +54,6 @@ MERGED_POOL_NAME = "all"
 
 # rows per block of masked scoring: the block's mask temporaries stay in cache
 _BLOCK_ROWS = 512
-
-# threads that scan the blocks of one masked query, the caller included; numpy
-# releases the GIL inside its loops over blocks this size
-_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
 
 Key = Tuple[str, str]
 
@@ -278,21 +271,6 @@ def ingest_corpus(path: Union[str, Path]) -> Pool:
     return Pool(name=keys[0][0], matrix=matrix, keys=keys, metadata=metadata)
 
 
-def _start_scan_pool() -> None:
-    """Bind ``_executor`` to a new pool of ``_WORKERS - 1`` scan threads, at least one.
-
-    A pool starts no thread until its first submit.  This runs at import, and
-    again in a forked child, which has none of its parent's threads.
-    """
-    global _executor
-    _executor = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="holorag-scan")
-
-
-_start_scan_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_start_scan_pool)
-
-
 def _scan_blocks(
     pool: Pool, q: np.ndarray, alpha: float, rows: np.ndarray,
     dots: np.ndarray, norms: np.ndarray, starts: Iterator[int],
@@ -332,15 +310,13 @@ def top_k(
     ``scoring="masked"`` first multiplies every document by its hybrid mask
     against the query, whose band width is ``alpha``; its numerical guard eps
     is a constant.  The live rows are masked in blocks of ``_BLOCK_ROWS``
-    by one worker per CPU in this process's affinity mask, at most one per
-    block: the calling thread and the module's scan threads each run
-    `_scan_blocks`, taking the next block until none is left, and the call
-    returns once every worker is done.  The scan pool is built with the
-    module; its threads start when the first masked scan submits to it, and
-    a forked child builds its own.  A one-block or empty scan, or a one-CPU
-    process, runs `_scan_blocks` in the caller alone.  Each row is
-    scored by the same arithmetic in any block on any thread, so the scores
-    do not depend on the worker count.
+    by `workers.share`, one worker per CPU in this process's affinity mask,
+    at most one per block: the calling thread and the shared pool's threads
+    each run `_scan_blocks`, taking the next block until none is left, and
+    the call returns once every worker is done.  A one-block or empty scan,
+    or a one-CPU process, runs `_scan_blocks` in the caller alone.  Each row
+    is scored by the same arithmetic in any block on any thread, so the
+    scores do not depend on the worker count.
     Both modes then score each row with the same row-wise formula,
     dot(q, x) / (|q| |x|), so exact duplicate rows score bit-identically,
     in one block or in two.  Cosine mode divides by the norms the pool
@@ -380,17 +356,8 @@ def top_k(
         rows = np.flatnonzero(pool._norms)
         dots, norms = np.empty(len(rows)), np.empty(len(rows))
         starts = range(0, len(rows), _BLOCK_ROWS)
-        # each worker takes the next block when it is free, so a worker that gets
-        # no CPU leaves its blocks to the others; a scan of no rows runs in the caller
-        workers = max(1, min(_WORKERS, len(starts)))
         scan = functools.partial(_scan_blocks, pool, q, alpha, rows, dots, norms, iter(starts))
-        others = [_executor.submit(scan) for _ in range(1, workers)]
-        try:
-            scan()
-        finally:
-            wait(others)  # no worker outlives the call, even when the caller's raised
-        for future in others:
-            future.result()
+        workers.share(scan, len(starts))
     else:
         rows, norms = slice(None), pool._norms
         dots = np.einsum("ij,j->i", pool.matrix, q)

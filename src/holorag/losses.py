@@ -12,20 +12,29 @@ pairs with in-batch negatives:
 
 The combined objective is dense + beta * sparse.  A `Batch` computes every
 term's similarities once, on first use, for `total_loss` and `loss_gradients`
-both; the unmasked terms need no mask product.  Gradients treat the masks as
-constants (the thresholding that builds them is piecewise constant) and a
+both; the unmasked terms need no mask product.  The 3 + N terms of a
+similarity pass, and the 2 + N of a gradient pass, are independent jobs: for
+a batch whose B * B * d reaches ``_SHARED_WORK`` they are spread by
+`workers.share` over the calling thread and the pool that `workers` owns,
+which the masked scan of `index` uses too; a smaller batch runs them in the
+caller alone.  Each term is computed whole on one thread, never split by
+rows, and the gradients are summed in a fixed term order, so losses and
+gradients are the same bits at any worker count.  Gradients treat the masks
+as constants (the thresholding that builds them is piecewise constant) and a
 central-difference checker, recomputing each loss from raw arrays, provides
 an independent numerical cross-check.
 """
 
 import math
+import threading
 import warnings
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import workers
 from .errors import DimensionMismatchError, TemperatureNonPositiveError
 from .masking import (
     DEFAULT_ALPHA,
@@ -34,6 +43,13 @@ from .masking import (
     mask_pipeline,
     partition_mask,
 )
+
+
+# B * B * d from which a batch's terms are shared among the worker threads.  In
+# alternated timings on a 2-core host at one BLAS thread, sharing was slower up
+# to about 2 << 20, where handing out a term costs as much as it saves, won 8 of
+# 9 times at 3 << 20, and took 30% off a step at 128 * 128 * 768.
+_SHARED_WORK = 3 << 20
 
 
 class ZeroSimilarityWarning(UserWarning):
@@ -84,9 +100,12 @@ class Batch:
 
     @cached_property
     def _sims(self) -> list:
-        """`_masked_sims` of every term, in `_term_inputs` order, built on first use."""
-        terms = _term_inputs(self.queries, self.positives, self.masks, self.submasks)
-        return [_masked_sims(*term) for term in terms]
+        """`_masked_sims` of every term, in term order, built on first use."""
+        arrays = (self.queries, self.positives, self.masks, self.submasks)
+        sims: list = []
+        terms = range(3 + self.n_submasks)
+        _per_term(self, terms, lambda k: _masked_sims(*_term_inputs(k, *arrays)), sims.append)
+        return sims
 
 
 @dataclass(frozen=True)
@@ -164,14 +183,52 @@ def _masked_sims(
     return sims, an, cn, valid
 
 
-def _term_inputs(q: np.ndarray, d: np.ndarray, masks: np.ndarray, submasks: np.ndarray):
-    """(anchors, candidates, mask rows or None) of the plain, dense query-anchored,
-    dense document-anchored and sparse terms, making each only when it is reached."""
-    yield q, d, None
-    yield q, d, masks
-    yield d * masks, q, None
-    for s in range(submasks.shape[1]):
-        yield q, d, submasks[:, s]
+def _term_inputs(
+    k: int, q: np.ndarray, d: np.ndarray, masks: np.ndarray, submasks: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(anchors, candidates, mask rows or None) of term ``k``: the plain, dense
+    query-anchored and dense document-anchored terms, then one sparse term per part."""
+    if k == 0:
+        return q, d, None
+    if k == 1:
+        return q, d, masks
+    if k == 2:
+        return d * masks, q, None
+    return q, d, submasks[:, k - 3]
+
+
+def _per_term(
+    batch: Batch, terms: Sequence[int], job: Callable[[int], tuple], fold: Callable[[tuple], None]
+) -> None:
+    """Call ``fold(job(k))`` for every term k of ``terms``, in their order.
+
+    When the batch's B * B * d reaches ``_SHARED_WORK`` the jobs are shared by
+    `workers.share` among the caller and the pool threads, each taking the
+    next term's index from one iterator; below it they run in the caller
+    alone, where handing them out would cost more than it saves.  A finished
+    job's result waits in its slot until every term before it is folded, so
+    the folds, done under one lock, run in term order on whichever thread
+    finished last.  A job and a fold do the same arithmetic on any thread, so
+    nothing depends on the worker count.  The jobs get arrays, never the
+    batch: on Python 3.11 and older its `cached_property` holds a lock.
+    """
+    done: list = [None] * len(terms)
+    tasks = iter(range(len(terms)))
+    lock = threading.Lock()
+    folded = 0
+
+    def run() -> None:
+        nonlocal folded
+        for i in tasks:
+            done[i] = job(terms[i])
+            with lock:
+                while folded < len(done) and done[folded] is not None:
+                    fold(done[folded])
+                    done[folded] = None
+                    folded += 1
+
+    shared = batch.size * batch.queries.size >= _SHARED_WORK
+    workers.share(run, len(terms) if shared else 1)
 
 
 def _warn_zero_sims(count: int) -> None:
@@ -191,22 +248,42 @@ def _check_tau_beta(tau: float, beta: float) -> None:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
 
 
-def _forward(similarities: list, tau: float) -> Tuple[float, float, float, int]:
-    """(l_in, l_din, l_sin, zero_count) from every term's `_masked_sims`."""
-    plain, fwd, bwd, *sparse = (_softmax_loss_rows(sims, tau) for sims, _, _, _ in similarities)
-    zeros = sum(int(valid.size - np.count_nonzero(valid)) for _, _, _, valid in similarities)
-    l_in = float(plain.mean())
+def _dense_sparse(similarities: list, tau: float) -> Tuple[float, float]:
+    """(l_din, l_sin) from the `_masked_sims` of every term but the plain one, in term order."""
+    fwd, bwd, *sparse = (_softmax_loss_rows(sims, tau) for sims, _, _, _ in similarities)
     l_din = float((0.5 * (fwd + bwd)).mean())
     l_sin = float((sum(sparse) / len(sparse)).mean())
-    return l_in, l_din, l_sin, zeros
+    return l_din, l_sin
 
 
 def total_loss(batch: Batch, tau: float, beta: float) -> LossReport:
     """Full loss report: plain, dense, sparse, and dense + beta * sparse."""
     _check_tau_beta(tau, beta)
-    l_in, l_din, l_sin, zeros = _forward(batch._sims, tau)
-    _warn_zero_sims(zeros)
+    similarities = batch._sims
+    l_in = float(_softmax_loss_rows(similarities[0][0], tau).mean())
+    l_din, l_sin = _dense_sparse(similarities[1:], tau)
+    _warn_zero_sims(sum(int(v.size - np.count_nonzero(v)) for _, _, _, v in similarities))
     return LossReport(l_in=l_in, l_din=l_din, l_sin=l_sin, total=l_din + beta * l_sin)
+
+
+def _softmax_weights(similarities: tuple, tau: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W, V and rowsum(coef S) / |A|^2 of one term, as `_term_backward` defines them.
+
+    Its (B, B) temporaries are freed on return, before the term's (B, d) work.
+    The in-place steps are the same IEEE operations as the formulas there.
+    """
+    sims, an, cn, valid = similarities
+    coef = sims / tau
+    coef -= coef.max(axis=1, keepdims=True)
+    np.exp(coef, out=coef)
+    coef /= coef.sum(axis=1, keepdims=True)
+    coef.flat[:: len(coef) + 1] -= 1.0  # softmax(S / tau) - I
+    coef /= tau
+    coef_s = coef * sims
+    w = np.divide(coef, an[:, None] * cn, out=np.zeros_like(coef), where=valid)
+    v = np.divide(coef_s, np.square(cn), out=np.zeros_like(coef), where=valid)
+    an_sq = np.square(an)
+    return w, v, coef_s.sum(axis=1) / np.where(an_sq > 0.0, an_sq, 1.0)
 
 
 def _term_backward(term: tuple, similarities: tuple, tau: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -224,22 +301,25 @@ def _term_backward(term: tuple, similarities: tuple, tau: float) -> Tuple[np.nda
     gradient.
     """
     anchors, cands, mask_rows = term
-    sims, an, cn, valid = similarities
-    z = sims / tau
-    p = np.exp(z - z.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
-    coef = (p - np.eye(p.shape[0])) / tau
-    coef_s = coef * sims
-    w = np.divide(coef, an[:, None] * cn, out=np.zeros_like(coef), where=valid)
-    v = np.divide(coef_s, np.square(cn), out=np.zeros_like(coef), where=valid)
-    an_sq = np.square(an)
-    radial = coef_s.sum(axis=1) / np.where(an_sq > 0.0, an_sq, 1.0)
+    w, v, radial = _softmax_weights(similarities, tau)
+    # the formulas above, one IEEE operation at a time, in place where the
+    # operands allow: a term holds at most three (B, d) arrays
     if mask_rows is None:
-        d_anchors = w @ cands - radial[:, None] * anchors
-        d_cands = w.T @ anchors - cands * v.sum(axis=0)[:, None]
+        d_cands = w.T @ anchors
+        part = np.multiply(cands, v.sum(axis=0)[:, None])
+        d_cands -= part
+        d_anchors = w @ cands
     else:
-        d_anchors = mask_rows * (w @ cands) - radial[:, None] * anchors
-        d_cands = w.T @ (mask_rows * anchors) - cands * (v.T @ np.square(mask_rows))
+        part = np.square(mask_rows)
+        scale = v.T @ part
+        scale *= cands
+        np.multiply(mask_rows, anchors, out=part)
+        d_cands = w.T @ part
+        d_cands -= scale
+        d_anchors = np.matmul(w, cands, out=scale)
+        d_anchors *= mask_rows
+    np.multiply(radial[:, None], anchors, out=part)
+    d_anchors -= part
     return d_anchors, d_cands
 
 
@@ -250,27 +330,35 @@ def loss_gradients(batch: Batch, tau: float, beta: float) -> Tuple[np.ndarray, n
     that built them.  Returns (grad_queries, grad_positives), each (B, d).
     """
     _check_tau_beta(tau, beta)
-    q, d, m = batch.queries, batch.positives, batch.masks
-    terms = zip(_term_inputs(q, d, m, batch.submasks), batch._sims)
-    next(terms)  # the plain term is not in the combined loss
+    arrays = (batch.queries, batch.positives, batch.masks, batch.submasks)
+    similarities = batch._sims
     w_dense = 0.5 / batch.size
-
-    # dense, query anchors: candidates are the documents under the anchor pair's mask
-    da, dc = _term_backward(*next(terms), tau)
-    grad_q = w_dense * da
-    grad_d = w_dense * dc
-
-    # dense, masked-document anchors: candidates are the raw queries
-    da, dc = _term_backward(*next(terms), tau)
-    grad_d += w_dense * da * m
-    grad_q += w_dense * dc
-
     w_sparse = beta / (batch.size * batch.n_submasks)
-    for term, similarities in terms:
-        da, dc = _term_backward(term, similarities, tau)
-        grad_q += w_sparse * da
-        grad_d += w_sparse * dc
-    return grad_q, grad_d
+
+    def weighted(k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Term k's weighted gradients w.r.t. the queries and the positives."""
+        da, dc = _term_backward(_term_inputs(k, *arrays), similarities[k], tau)
+        weight = w_dense if k < 3 else w_sparse
+        da *= weight
+        dc *= weight
+        if k == 2:
+            # dense, masked-document anchors: the candidates are the raw queries
+            da *= arrays[2]
+            return dc, da
+        return da, dc
+
+    grads: list = []
+
+    def fold(pair: Tuple[np.ndarray, np.ndarray]) -> None:
+        if grads:
+            grads[0] += pair[0]
+            grads[1] += pair[1]
+        else:
+            grads.extend(pair)
+
+    # the plain term 0 is not in the combined loss
+    _per_term(batch, range(1, 3 + batch.n_submasks), weighted, fold)
+    return grads[0], grads[1]
 
 
 def finite_difference_check(point: Batch, tau: float, beta: float, step: float) -> float:
@@ -293,11 +381,12 @@ def finite_difference_check(point: Batch, tau: float, beta: float, step: float) 
 
     def shifted(which: int, idx: Tuple[int, ...], delta: float) -> float:
         """The combined loss with coordinate ``idx`` of array ``which`` moved by ``delta``."""
-        arrays = [point.queries, point.positives]
+        arrays = [point.queries, point.positives, point.masks, point.submasks]
         arrays[which] = arrays[which].copy()
         arrays[which][idx] += delta
-        terms = _term_inputs(*arrays, point.masks, point.submasks)
-        _, l_din, l_sin, _ = _forward([_masked_sims(*term) for term in terms], tau)
+        # the plain term 0 is not in the combined loss
+        terms = range(1, 3 + point.n_submasks)
+        l_din, l_sin = _dense_sparse([_masked_sims(*_term_inputs(k, *arrays)) for k in terms], tau)
         return l_din + beta * l_sin
 
     worst = 0.0

@@ -1,12 +1,16 @@
 """Shared builders for scripted pipeline scenarios, and the wire transcripts
 that the loopback server replays."""
 
+import contextlib
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from holorag import workers
 from holorag.backends import MockBackend
 from holorag.config import RunConfig
 from holorag.index import Pool
@@ -14,6 +18,19 @@ from holorag.index import Pool
 DATA_DIR = Path(__file__).parent / "data"
 
 INV_E = 1.0 / math.e
+
+
+@contextlib.contextmanager
+def pool_workers(count: int):
+    """`workers.share` runs up to ``count`` workers, the caller included, whatever
+    the CPU count, on pool threads of their own, which are shut down at the end.
+    Yields the pool's executor."""
+    executor = ThreadPoolExecutor(max(1, count - 1))
+    with contextlib.ExitStack() as stack:
+        stack.callback(executor.shutdown)
+        stack.enter_context(mock.patch.object(workers, "_WORKERS", count))
+        stack.enter_context(mock.patch.object(workers, "_executor", executor))
+        yield executor
 
 
 def make_pool(name: str, vectors, metadata=None) -> Pool:

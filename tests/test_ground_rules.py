@@ -83,7 +83,8 @@ def test_one_url_check():
 
 def test_thread_pools_are_built_in_two_places():
     """`evaluation._evaluate` builds the evaluation workers' pool, and
-    `index._start_scan_pool` the masked scan's, at import and after a fork."""
+    `workers._start_pool` the one that the masked scan and the losses share,
+    at import and after a fork."""
     found = sorted(
         (str(path.relative_to(REPO)), function)
         for path in (REPO / "src" / "holorag").rglob("*.py")
@@ -92,13 +93,26 @@ def test_thread_pools_are_built_in_two_places():
     )
     assert found == [
         ("src/holorag/evaluation.py", "_evaluate"),
-        ("src/holorag/index.py", "_start_scan_pool"),
+        ("src/holorag/workers.py", "_start_pool"),
     ]
 
 
+def test_only_share_submits_to_the_shared_pool():
+    """`workers.share` alone submits work to an executor, so the shared pool's threads
+    run no other work (evaluation hands its own pool's work out by ``map``)."""
+    found = [
+        (str(path.relative_to(REPO)), function)
+        for path in (REPO / "src" / "holorag").rglob("*.py")
+        for function, name in calls_by_function(path)
+        if name == "submit"
+    ]
+    assert found == [("src/holorag/workers.py", "share")]
+
+
 def test_similarities_are_built_in_two_places():
-    """A batch's cached `_sims` and the finite-difference checker's perturbed losses
-    (in its ``shifted``) alone call `losses._masked_sims`."""
+    """A batch's cached `_sims`, through the job it hands to `losses._per_term`, and
+    the finite-difference checker's perturbed losses (in its ``shifted``) alone call
+    `losses._masked_sims`; a lambda's calls count as its enclosing function's."""
     found = sorted(
         (str(path.relative_to(REPO)), function)
         for path in (REPO / "src" / "holorag").rglob("*.py")

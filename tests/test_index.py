@@ -11,7 +11,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mask_oracle
-from helpers import DATA_DIR, demo_pool, make_pool
+from helpers import DATA_DIR, demo_pool, make_pool, pool_workers
 from holorag import evaluation, index
 from holorag.backends import MockBackend
 from holorag.cli import EXIT_USER_ERROR, main
@@ -502,10 +501,9 @@ class TestBlockedScoring:
 @contextlib.contextmanager
 def scan_workers(count, block):
     """Masked scans split the live rows into blocks of ``block`` rows for ``count``
-    workers, whatever the CPU count, with scan threads of their own, which are shut
-    down at the end.  Yields the set of threads that masked a block.
+    workers (see `pool_workers`).  Yields the set of threads that masked a block.
 
-    Each block takes a millisecond longer, so the scan threads, which take the next
+    Each block takes a millisecond longer, so the pool threads, which take the next
     free block, get blocks even when the caller alone could mask them all first.
     """
     threads, original = set(), index.mask_pipeline
@@ -515,13 +513,9 @@ def scan_workers(count, block):
         time.sleep(0.001)
         return original(queries, documents, *args, **kwargs)
 
-    executor = ThreadPoolExecutor(max(1, count - 1))
     with contextlib.ExitStack() as stack:
-        stack.callback(executor.shutdown)
-        for name, value in (
-            ("_WORKERS", count), ("_BLOCK_ROWS", block), ("_executor", executor),
-            ("mask_pipeline", slowed),
-        ):
+        stack.enter_context(pool_workers(count))
+        for name, value in (("_BLOCK_ROWS", block), ("mask_pipeline", slowed)):
             stack.enter_context(mock.patch.object(index, name, value))
         yield threads
 
@@ -627,15 +621,15 @@ class TestParallelScan:
     @staticmethod
     def run_script(body):
         """Run ``body`` in a fresh interpreter, after a setup that imports holorag and
-        builds ``pool``, eight blocks of four rows, with three scan workers."""
+        builds ``pool``, eight blocks of four rows, with three workers."""
         setup = """
             import multiprocessing
             import threading
             import numpy as np
-            from holorag import index
+            from holorag import index, losses, workers
 
             assert threading.active_count() == 1, "import"
-            index._WORKERS, index._BLOCK_ROWS = 3, 4
+            workers._WORKERS, index._BLOCK_ROWS = 3, 4
             rng = np.random.default_rng(0)
             n = 30
             keys = tuple(("p", f"d{i}") for i in range(n))
@@ -649,19 +643,46 @@ class TestParallelScan:
         assert done.returncode == 0, done.stderr
         return done.stdout
 
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork here")
     def test_no_call_starts_a_thread_of_its_own(self):
-        """Importing, and cosine scoring, start no thread; masked scoring starts at
-        most the pool's workers - 1 scan threads, however often it runs."""
+        """Importing, cosine scoring and a loss step on a small batch start no thread;
+        masked scoring and loss steps on shared batches start at most the pool's
+        workers - 1 threads, however often they run, here and in a forked child."""
         out = self.run_script(
             """
+            def step():
+                batch = losses.build_batch(rng.normal(size=(4, 8)), rng.normal(size=(4, 8)))
+                losses.total_loss(batch, 0.1, 1.0)
+                losses.loss_gradients(batch, 0.1, 1.0)
+
             index.top_k(pool, rng.normal(size=8), 5)
-            assert threading.active_count() == 1, "cosine"
-            for _ in range(100):
-                index.top_k(pool, rng.normal(size=8), 5, scoring="masked")
-            print(threading.active_count())
+            step()
+            assert threading.active_count() == 1, "cosine and a small batch"
+            losses._SHARED_WORK = 0
+
+            def busy():
+                for _ in range(50):
+                    index.top_k(pool, rng.normal(size=8), 5, scoring="masked")
+                    step()
+                return threading.active_count()
+
+            def child():
+                raise SystemExit(busy())
+
+            print(busy())
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+            proc.join(timeout=30)
+            print(proc.is_alive(), proc.exitcode)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
             """
         )
-        assert 1 < int(out) <= 1 + 3 - 1
+        here, alive, child = out.split()
+        assert alive == "False"
+        for count in (int(here), int(child)):
+            assert 1 < count <= 1 + 3 - 1
 
     @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork here")
     def test_forked_child_scans_on_threads_of_its_own(self):

@@ -1,7 +1,12 @@
 """Value, property, and gradient tests for the retrieval-tuning losses."""
 
+import contextlib
 import math
+import sys
+import threading
+import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mask_oracle
+from helpers import pool_workers
 from holorag import checks, losses
 from holorag.checks import random_batch
 from holorag.errors import (
@@ -348,6 +354,39 @@ class TestGradients:
             with pytest.raises(ValueError, match="step must be finite and > 0"):
                 finite_difference_check(crafted_batch(), 0.5, 1.0, step=step)
 
+    def test_worst_error_is_unchanged_on_fixed_batches(self):
+        """Frozen from the checker as it was when every perturbed loss also built the
+        plain term, which the combined loss never reads: skipping it changes no bit."""
+        assert finite_difference_check(crafted_batch(), CRAFTED_TAU, 1.0, 1e-4) == float.fromhex(
+            "0x1.48fc51b800000p-27"
+        )
+        rng = np.random.default_rng(29)
+        for (b, d, n, tau, beta), want in (
+            ((2, 4, 1, 1.0, 0.7), "0x1.9746a80000000p-32"),
+            ((4, 8, 2, 0.1, 1.0), "0x1.6076000000000p-34"),
+            ((3, 16, 3, 0.01, 2.0), "0x1.72c58d0000000p-30"),
+        ):
+            batch = random_batch(rng, b=b, d=d, n_parts=n)
+            assert finite_difference_check(batch, tau, beta, 1e-5) == float.fromhex(want)
+
+    def test_perturbed_losses_skip_the_plain_term(self, monkeypatch):
+        calls = []
+        real = losses._masked_sims
+
+        def counted(anchors, cands, mask_rows):
+            calls.append(mask_rows)
+            return real(anchors, cands, mask_rows)
+
+        batch = random_batch(np.random.default_rng(30), b=3, d=5, n_parts=2)
+        total_loss(batch, 0.1, 1.0)  # the batch's own similarities are built and cached
+        monkeypatch.setattr(losses, "_masked_sims", counted)
+        finite_difference_check(batch, 0.1, 1.0, 1e-5)
+        perturbed = 2 * 2 * batch.size * 5  # +/- step on every query and positive entry
+        assert len(calls) == perturbed * (2 + batch.n_submasks)
+        # per loss, in term order: the dense pair (masked, then the bare document-
+        # anchored term) and the sparse parts; the plain term is bare and comes first
+        assert [m is None for m in calls[: 2 + batch.n_submasks]] == [False, True, False, False]
+
 
 class TestSharedSimilarities:
     @pytest.mark.parametrize("first", ["total_loss", "loss_gradients"])
@@ -391,6 +430,131 @@ class TestSharedSimilarities:
             want = losses._term_backward((anchors, cands, ones), full, tau)
             for g, w in zip(got, want):
                 assert np.abs(g - w).max() <= 1e-12 * max(1.0, float(np.abs(w).max()))
+
+
+@contextlib.contextmanager
+def shared_terms(count):
+    """Loss calls share every batch's terms among ``count`` workers (see
+    `pool_workers`), however small the batch."""
+    with pool_workers(count), mock.patch.object(losses, "_SHARED_WORK", 0):
+        yield
+
+
+def spy_on_terms(monkeypatch, pause=0.0):
+    """Record the thread of every `_masked_sims` and `_term_backward` call, each
+    slowed by ``pause`` seconds so pool threads get terms too; returns the set."""
+    threads = set()
+    for name in ("_masked_sims", "_term_backward"):
+        def spied(*args, real=getattr(losses, name)):
+            threads.add(threading.get_ident())
+            time.sleep(pause)
+            return real(*args)
+
+        monkeypatch.setattr(losses, name, spied)
+    return threads
+
+
+def loss_step(batch, tau, beta):
+    """(report, gradients, warnings) of `total_loss` and `loss_gradients` on a fresh
+    copy of ``batch``, each warning as (category, message, filename, line)."""
+    fresh = Batch(batch.queries, batch.positives, batch.masks, batch.submasks)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = total_loss(fresh, tau, beta)
+        gradients = loss_gradients(fresh, tau, beta)
+    seen = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return report, gradients, seen
+
+
+class TestParallelTerms:
+    """A batch's terms may run on several threads; nothing they compute may differ
+    from the one-thread run, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=degenerate_batches(),
+        tau=st.sampled_from([0.01, 0.1, 1.0]),
+        beta=st.sampled_from([0.0, 0.7, 2.0]),
+    )
+    def test_any_worker_count_gives_the_same_bits(self, batch, tau, beta):
+        want_report, want_grads, want_warnings = loss_step(batch, tau, beta)
+        assert len(want_warnings) <= 1
+        for count in (1, 2, 3):
+            with shared_terms(count):
+                report, grads, seen = loss_step(batch, tau, beta)
+            assert report == want_report
+            for g, w in zip(grads, want_grads):
+                assert g.tobytes() == w.tobytes()
+            # one warning at most, raised by the caller's total_loss, never a pool thread
+            assert seen == want_warnings
+
+    def test_terms_run_on_pool_threads(self, monkeypatch):
+        batch = random_batch(np.random.default_rng(44), b=4, d=6, n_parts=3)
+        want = loss_step(batch, 0.1, 1.0)
+        threads = spy_on_terms(monkeypatch, pause=0.002)
+        with shared_terms(3):
+            got = loss_step(batch, 0.1, 1.0)
+        assert got[0] == want[0]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1], want[1]))
+        assert threading.get_ident() in threads and len(threads) > 1
+
+    def test_frequent_thread_switches_lose_no_fold(self):
+        """More workers than cores, switching threads often: every step still folds
+        every term once, in order, so each report and gradient keeps its bits."""
+        rng = np.random.default_rng(47)
+        batches = [random_batch(rng, b=5, d=12, n_parts=4) for _ in range(4)]
+        want = [loss_step(batch, 0.1, 1.3)[:2] for batch in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with shared_terms(4):
+                for _ in range(25):
+                    for batch, (report, grads) in zip(batches, want):
+                        got_report, got_grads, _ = loss_step(batch, 0.1, 1.3)
+                        assert got_report == report
+                        assert all(g.tobytes() == w.tobytes() for g, w in zip(got_grads, grads))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_small_batch_submits_nothing(self, monkeypatch):
+        """Below the work size `_SHARED_WORK` a step stays in the caller; at it, the
+        terms are handed out."""
+        b, d = 16, 8
+        assert b * b * d < losses._SHARED_WORK
+        batch = random_batch(np.random.default_rng(45), b=b, d=d, n_parts=2)
+        threads = spy_on_terms(monkeypatch)
+        with pool_workers(3) as executor:
+            submit = mock.patch.object(executor, "submit", wraps=executor.submit)
+            with submit as submitted:
+                loss_step(batch, 0.1, 1.0)
+                assert submitted.call_count == 0 and threads == {threading.get_ident()}
+                with mock.patch.object(losses, "_SHARED_WORK", b * b * d):
+                    loss_step(batch, 0.1, 1.0)
+                # two workers besides the caller, for the similarities and the gradients
+                assert submitted.call_count == 2 * 2
+
+    @pytest.mark.parametrize("name", ["_masked_sims", "_term_backward"])
+    def test_error_on_a_pool_thread_reaches_the_caller(self, name, monkeypatch):
+        real, raised = getattr(losses, name), threading.Event()
+
+        def fails_off_the_caller(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raised.set()
+                raise ZeroVectorError("raised on a pool thread")
+            # leave terms for the pool threads, which take the next free term
+            raised.wait(timeout=10)
+            return real(*args)
+
+        batch = random_batch(np.random.default_rng(46), b=3, d=6, n_parts=2)
+        total_loss(batch, 0.1, 1.0)  # build the similarities before the spy, for gradients
+        fresh = batch if name == "_term_backward" else Batch(
+            batch.queries, batch.positives, batch.masks, batch.submasks
+        )
+        monkeypatch.setattr(losses, name, fails_off_the_caller)
+        with shared_terms(3):
+            with pytest.raises(ZeroVectorError, match="^raised on a pool thread$"):
+                loss_gradients(fresh, 0.1, 1.0)
+        assert raised.is_set()
 
 
 class TestCheckHarness:
