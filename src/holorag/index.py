@@ -3,10 +3,15 @@
 A pool is stored as columns: one read-only (n, d) float64 matrix holding
 every embedding once, and beside it the (pool_name, doc_id) key and the
 metadata of each row.  Pools are immutable after construction; ingestion and
-merging build new pools.  Retrieval is an exact full scan (corpora here are
-desk scale): both scoring modes share one row-wise cosine formula, so equal
-rows score equal, and one tie-safe cut ranks both modes: it sorts only the
-rows it keeps, by score, then doc_id, then pool name.  Masked scoring walks
+merging build new pools.  A pool copies a caller's matrix, but ingestion,
+snapshot loading and merging hand over the fresh matrix they just built, so
+the high-water mark of ingesting or loading a pool is one matrix plus the key
+and metadata columns: the JSON-lines reader appends each checked row to one
+growing buffer, and the format 2 reader reads the whole matrix into one array.
+Retrieval is an exact full scan (corpora here are desk scale): both
+scoring modes share one row-wise cosine formula, so equal rows score
+equal, and one tie-safe cut ranks both modes: it sorts only the rows it
+keeps, by score, then doc_id, then pool name.  Masked scoring walks
 the live rows in fixed blocks, spread by `workers.share` over the calling
 thread and the threads of the pool that `workers` owns, which the losses
 use too: each worker takes the next block until none is left.  Each worker
@@ -27,7 +32,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -91,8 +96,12 @@ class Pool:
 
     Row i of the read-only (n, d) ``matrix`` is the embedding of the document
     keyed ``keys[i]``, a (pool_name, doc_id) pair, whose metadata is
-    ``metadata[i]``.  ``rows`` maps each key to its row.  The matrix is
-    copied on construction; every row must be finite with a finite norm.
+    ``metadata[i]``.  ``rows`` maps each key to its row.  A caller's matrix
+    is copied, so later writes to it cannot reach the pool.  ``_owned`` lets
+    `ingest_corpus`, `load_snapshot` and `merge_pools` hand over the fresh
+    float64 matrix they just built, which nothing else holds, uncopied, so
+    building a pool never holds two matrices.  Every row must be finite with
+    a finite norm.
     The row norms are computed once here and stored, so cosine scoring
     computes only the dots; a row is live, and can be masked, if its norm
     is nonzero.  No tie order is stored: `top_k` orders the rows at its cut.
@@ -104,9 +113,10 @@ class Pool:
     metadata: Tuple[dict, ...]
     rows: Dict[Key, int] = field(init=False, repr=False)
     _norms: np.ndarray = field(init=False, repr=False)
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=np.float64)
+    def __post_init__(self, _owned: bool):
+        matrix = np.array(self.matrix, dtype=np.float64, copy=not _owned)
         keys, metadata = tuple(self.keys), tuple(self.metadata)
         if matrix.ndim != 2 or not (matrix.shape[0] == len(keys) == len(metadata)):
             raise DimensionMismatchError(
@@ -157,11 +167,13 @@ def _read_rows(
     [floats], "metadata": object}.  Every embedding must pass `Embedding`'s
     check and have ``dimension`` entries, or as many as the first one when
     ``dimension`` is None.  With ``one_pool`` every line must name the same
-    pool.  Errors name the line; a repeated key is left to `Pool`.
+    pool.  Errors name the line; a repeated key is left to `Pool`.  The
+    checked rows are appended, end to end, to one growing buffer, which the
+    matrix views, so the rows are never held twice.
     """
     keys: List[Key] = []
     metadata: List[dict] = []
-    rows: List[np.ndarray] = []
+    rows = bytearray()
     for line_number, data in json_objects(handle, first_line):
         key, meta = _key_and_metadata(line_number, data)
         try:
@@ -182,8 +194,8 @@ def _read_rows(
         dimension = len(values)
         keys.append(key)
         metadata.append(meta)
-        rows.append(values)
-    matrix = np.stack(rows) if rows else np.zeros((0, dimension or 0))
+        rows += values.data
+    matrix = np.frombuffer(rows, dtype=np.float64).reshape(len(keys), dimension or 0)
     return keys, metadata, matrix
 
 
@@ -267,8 +279,8 @@ def ingest_corpus(path: Union[str, Path]) -> Pool:
         keys, metadata, matrix = _read_rows(handle, 1, None, one_pool=True)
     if not keys:
         warnings.warn(f"corpus file {path} contained no records")
-        return Pool(name=path.stem, matrix=matrix, keys=(), metadata=())
-    return Pool(name=keys[0][0], matrix=matrix, keys=keys, metadata=metadata)
+        return Pool(name=path.stem, matrix=matrix, keys=(), metadata=(), _owned=True)
+    return Pool(name=keys[0][0], matrix=matrix, keys=keys, metadata=metadata, _owned=True)
 
 
 def _scan_blocks(
@@ -395,6 +407,7 @@ def merge_pools(pools: Sequence[Pool]) -> Pool:
         matrix=np.concatenate([p.matrix for p in filled]) if filled else np.zeros((0, 0)),
         keys=tuple(key for p in filled for key in p.keys),
         metadata=tuple(meta for p in filled for meta in p.metadata),
+        _owned=True,
     )
 
 
@@ -471,7 +484,7 @@ def load_snapshot(path: Union[str, Path]) -> Pool:
             raise CorpusParseError(f"snapshot declares {count} records but contains {len(keys)}")
         if version == 2:
             matrix = _read_matrix(handle, keys, dimension)
-    return Pool(name=name, matrix=matrix, keys=keys, metadata=metadata)
+    return Pool(name=name, matrix=matrix, keys=keys, metadata=metadata, _owned=True)
 
 
 def pools_by_name(pools: Sequence[Pool]) -> Dict[str, Pool]:

@@ -4,6 +4,7 @@ that the loopback server replays."""
 import contextlib
 import json
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -31,6 +32,16 @@ def pool_workers(count: int):
         stack.enter_context(mock.patch.object(workers, "_WORKERS", count))
         stack.enter_context(mock.patch.object(workers, "_executor", executor))
         yield executor
+
+
+def traced_peak(fn):
+    """(``fn()``, the peak of the memory that tracemalloc traced while it ran).
+    Tracing starts before the call and stops after it, whether it returns or raises."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_pool(name: str, vectors, metadata=None) -> Pool:

@@ -39,7 +39,8 @@ def test_pyproject_depends_on_numpy_only():
 
 
 def calls_by_function(path: Path):
-    """(innermost enclosing function or "<module>", callee name) of every call in ``path``.
+    """(innermost enclosing function or "<module>", callee name, call node) of every
+    call in ``path``.
 
     The callee is named by its bare name or, for ``x.attr(...)``, by ``attr``.
     """
@@ -48,7 +49,8 @@ def calls_by_function(path: Path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         elif isinstance(node, ast.Call):
-            yield function, getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            yield function, name, node
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
 
@@ -60,7 +62,7 @@ def test_one_generation_request_path():
     found = sorted(
         (str(path.relative_to(REPO)), function, name)
         for path in (REPO / "src" / "holorag").rglob("*.py")
-        for function, name in calls_by_function(path)
+        for function, name, _ in calls_by_function(path)
         if name in ("GenerationRequest", "generate")
     )
     assert found == [
@@ -75,7 +77,7 @@ def test_one_url_check():
     found = sorted(
         (str(path.relative_to(REPO)), function)
         for path in (REPO / "src" / "holorag").rglob("*.py")
-        for function, name in calls_by_function(path)
+        for function, name, _ in calls_by_function(path)
         if name in ("urlsplit", "urlparse", "urlunsplit", "urlunparse")
     )
     assert found == [("src/holorag/backends/http.py", "_split_url")]
@@ -88,7 +90,7 @@ def test_thread_pools_are_built_in_two_places():
     found = sorted(
         (str(path.relative_to(REPO)), function)
         for path in (REPO / "src" / "holorag").rglob("*.py")
-        for function, name in calls_by_function(path)
+        for function, name, _ in calls_by_function(path)
         if name == "ThreadPoolExecutor"
     )
     assert found == [
@@ -103,7 +105,7 @@ def test_only_share_submits_to_the_shared_pool():
     found = [
         (str(path.relative_to(REPO)), function)
         for path in (REPO / "src" / "holorag").rglob("*.py")
-        for function, name in calls_by_function(path)
+        for function, name, _ in calls_by_function(path)
         if name == "submit"
     ]
     assert found == [("src/holorag/workers.py", "share")]
@@ -116,7 +118,26 @@ def test_similarities_are_built_in_two_places():
     found = sorted(
         (str(path.relative_to(REPO)), function)
         for path in (REPO / "src" / "holorag").rglob("*.py")
-        for function, name in calls_by_function(path)
+        for function, name, _ in calls_by_function(path)
         if name == "_masked_sims"
     )
     assert found == [("src/holorag/losses.py", "_sims"), ("src/holorag/losses.py", "shifted")]
+
+
+def test_only_fresh_arrays_are_handed_over_uncopied():
+    """``_owned``, which skips the copy of a `Pool` or `Batch`, is passed, as True, only by
+    the functions that just made the arrays they hand over: nothing else holds them."""
+    found = sorted(
+        (str(path.relative_to(REPO)), function, name, ast.unparse(keyword.value))
+        for path in (REPO / "src" / "holorag").rglob("*.py")
+        for function, name, call in calls_by_function(path)
+        for keyword in call.keywords
+        if keyword.arg == "_owned"
+    )
+    assert found == [
+        ("src/holorag/index.py", "ingest_corpus", "Pool", "True"),
+        ("src/holorag/index.py", "ingest_corpus", "Pool", "True"),
+        ("src/holorag/index.py", "load_snapshot", "Pool", "True"),
+        ("src/holorag/index.py", "merge_pools", "Pool", "True"),
+        ("src/holorag/losses.py", "build_batch", "Batch", "True"),
+    ]

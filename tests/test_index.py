@@ -9,7 +9,6 @@ import sys
 import textwrap
 import threading
 import time
-import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mask_oracle
-from helpers import DATA_DIR, demo_pool, make_pool, pool_workers
+from helpers import DATA_DIR, demo_pool, make_pool, pool_workers, traced_peak
 from holorag import evaluation, index
 from holorag.backends import MockBackend
 from holorag.cli import EXIT_USER_ERROR, main
@@ -488,14 +487,8 @@ class TestBlockedScoring:
             metadata=({},) * n,
         )
         query = Embedding(rng.normal(size=d))
-        limit = pool.matrix.nbytes // 2
-        tracemalloc.start()
-        try:
-            top_k(pool, query, k=5, scoring="masked")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit
+        _, peak = traced_peak(lambda: top_k(pool, query, k=5, scoring="masked"))
+        assert peak < pool.matrix.nbytes // 2
 
 
 @contextlib.contextmanager
@@ -743,6 +736,86 @@ class TestMergePools:
         p1 = make_pool("p1", [("a", [1.0, 0.0])])
         result = top_k(p1, Embedding([1.0, 0.0]), k=5)
         assert all(e.pool_name == "p1" for e in result.entries)
+
+
+@pytest.fixture(scope="module")
+def built_from_files(tmp_path_factory):
+    """A 2000 x 256 pool, read-only, with the paths of its corpus file and of its
+    snapshots in format 1 and format 2."""
+    n, d = 2000, 256
+    pool = gaussian_pool(np.random.default_rng(47), n, d)
+    folder = tmp_path_factory.mktemp("built")
+    records = "".join(
+        json.dumps({"doc_id": doc_id, "embedding": row.tolist(), "metadata": meta, "pool": name})
+        + "\n"
+        for (name, doc_id), meta, row in zip(pool.keys, pool.metadata, pool.matrix)
+    )
+    paths = {"corpus": folder / "p.jsonl", "v1": folder / "p.v1.snap", "v2": folder / "p.snap"}
+    paths["corpus"].write_text(records, encoding="utf-8")
+    header = {"count": n, "dimension": d, "format_version": 1, "name": pool.name}
+    paths["v1"].write_text(json.dumps(header) + "\n" + records, encoding="utf-8")
+    save_snapshot(pool, paths["v2"])
+    return pool, paths
+
+
+def halves(pool):
+    """``pool``'s rows as two pools, named "a" and "b", for `merge_pools`."""
+    half = len(pool) // 2
+    return [
+        Pool(name=name, matrix=pool.matrix[rows], keys=pool.keys[rows],
+             metadata=pool.metadata[rows])
+        for name, rows in (("a", slice(None, half)), ("b", slice(half, None)))
+    ]
+
+
+# each builds a pool from what `built_from_files` made before tracing starts
+BUILDS = {
+    "ingest": lambda paths, parts: ingest_corpus(paths["corpus"]),
+    "load-v1": lambda paths, parts: load_snapshot(paths["v1"]),
+    "load-v2": lambda paths, parts: load_snapshot(paths["v2"]),
+    "merge": lambda paths, parts: merge_pools(parts),
+}
+
+
+class TestMatrixOwnership:
+    """`Pool` copies a caller's matrix; the readers and `merge_pools` hand over the
+    matrix they just built, so building a pool never holds two matrices."""
+
+    def test_pool_copies_the_callers_matrix(self):
+        """The caller's array stays writable, and a later write to it changes neither
+        the pool's matrix nor a score."""
+        arr = np.random.default_rng(48).normal(size=(4, 3))
+        want = arr.copy()
+        pool = Pool(name="p", matrix=arr, keys=tuple(("p", f"d{i}") for i in range(4)),
+                    metadata=({},) * 4)
+        before = top_k(pool, Embedding(want[0]), k=4).to_dict()
+        assert arr.flags.writeable
+        assert not np.shares_memory(pool.matrix, arr)
+        arr[:] = 1.0
+        np.testing.assert_array_equal(pool.matrix, want)
+        assert top_k(pool, Embedding(want[0]), k=4).to_dict() == before
+
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    def test_built_pool_is_read_only_and_equal(self, build, built_from_files):
+        pool, paths = built_from_files
+        parts = halves(pool)
+        got = BUILDS[build](paths, parts)
+        assert not got.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got.matrix[0, 0] = 1.0
+        assert got.matrix.tobytes() == pool.matrix.tobytes()
+        assert [key[1] for key in got.keys] == [key[1] for key in pool.keys]
+        assert not any(np.shares_memory(got.matrix, part.matrix) for part in parts)
+
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    def test_high_water_is_one_matrix(self, build, built_from_files):
+        """Building the pool traces a peak below 1.5 times its matrix's bytes: the
+        matrix, plus the key and metadata columns and one record's parse."""
+        pool, paths = built_from_files
+        parts = halves(pool)
+        got, peak = traced_peak(lambda: BUILDS[build](paths, parts))
+        assert got.matrix.shape == pool.matrix.shape
+        assert peak < 1.5 * got.matrix.nbytes
 
 
 class TestSnapshots:
