@@ -11,14 +11,13 @@ growing buffer, and the format 2 reader reads the whole matrix into one array.
 Retrieval is an exact full scan (corpora here are desk scale): both
 scoring modes share one row-wise cosine formula, so equal rows score
 equal, and one tie-safe cut ranks both modes: it sorts only the rows it
-keeps, by score, then doc_id, then pool name.  Masked scoring walks
-the live rows in fixed blocks, spread by `workers.share` over the calling
-thread and the threads of the pool that `workers` owns, which the losses
-use too: each worker takes the next block until none is left.  Each worker
-gathers its blocks into its own (block, d) buffer and masks them in place,
-so no query allocates an (n, d) temporary.  Every row is scored by the same
-arithmetic whichever thread scans it, so scores do not depend on the worker
-count.
+keeps, by score, then doc_id, then pool name.  Masked scoring cuts the
+live rows into fixed blocks and hands them to `workers.share`, which scores
+them on the calling thread and the threads of the pool that `workers` owns,
+which the losses use too, and returns each block's dots and masked norms in
+block order.  A block is gathered, masked and scored on its own, so no query
+allocates an (n, d) temporary.  Every row is scored by the same arithmetic
+whichever thread scans it, so scores do not depend on the worker count.
 A snapshot (format 2) holds the records' keys and
 metadata as JSON lines and the matrix after them as raw little-endian
 float64, so saving and loading never format or parse a float; format 1
@@ -34,7 +33,7 @@ import sys
 import warnings
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .jsonl import atomic_write, json_objects, line_error
-from .masking import DEFAULT_ALPHA, Embedding, mask_pipeline
+from .masking import DEFAULT_ALPHA, Embedding, check_alpha, mask_pipeline
 
 SNAPSHOT_FORMAT_VERSION = 2
 
@@ -90,6 +89,14 @@ class RankedResult:
         }
 
 
+class _NonFiniteRowError(ValueError):
+    """A pool row that is not finite or whose norm overflows; ``row`` is its index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass(frozen=True, eq=False)
 class Pool:
     """Named, immutable set of documents stored as columns.
@@ -101,7 +108,7 @@ class Pool:
     `ingest_corpus`, `load_snapshot` and `merge_pools` hand over the fresh
     float64 matrix they just built, which nothing else holds, uncopied, so
     building a pool never holds two matrices.  Every row must be finite with
-    a finite norm.
+    a finite norm, or the error names the first row's key.
     The row norms are computed once here and stored, so cosine scoring
     computes only the dots; a row is live, and can be masked, if its norm
     is nonzero.  No tie order is stored: `top_k` orders the rows at its cut.
@@ -130,8 +137,11 @@ class Pool:
             rows[key] = i
         with np.errstate(over="ignore"):
             squared_norms = np.einsum("ij,ij->i", matrix, matrix)
-        if not np.all(np.isfinite(squared_norms)):
-            raise ValueError("embedding rows must be finite with a finite norm")
+        bad = np.flatnonzero(~np.isfinite(squared_norms))
+        if bad.size:
+            row = int(bad[0])
+            message = f"embedding of {keys[row]!r} must be finite with a finite norm"
+            raise _NonFiniteRowError(message, row)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "keys", keys)
@@ -236,15 +246,14 @@ def _read_records(handle: BinaryIO, count: int) -> Tuple[List[Key], List[dict]]:
     return keys, metadata
 
 
-def _read_matrix(handle: BinaryIO, keys: List[Key], dimension: int) -> np.ndarray:
-    """Read the matrix that ends a format 2 snapshot, one row per record in ``keys``.
+def _read_matrix(handle: BinaryIO, count: int, dimension: int) -> np.ndarray:
+    """Read the (``count``, ``dimension``) matrix that ends a format 2 snapshot.
 
-    The bytes left must be exactly len(keys) x ``dimension`` float64 values;
+    The bytes left must be exactly ``count`` x ``dimension`` float64 values;
     that is checked against the file size before any of them is read, so a
-    header that lies about its sizes never sizes an allocation.  Every row
-    must be finite with a finite norm, or the error names its record's line.
+    header that lies about its sizes never sizes an allocation.  Its rows are
+    checked by `Pool`, whose error `load_snapshot` gives the record's line.
     """
-    count = len(keys)
     size = count * dimension * _MATRIX_DTYPE.itemsize
     left = os.fstat(handle.fileno()).st_size - handle.tell()
     if left != size:
@@ -255,15 +264,7 @@ def _read_matrix(handle: BinaryIO, keys: List[Key], dimension: int) -> np.ndarra
     matrix = np.fromfile(handle, dtype=_MATRIX_DTYPE, count=count * dimension)
     if matrix.size != count * dimension:
         raise CorpusParseError(f"snapshot matrix ended after {matrix.size} values")
-    matrix = matrix.reshape(count, dimension)
-    with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", matrix, matrix)))
-    if bad.size:
-        raise line_error(
-            int(bad[0]) + 2,
-            f"embedding of {keys[bad[0]]!r} must be finite with a finite norm",
-        )
-    return matrix
+    return matrix.reshape(count, dimension)
 
 
 def ingest_corpus(path: Union[str, Path]) -> Pool:
@@ -283,30 +284,19 @@ def ingest_corpus(path: Union[str, Path]) -> Pool:
     return Pool(name=keys[0][0], matrix=matrix, keys=keys, metadata=metadata, _owned=True)
 
 
-def _scan_blocks(
-    pool: Pool, q: np.ndarray, alpha: float, rows: np.ndarray,
-    dots: np.ndarray, norms: np.ndarray, starts: Iterator[int],
-) -> None:
-    """Mask and score the blocks of the live ``rows`` that begin at the ``starts``
-    this call takes; other threads may take from the same iterator.
+def _score_block(
+    pool: Pool, q: np.ndarray, alpha: float, picked: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The dots with ``q`` and the masked norms of the live rows ``picked``.
 
-    Each block is gathered into one (block, d) buffer of this call's own,
-    masked by `mask_pipeline`, looked up as this module's global once per
-    block, and multiplied into the weights it returns; its dots with ``q``
-    and masked norms go to the block's slice of ``dots`` and ``norms``.
+    The rows are gathered into one (block, d) array, masked by `mask_pipeline`,
+    looked up as this module's global once per block, and multiplied into the
+    weights it returns.
     """
-    gathered = np.empty((min(len(rows), _BLOCK_ROWS), pool.dimension))
-    # each start is one call of the range iterator's C next, which the GIL
-    # makes atomic, so no two threads take the same block
-    for start in starts:
-        block = slice(start, start + _BLOCK_ROWS)
-        picked = rows[block]
-        # the indices come from flatnonzero, so "clip" never clips
-        docs = np.take(pool.matrix, picked, axis=0, out=gathered[: len(picked)], mode="clip")
-        masked = mask_pipeline(q, docs, alpha)
-        np.multiply(masked, docs, out=masked)
-        dots[block] = np.einsum("ij,j->i", masked, q)
-        norms[block] = np.sqrt(np.einsum("ij,ij->i", masked, masked))
+    docs = np.take(pool.matrix, picked, axis=0)
+    masked = mask_pipeline(q, docs, alpha)
+    np.multiply(masked, docs, out=masked)
+    return np.einsum("ij,j->i", masked, q), np.sqrt(np.einsum("ij,ij->i", masked, masked))
 
 
 def top_k(
@@ -321,14 +311,13 @@ def top_k(
     A plain-sequence query gets `Embedding`'s checks, so a NaN raises ValueError.
     ``scoring="masked"`` first multiplies every document by its hybrid mask
     against the query, whose band width is ``alpha``; its numerical guard eps
-    is a constant.  The live rows are masked in blocks of ``_BLOCK_ROWS``
-    by `workers.share`, one worker per CPU in this process's affinity mask,
-    at most one per block: the calling thread and the shared pool's threads
-    each run `_scan_blocks`, taking the next block until none is left, and
-    the call returns once every worker is done.  A one-block or empty scan,
-    or a one-CPU process, runs `_scan_blocks` in the caller alone.  Each row
-    is scored by the same arithmetic in any block on any thread, so the
-    scores do not depend on the worker count.
+    is a constant, and ``alpha`` is checked whatever the pool holds.  The
+    live rows are cut into blocks of ``_BLOCK_ROWS``, which `workers.share`
+    scores by `_score_block` on the calling thread and on up to one pool
+    thread per further CPU in this process's affinity mask, and returns in
+    block order.  A one-block or empty scan, or a one-CPU process, runs in
+    the caller alone.  Each row is scored by the same arithmetic in any block
+    on any thread, so the scores do not depend on the worker count.
     Both modes then score each row with the same row-wise formula,
     dot(q, x) / (|q| |x|), so exact duplicate rows score bit-identically,
     in one block or in two.  Cosine mode divides by the norms the pool
@@ -350,6 +339,8 @@ def top_k(
         raise ValueError("k must be >= 1")
     if scoring not in CHOICES["scoring_mode"]:
         raise ValueError(f"unknown scoring mode {scoring!r}")
+    if scoring == "masked":
+        check_alpha(alpha)
     q = (query if isinstance(query, Embedding) else Embedding(query)).values
     if len(pool) == 0:
         return RankedResult(entries=(), k=k)
@@ -366,10 +357,9 @@ def top_k(
         # the mask needs a direction: rows of norm 0 (all-zero or underflowed)
         # are left out and score 0, as the `where` below scores them in cosine
         rows = np.flatnonzero(pool._norms)
-        dots, norms = np.empty(len(rows)), np.empty(len(rows))
-        starts = range(0, len(rows), _BLOCK_ROWS)
-        scan = functools.partial(_scan_blocks, pool, q, alpha, rows, dots, norms, iter(starts))
-        workers.share(scan, len(starts))
+        blocks = [rows[start : start + _BLOCK_ROWS] for start in range(0, len(rows), _BLOCK_ROWS)]
+        scored = workers.share(functools.partial(_score_block, pool, q, alpha), blocks)
+        dots, norms = map(np.concatenate, zip(*scored or [(np.empty(0), np.empty(0))]))
     else:
         rows, norms = slice(None), pool._norms
         dots = np.einsum("ij,j->i", pool.matrix, q)
@@ -483,8 +473,12 @@ def load_snapshot(path: Union[str, Path]) -> Pool:
         if len(keys) != count:
             raise CorpusParseError(f"snapshot declares {count} records but contains {len(keys)}")
         if version == 2:
-            matrix = _read_matrix(handle, keys, dimension)
-    return Pool(name=name, matrix=matrix, keys=keys, metadata=metadata, _owned=True)
+            matrix = _read_matrix(handle, count, dimension)
+    try:
+        return Pool(name=name, matrix=matrix, keys=keys, metadata=metadata, _owned=True)
+    except _NonFiniteRowError as exc:
+        # only a format 2 matrix reaches the pool unchecked; record i is on line i + 2
+        raise line_error(exc.row + 2, str(exc)) from exc
 
 
 def pools_by_name(pools: Sequence[Pool]) -> Dict[str, Pool]:

@@ -18,15 +18,14 @@ a batch whose B * B * d reaches ``_SHARED_WORK`` they are spread by
 `workers.share` over the calling thread and the pool that `workers` owns,
 which the masked scan of `index` uses too; a smaller batch runs them in the
 caller alone.  Each term is computed whole on one thread, never split by
-rows, and the gradients are summed in a fixed term order, so losses and
-gradients are the same bits at any worker count.  Gradients treat the masks
-as constants (the thresholding that builds them is piecewise constant) and a
-central-difference checker, recomputing each loss from raw arrays, provides
-an independent numerical cross-check.
+rows, and the results come back in term order, in which the caller sums the
+gradients, so losses and gradients are the same bits at any worker count.
+Gradients treat the masks as constants (the thresholding that builds them is
+piecewise constant) and a central-difference checker, recomputing each loss
+from raw arrays, provides an independent numerical cross-check.
 """
 
 import math
-import threading
 import warnings
 from dataclasses import InitVar, dataclass
 from functools import cached_property
@@ -102,10 +101,8 @@ class Batch:
     def _sims(self) -> list:
         """`_masked_sims` of every term, in term order, built on first use."""
         arrays = (self.queries, self.positives, self.masks, self.submasks)
-        sims: list = []
         terms = range(3 + self.n_submasks)
-        _per_term(self, terms, lambda k: _masked_sims(*_term_inputs(k, *arrays)), sims.append)
-        return sims
+        return _per_term(self, lambda k: _masked_sims(*_term_inputs(k, *arrays)), terms)
 
 
 @dataclass(frozen=True)
@@ -197,38 +194,16 @@ def _term_inputs(
     return q, d, submasks[:, k - 3]
 
 
-def _per_term(
-    batch: Batch, terms: Sequence[int], job: Callable[[int], tuple], fold: Callable[[tuple], None]
-) -> None:
-    """Call ``fold(job(k))`` for every term k of ``terms``, in their order.
-
-    When the batch's B * B * d reaches ``_SHARED_WORK`` the jobs are shared by
-    `workers.share` among the caller and the pool threads, each taking the
-    next term's index from one iterator; below it they run in the caller
-    alone, where handing them out would cost more than it saves.  A finished
-    job's result waits in its slot until every term before it is folded, so
-    the folds, done under one lock, run in term order on whichever thread
-    finished last.  A job and a fold do the same arithmetic on any thread, so
-    nothing depends on the worker count.  The jobs get arrays, never the
-    batch: on Python 3.11 and older its `cached_property` holds a lock.
+def _per_term(batch: Batch, job: Callable[[int], tuple], terms: Sequence[int]) -> list:
+    """``[job(k) for k in terms]``, shared by `workers.share` among the caller and
+    the pool threads when the batch's B * B * d reaches ``_SHARED_WORK``; below
+    it, where handing the terms out would cost more than it saves, the caller
+    runs them alone.  The jobs get arrays, never the batch: on Python 3.11 and
+    older its `cached_property` holds a lock.
     """
-    done: list = [None] * len(terms)
-    tasks = iter(range(len(terms)))
-    lock = threading.Lock()
-    folded = 0
-
-    def run() -> None:
-        nonlocal folded
-        for i in tasks:
-            done[i] = job(terms[i])
-            with lock:
-                while folded < len(done) and done[folded] is not None:
-                    fold(done[folded])
-                    done[folded] = None
-                    folded += 1
-
-    shared = batch.size * batch.queries.size >= _SHARED_WORK
-    workers.share(run, len(terms) if shared else 1)
+    if batch.size * batch.queries.size >= _SHARED_WORK:
+        return workers.share(job, terms)
+    return [job(k) for k in terms]
 
 
 def _warn_zero_sims(count: int) -> None:
@@ -347,18 +322,12 @@ def loss_gradients(batch: Batch, tau: float, beta: float) -> Tuple[np.ndarray, n
             return dc, da
         return da, dc
 
-    grads: list = []
-
-    def fold(pair: Tuple[np.ndarray, np.ndarray]) -> None:
-        if grads:
-            grads[0] += pair[0]
-            grads[1] += pair[1]
-        else:
-            grads.extend(pair)
-
     # the plain term 0 is not in the combined loss
-    _per_term(batch, range(1, 3 + batch.n_submasks), weighted, fold)
-    return grads[0], grads[1]
+    (grad_q, grad_d), *rest = _per_term(batch, weighted, range(1, 3 + batch.n_submasks))
+    for da, dc in rest:
+        grad_q += da
+        grad_d += dc
+    return grad_q, grad_d
 
 
 def finite_difference_check(point: Batch, tau: float, beta: float, step: float) -> float:

@@ -69,6 +69,12 @@ class Embedding:
         object.__setattr__(self, "values", arr)
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a band width outside (0, inf), NaN included."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+
+
 def _unit_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``rows`` scaled to unit length into ``out``; each norm is one BLAS dot
     per row, as ``np.linalg.norm`` takes the norm of a single vector."""
@@ -113,8 +119,7 @@ def mask_pipeline(
         DimensionMismatchError: if the shapes do not pair up.
         ZeroVectorError: if any query or document row has zero norm.
     """
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    check_alpha(alpha)
     # contiguous rows, so every row is reduced in the same order as a 1-D vector
     q = np.asarray(queries, dtype=np.float64, order="C")
     d = np.asarray(documents, dtype=np.float64, order="C")

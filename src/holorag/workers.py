@@ -6,17 +6,17 @@ holds ``_WORKERS - 1`` threads, one per CPU this process may run on besides
 the caller's.  The pool is built with this module but starts its threads
 only when work is first submitted to it, and a forked child, which has
 none of its parent's threads, builds a pool of its own.  `share` alone
-submits to it.  The calling thread always works too, so a call makes
-progress however busy the pool is with other callers' work; numpy releases
-the GIL inside its loops and BLAS calls, so the threads overlap.  Callers
-keep their results independent of the worker count: each task is computed
-by the same arithmetic on any thread, and results are placed, or summed, in
-a fixed order.
+submits to it, and it alone schedules: a caller hands it a job and a list
+of items and gets the results back in item order.  The calling thread
+always works too, so a call makes progress however busy the pool is with
+other callers' work; numpy releases the GIL inside its loops and BLAS
+calls, so the threads overlap.  Each item is computed by the same job on
+whichever thread takes it, so the results do not depend on the worker count.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable
+from typing import Callable, Sequence
 
 # threads that run one call's work, the caller included
 _WORKERS = (
@@ -39,20 +39,27 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_pool)
 
 
-def share(work: Callable[[], None], tasks: int) -> None:
-    """Run ``work`` on the calling thread and on up to ``tasks - 1`` pool threads,
-    one worker per CPU at most, and return once every worker is done.
+def share(job: Callable, items: Sequence) -> list:
+    """``[job(item) for item in items]``, computed on the calling thread and on up
+    to ``len(items) - 1`` pool threads, one worker per CPU at most.
 
-    Each call of ``work`` takes the next of the caller's ``tasks`` tasks from a
-    source they share, such as an iterator over ``range(tasks)``, whose
-    ``next`` the GIL makes atomic, until none is left.  So a worker that gets
-    no CPU leaves its tasks to the others, and a call with ``tasks`` of 1 or
-    less runs in the caller alone.  The caller works until no task is left,
-    so a submitted ``work`` that no pool thread has started by then has
-    nothing to take and is cancelled, not waited for.  An error raised by
-    ``work`` on any worker reaches the caller once every worker is done.
+    Each worker takes the next item that no worker has taken until none is
+    left, so a worker that gets no CPU leaves its items to the others, and a
+    call of one item or none runs in the caller alone.  The caller works until
+    every item is taken, so a submitted worker that no pool thread has started
+    by then has nothing to take and is cancelled, not waited for.  An error
+    raised by ``job`` on any worker reaches the caller once every worker is done.
     """
-    others = [_executor.submit(work) for _ in range(1, min(_WORKERS, tasks))]
+    results = [None] * len(items)
+    # each index is one call of the range iterator's C next, which the GIL
+    # makes atomic, so no two workers take the same item
+    indices = iter(range(len(items)))
+
+    def work() -> None:
+        for i in indices:
+            results[i] = job(items[i])
+
+    others = [_executor.submit(work) for _ in range(1, min(_WORKERS, len(items)))]
     try:
         work()
     finally:
@@ -61,3 +68,4 @@ def share(work: Callable[[], None], tasks: int) -> None:
         wait(started)
     for future in started:
         future.result()
+    return results

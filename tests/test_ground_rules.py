@@ -111,8 +111,20 @@ def test_only_share_submits_to_the_shared_pool():
     assert found == [("src/holorag/workers.py", "share")]
 
 
+def test_only_workers_schedules_threads():
+    """The modules whose work `workers.share` spreads import neither `threading` nor
+    `concurrent`: they hand it a job and items, and it alone schedules them."""
+    found = sorted(
+        (name, module)
+        for name in ("index.py", "losses.py", "masking.py")
+        for module in absolute_imports(REPO / "src" / "holorag" / name)
+        if module in ("threading", "concurrent")
+    )
+    assert found == []
+
+
 def test_similarities_are_built_in_two_places():
-    """A batch's cached `_sims`, through the job it hands to `losses._per_term`, and
+    """A batch's cached `_sims`, through the lambda it hands to `losses._per_term`, and
     the finite-difference checker's perturbed losses (in its ``shifted``) alone call
     `losses._masked_sims`; a lambda's calls count as its enclosing function's."""
     found = sorted(

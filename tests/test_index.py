@@ -548,17 +548,20 @@ class TestParallelScan:
 
     @pytest.mark.parametrize("alpha", [0.0, float("nan")])
     def test_bad_alpha_raises_the_one_block_error(self, alpha):
+        """Whatever the pool holds: live rows, no live rows (nothing to mask), or none."""
         rng = np.random.default_rng(26)
-        pool = gaussian_pool(rng, 10, 4)
         query = Embedding(rng.normal(size=4))
-        with pytest.raises(ValueError) as one_block:
-            top_k(pool, query, k=3, scoring="masked", alpha=alpha)
-        with scan_workers(3, 2):
-            with pytest.raises(ValueError) as parallel:
+        dead = {i: np.zeros(4) for i in range(3)}
+        empty = Pool(name="p", matrix=np.zeros((0, 4)), keys=(), metadata=())
+        for pool in (gaussian_pool(rng, 10, 4), gaussian_pool(rng, 3, 4, dead), empty):
+            with pytest.raises(ValueError) as one_block:
                 top_k(pool, query, k=3, scoring="masked", alpha=alpha)
-        assert str(parallel.value) == str(one_block.value) == (
-            f"alpha must be finite and > 0, got {alpha}"
-        )
+            with scan_workers(3, 2):
+                with pytest.raises(ValueError) as parallel:
+                    top_k(pool, query, k=3, scoring="masked", alpha=alpha)
+            assert str(parallel.value) == str(one_block.value) == (
+                f"alpha must be finite and > 0, got {alpha}"
+            )
 
     def test_error_on_a_scan_thread_reaches_the_caller(self, monkeypatch):
         original, raised = index.mask_pipeline, threading.Event()

@@ -498,8 +498,8 @@ class TestParallelTerms:
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1], want[1]))
         assert threading.get_ident() in threads and len(threads) > 1
 
-    def test_frequent_thread_switches_lose_no_fold(self):
-        """More workers than cores, switching threads often: every step still folds
+    def test_frequent_thread_switches_lose_no_term(self):
+        """More workers than cores, switching threads often: every step still sums
         every term once, in order, so each report and gradient keeps its bits."""
         rng = np.random.default_rng(47)
         batches = [random_batch(rng, b=5, d=12, n_parts=4) for _ in range(4)]
