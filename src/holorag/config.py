@@ -1,4 +1,4 @@
-"""Run configuration with a flags-over-file-over-defaults override chain."""
+"""Run configuration, checked as it is built, with a flags > file > defaults chain."""
 
 import json
 import sys
@@ -29,9 +29,9 @@ def _has_type(value, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Every tunable in one place; echoed into every report and trace."""
+    """Every tunable in one place, checked when built; echoed into every report and trace."""
 
     alpha: float = DEFAULT_ALPHA
     h: float = 0.8
@@ -49,7 +49,7 @@ class RunConfig:
     scoring_mode: str = "cosine"
     skip_on_error: bool = True
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         for f in fields(self):
             value, kind = getattr(self, f.name), field_type(f)
             optional = f.type is not kind
@@ -74,7 +74,6 @@ class RunConfig:
             raise ConfigError("timeout must be > 0")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        return self
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -102,4 +101,4 @@ class RunConfig:
         unknown = set(values) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**values).validate()
+        return cls(**values)

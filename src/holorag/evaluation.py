@@ -2,10 +2,10 @@
 
 Retrieval quality is normalized DCG over the top 5 with binary gains;
 generated answers are scored 1-5 by a judge backend, with 4 and 5 counted
-correct.  Both modes run through one loop, ``_evaluate``: it validates the
-config, checks that every gold document exists, picks each example's pool,
-scores the examples independently (optionally in parallel), records or
-re-raises each failure by ``skip_on_error`` and orders the rows by query_id.
+correct.  Both modes run through one loop, ``_evaluate``: it checks that
+every gold document exists, picks each example's pool, scores the examples
+independently (optionally in parallel), records or re-raises each failure
+by ``skip_on_error`` and orders the rows by query_id.
 A mode supplies only its ``score(example, pool)``.  The report stores the
 rows, and every aggregate is computed from them.
 """
@@ -162,10 +162,7 @@ def ndcg_at_k(ranked: Sequence[Hashable], relevant: Set[Hashable], k: int = NDCG
         raise ValueError("k must be >= 1")
     if not relevant:
         return 0.0
-    dcg = 0.0
-    for i, doc in enumerate(ranked[:k]):
-        if doc in relevant:
-            dcg += 1.0 / math.log2(i + 2)
+    dcg = sum(1.0 / math.log2(i + 2) for i, doc in enumerate(ranked[:k]) if doc in relevant)
     ideal = sum(1.0 / math.log2(i + 2) for i in range(min(len(relevant), k)))
     return dcg / ideal
 
@@ -246,14 +243,13 @@ def _evaluate(
 ) -> EvalReport:
     """Score every example with ``score(example, pool)`` into a report of one mode.
 
-    The config is validated, every gold document checked and every
-    example's pool chosen before any example runs, so an invalid dataset
-    fails before any backend call.  All-pool mode scores against one merged
-    pool; single-pool mode against the pool that holds the example's gold
-    documents.  A HoloRagError from ``score`` becomes the example's error row
-    when skip_on_error is set and aborts the run otherwise.
+    Every gold document is checked and every example's pool chosen before
+    any example runs, so an invalid dataset fails before any backend call.
+    All-pool mode scores against one merged pool; single-pool mode against
+    the pool that holds the example's gold documents.  A HoloRagError from
+    ``score`` becomes the example's error row when skip_on_error is set and
+    aborts the run otherwise.
     """
-    config.validate()
     _check_gold_present(dataset, pools)
     by_name = pools_by_name(pools)
     examples = list(dataset)

@@ -169,8 +169,8 @@ class Pool:
 
 def _read_rows(
     handle: BinaryIO, first_line: int, dimension: Optional[int], one_pool: bool
-) -> Tuple[List[Key], List[dict], np.ndarray]:
-    """Parse JSON-lines documents into key, metadata and matrix columns.
+) -> Tuple[List[Key], List[dict], np.ndarray, List[int]]:
+    """Parse JSON-lines documents into key, metadata, matrix and line-number columns.
 
     `json_objects` reads the binary ``handle``, numbering lines from
     ``first_line``; each object is {"doc_id": str, "pool": str, "embedding":
@@ -183,6 +183,7 @@ def _read_rows(
     """
     keys: List[Key] = []
     metadata: List[dict] = []
+    lines: List[int] = []
     rows = bytearray()
     for line_number, data in json_objects(handle, first_line):
         key, meta = _key_and_metadata(line_number, data)
@@ -204,9 +205,19 @@ def _read_rows(
         dimension = len(values)
         keys.append(key)
         metadata.append(meta)
+        lines.append(line_number)
         rows += values.data
     matrix = np.frombuffer(rows, dtype=np.float64).reshape(len(keys), dimension or 0)
-    return keys, metadata, matrix
+    return keys, metadata, matrix, lines
+
+
+def _owned_pool(name: str, matrix, keys, metadata, lines: Sequence[int]) -> Pool:
+    """`Pool` over the columns a reader just built; row i's error names ``lines[i]``.
+    `Pool`'s pairwise sum, which `Embedding`'s dot may find finite, has the last word."""
+    try:
+        return Pool(name=name, matrix=matrix, keys=keys, metadata=metadata, _owned=True)
+    except _NonFiniteRowError as exc:
+        raise line_error(lines[exc.row], str(exc)) from exc
 
 
 def _key_and_metadata(line_number: int, data: dict) -> Tuple[Key, dict]:
@@ -252,7 +263,7 @@ def _read_matrix(handle: BinaryIO, count: int, dimension: int) -> np.ndarray:
     The bytes left must be exactly ``count`` x ``dimension`` float64 values;
     that is checked against the file size before any of them is read, so a
     header that lies about its sizes never sizes an allocation.  Its rows are
-    checked by `Pool`, whose error `load_snapshot` gives the record's line.
+    checked by `Pool`, whose error `_owned_pool` gives the record's line.
     """
     size = count * dimension * _MATRIX_DTYPE.itemsize
     left = os.fstat(handle.fileno()).st_size - handle.tell()
@@ -277,11 +288,11 @@ def ingest_corpus(path: Union[str, Path]) -> Pool:
     """
     path = Path(path)
     with path.open("rb") as handle:
-        keys, metadata, matrix = _read_rows(handle, 1, None, one_pool=True)
+        keys, metadata, matrix, lines = _read_rows(handle, 1, None, one_pool=True)
     if not keys:
         warnings.warn(f"corpus file {path} contained no records")
         return Pool(name=path.stem, matrix=matrix, keys=(), metadata=(), _owned=True)
-    return Pool(name=keys[0][0], matrix=matrix, keys=keys, metadata=metadata, _owned=True)
+    return _owned_pool(keys[0][0], matrix, keys, metadata, lines)
 
 
 def _score_block(
@@ -467,18 +478,15 @@ def load_snapshot(path: Union[str, Path]) -> Pool:
                 f"name={name!r}, dimension={dimension!r}, count={count!r}"
             )
         if version == 1:
-            keys, metadata, matrix = _read_rows(handle, 2, dimension, one_pool=False)
+            keys, metadata, matrix, lines = _read_rows(handle, 2, dimension, one_pool=False)
         else:
             keys, metadata = _read_records(handle, count)
+            lines = range(2, count + 2)  # no blank record lines: record i is on line i + 2
         if len(keys) != count:
             raise CorpusParseError(f"snapshot declares {count} records but contains {len(keys)}")
         if version == 2:
             matrix = _read_matrix(handle, count, dimension)
-    try:
-        return Pool(name=name, matrix=matrix, keys=keys, metadata=metadata, _owned=True)
-    except _NonFiniteRowError as exc:
-        # only a format 2 matrix reaches the pool unchecked; record i is on line i + 2
-        raise line_error(exc.row + 2, str(exc)) from exc
+    return _owned_pool(name, matrix, keys, metadata, lines)
 
 
 def pools_by_name(pools: Sequence[Pool]) -> Dict[str, Pool]:

@@ -38,7 +38,6 @@ from .errors import DimensionMismatchError, TemperatureNonPositiveError
 from .masking import (
     DEFAULT_ALPHA,
     MASK_LEVELS,
-    Embedding,
     mask_pipeline,
     partition_mask,
 )
@@ -115,13 +114,6 @@ class LossReport:
     total: float
 
 
-def _rows(vectors: Sequence) -> np.ndarray:
-    """A fresh float64 (B, d) array; an ndarray is copied whole, a list row by row."""
-    if not isinstance(vectors, np.ndarray):
-        vectors = [v.values if isinstance(v, Embedding) else v for v in vectors]
-    return np.array(vectors, dtype=np.float64)
-
-
 def build_batch(
     queries: Sequence,
     documents: Sequence,
@@ -139,11 +131,18 @@ def build_batch(
     Raises:
         ZeroVectorError: if any query or document has zero norm.
         PartitionTooFineError: if ``n_parts`` exceeds a pair's mask support.
-        ValueError: if alpha is not finite and > 0, or the lists are empty or misalign.
+        ValueError: if alpha is not finite and > 0, the lists are empty or
+            misalign, or a row or its squared norm is not finite.
     """
     if len(queries) != len(documents) or len(queries) == 0:
         raise ValueError("queries and documents must be nonempty and align")
-    qs, ds = _rows(queries), _rows(documents)
+    qs, ds = np.array(queries, dtype=np.float64), np.array(documents, dtype=np.float64)
+    for name, rows in (("queries", qs), ("documents", ds)):
+        # the squared-norm test of `index.Pool`
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", rows, rows)))
+        if bad.size:
+            raise ValueError(f"{name} row {bad[0]} must be finite with a finite norm")
     masks = mask_pipeline(qs, ds, alpha)
     return Batch(qs, ds, masks, partition_mask(masks, n_parts, seed), _owned=True)
 

@@ -295,14 +295,11 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
     """Run the whole retrieve-prune-judge-generate pipeline for one query.
 
     Stage failures do not raise: the trace records the error event and comes
-    back without a final answer.  An empty pool raises EmptySequenceError and
-    an invalid ``config`` raises ConfigError before any backend call.  The
-    trace echoes ``config.to_dict()``.
+    back without a final answer.  An empty pool raises EmptySequenceError
+    before any backend call.  The trace echoes ``config.to_dict()``.
     """
     if len(pool) == 0:
         raise EmptySequenceError("pipeline needs a nonempty pool")
-    config.validate()
-    config_echo = config.to_dict()
 
     log: List[dict] = []
     ranked: Optional[RankedResult] = None
@@ -369,7 +366,7 @@ def run_pipeline(query: str, pool: Pool, config: RunConfig, backend: ModelBacken
 
     return AnswerTrace(
         query=query,
-        config=config_echo,
+        config=config.to_dict(),
         ranked=ranked,
         pruned=pruned,
         route=route,

@@ -20,6 +20,10 @@ DATA_DIR = Path(__file__).parent / "data"
 
 INV_E = 1.0 / math.e
 
+# a row at the overflow limit: its squared norm is finite as `Embedding` sums it, by
+# one dot, and infinite as `Pool` sums it, pairwise
+EDGE_ROW = [8.228629061470642e153, 1.0585791290921636e154]
+
 
 @contextlib.contextmanager
 def pool_workers(count: int):
@@ -78,7 +82,7 @@ def scripted_scenario(kind: str, query: str | None = None, mock: MockBackend | N
     """
     query = query or f"query::{kind}"
     pool = demo_pool()
-    config = RunConfig(k=3, h=0.8, max_iters=3).validate()
+    config = RunConfig(k=3, h=0.8, max_iters=3)
     mock = mock if mock is not None else MockBackend()
     mock.add_embedding("query", query, [1.0, 0.05, 0.02, 0.01])
     initial = f"measured-initial::{kind}::do-not-reuse"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import demo_pool
+from helpers import EDGE_ROW, demo_pool
 from loopback import ClosedPort, LoopbackServer, Reply
 from holorag import checks, cli, index, jsonl, losses
 from holorag.cli import EXIT_BACKEND_ERROR, EXIT_OK, EXIT_USER_ERROR, main
@@ -377,6 +377,24 @@ BAD_LINES = {
 }
 
 
+def test_ingest_of_a_row_only_the_pool_refuses_exits_user_error(tmp_path):
+    """`holorag ingest` of a row whose norm `Embedding` accepts and `Pool` refuses prints
+    an `error: line 2` line and exits 1, with no traceback."""
+    corpus = tmp_path / "corpus.jsonl"
+    edge = {**CORPUS_LINE, "doc_id": "d2", "embedding": EDGE_ROW}
+    corpus.write_text(json.dumps(CORPUS_LINE) + "\n" + json.dumps(edge) + "\n", encoding="utf-8")
+    script = "from holorag.cli import entrypoint; entrypoint()"
+    done = subprocess.run(
+        [sys.executable, "-c", script, "ingest", str(corpus), "-o", str(tmp_path / "out.snap")],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR.parent)), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == EXIT_USER_ERROR
+    assert done.stderr.startswith("error: line 2: ")
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out.snap").exists()
+
+
 @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=BAD_LINES.keys())
 @pytest.mark.parametrize("kind", ["corpus", "snapshot", "dataset", "fixtures", "config"])
 def test_bad_input_line_exits_user_error(kind, bad, retrieve_args, tmp_path, capsys):
@@ -417,7 +435,7 @@ def test_mistyped_config_value_exits_user_error(values, retrieve_args, tmp_path,
     """A config value of the wrong type is a ConfigError (exit 1), whatever its source."""
     (name,) = values
     with pytest.raises(ConfigError, match=f"^{name} must be"):
-        RunConfig(**values).validate()
+        RunConfig(**values)
     config = write_config(tmp_path, values)
     assert main(retrieve_args + ["--config", config]) == EXIT_USER_ERROR
     assert capsys.readouterr().err.startswith(f"error: {name} must be")
@@ -443,7 +461,7 @@ def test_out_of_range_config_value_exits_user_error(values, retrieve_args, tmp_p
     """A non-finite float, a timeout <= 0 or a negative retry count is a ConfigError (exit 1)."""
     ((name, value),) = values.items()
     with pytest.raises(ConfigError, match=f"^{name} must be"):
-        RunConfig(**values).validate()
+        RunConfig(**values)
     # json writes NaN and Infinity literals, which json.loads reads back
     config = write_config(tmp_path, values)
     flag = ["--" + name.replace("_", "-"), str(value)]

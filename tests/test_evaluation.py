@@ -258,7 +258,7 @@ class TestEvaluateE2e:
         dataset, pool, config, answers, judge = e2e_setup(
             [("lqp", 5), ("failure", None)]
         )
-        config.skip_on_error = False
+        config = replace(config, skip_on_error=False)
         with pytest.raises(HoloRagError):
             evaluate_e2e(dataset, [pool], config, answers, judge)
 
@@ -275,7 +275,7 @@ class TestEvaluateE2e:
             [("lqp", 5), ("lqp_first", 4), ("hqp_early", 2), ("hqp_max", 5)]
         )
         sequential = evaluate_e2e(dataset, [pool], config, answers, judge)
-        config.parallelism = 4
+        config = replace(config, parallelism=4)
         parallel = evaluate_e2e(dataset, [pool], config, answers, judge)
         assert parallel.accuracy == sequential.accuracy
         assert [r.query_id for r in parallel.per_example] == [
@@ -307,7 +307,7 @@ def golden_e2e_report(pool_mode, parallelism):
     )
     judge.add_generation("judge_score", dataset[5].query, ["prediction", "gold"], 1, "prose", [1.0])
     far = make_pool("far", [("z1", [-1.0, 0.0, 0.0, 0.0])])
-    config.pool_mode, config.parallelism = pool_mode, parallelism
+    config = replace(config, pool_mode=pool_mode, parallelism=parallelism)
     return evaluate_e2e(dataset[::-1], [pool, far], config, answers, judge)
 
 

@@ -138,7 +138,8 @@ def test_similarities_are_built_in_two_places():
 
 def test_only_fresh_arrays_are_handed_over_uncopied():
     """``_owned``, which skips the copy of a `Pool` or `Batch`, is passed, as True, only by
-    the functions that just made the arrays they hand over: nothing else holds them."""
+    the functions that just made the arrays they hand over, and by `index._owned_pool`,
+    to which the snapshot and corpus readers hand theirs: nothing else holds them."""
     found = sorted(
         (str(path.relative_to(REPO)), function, name, ast.unparse(keyword.value))
         for path in (REPO / "src" / "holorag").rglob("*.py")
@@ -147,9 +148,56 @@ def test_only_fresh_arrays_are_handed_over_uncopied():
         if keyword.arg == "_owned"
     )
     assert found == [
+        ("src/holorag/index.py", "_owned_pool", "Pool", "True"),
         ("src/holorag/index.py", "ingest_corpus", "Pool", "True"),
-        ("src/holorag/index.py", "ingest_corpus", "Pool", "True"),
-        ("src/holorag/index.py", "load_snapshot", "Pool", "True"),
         ("src/holorag/index.py", "merge_pools", "Pool", "True"),
         ("src/holorag/losses.py", "build_batch", "Batch", "True"),
     ]
+
+
+def parsed(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def dataclass_decorators(path: Path):
+    """(class name, decorator node) of every ``@dataclass`` or ``@dataclass(...)`` in ``path``."""
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if (getattr(target, "id", None) or getattr(target, "attr", None)) == "dataclass":
+                    yield node.name, decorator
+
+
+def test_every_dataclass_is_frozen():
+    """A record is checked when it is built and never changed after, so every
+    `@dataclass` under src/holorag passes ``frozen=True``."""
+    thawed = sorted(
+        (str(path.relative_to(REPO)), decorator.lineno, name)
+        for path in (REPO / "src" / "holorag").rglob("*.py")
+        for name, decorator in dataclass_decorators(path)
+        if not any(
+            keyword.arg == "frozen" and ast.unparse(keyword.value) == "True"
+            for keyword in getattr(decorator, "keywords", [])
+        )
+    )
+    assert thawed == []
+
+
+def test_nothing_revalidates_a_config():
+    """`RunConfig` checks itself when it is built, so src/ neither defines nor calls a
+    ``validate``."""
+    sources = sorted((REPO / "src" / "holorag").rglob("*.py"))
+    defined = [
+        (str(path.relative_to(REPO)), node.lineno)
+        for path in sources
+        for node in ast.walk(parsed(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "validate"
+    ]
+    called = [
+        (str(path.relative_to(REPO)), function)
+        for path in sources
+        for function, name, _ in calls_by_function(path)
+        if name == "validate"
+    ]
+    assert (defined, called) == ([], [])

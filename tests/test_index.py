@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mask_oracle
-from helpers import DATA_DIR, demo_pool, make_pool, pool_workers, traced_peak
+from helpers import DATA_DIR, EDGE_ROW, demo_pool, make_pool, pool_workers, traced_peak
 from holorag import evaluation, index
 from holorag.backends import MockBackend
 from holorag.cli import EXIT_USER_ERROR, main
@@ -123,6 +123,25 @@ class TestIngest:
             ],
         )
         with pytest.raises(CorpusParseError, match="norm") as info:
+            ingest_corpus(path)
+        assert info.value.line_number == 2
+
+    def test_row_only_the_pool_refuses_names_line(self, tmp_path):
+        """A row whose squared norm is finite by `Embedding`'s dot but not by `Pool`'s
+        pairwise sum is a CorpusParseError naming its line."""
+        edge = np.array([EDGE_ROW])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.einsum("ij,ij->i", edge, edge)[0])
+        Embedding(EDGE_ROW)  # accepted: its one dot of the squares is finite
+        path = tmp_path / "edge.jsonl"
+        write_corpus(
+            path,
+            [
+                {"doc_id": "a", "pool": "p", "embedding": [1.0, 1.0]},
+                {"doc_id": "b", "pool": "p", "embedding": EDGE_ROW},
+            ],
+        )
+        with pytest.raises(CorpusParseError, match="^line 2: .*'b'.* finite norm") as info:
             ingest_corpus(path)
         assert info.value.line_number == 2
 
@@ -897,6 +916,21 @@ class TestSnapshots:
             path.write_bytes(data[:size])
             with pytest.raises(CorpusParseError, match="declares 100"):
                 load_snapshot(path)
+
+    def test_format1_row_only_the_pool_refuses_names_its_line(self, tmp_path):
+        """In a format 1 snapshot, a row that `Embedding` accepts and `Pool` refuses is
+        named by its own line, after blank lines too."""
+        header = {"count": 2, "dimension": 2, "format_version": 1, "name": "p"}
+        records = [
+            {"doc_id": "a", "embedding": [1.0, 1.0], "metadata": {}, "pool": "p"},
+            {"doc_id": "b", "embedding": EDGE_ROW, "metadata": {}, "pool": "p"},
+        ]
+        lines = [json.dumps(header), json.dumps(records[0]), "", "", json.dumps(records[1])]
+        path = tmp_path / "edge.snap"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusParseError, match="^line 5: .*'b'.* finite norm") as info:
+            load_snapshot(path)
+        assert info.value.line_number == 5
 
     def test_empty_pool_round_trip(self, tmp_path):
         pool = Pool(name="void", matrix=np.zeros((0, 0)), keys=(), metadata=())

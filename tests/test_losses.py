@@ -602,6 +602,21 @@ class TestBatchConstruction:
         with pytest.raises(ZeroVectorError):
             build_batch(queries, documents, n_parts=1)
 
+    @pytest.mark.parametrize("side", ["queries", "documents"])
+    @pytest.mark.parametrize(
+        "row",
+        [[1.0, math.nan, 2.0], [1.0, math.inf, 2.0], [1e200, 1e200, 1.0]],
+        ids=["nan", "inf", "overflowing-norm"],
+    )
+    def test_build_batch_refuses_a_non_finite_row(self, side, row):
+        """A row that is not finite, or whose squared norm overflows, is a ValueError that
+        names the array and the row, raised before any mask is derived."""
+        queries = [[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]
+        documents = [[3.0, 1.0, 2.0], [1.0, 2.0, 3.0]]
+        (queries if side == "queries" else documents)[1] = row
+        with pytest.raises(ValueError, match=f"^{side} row 1 must be finite with a finite norm$"):
+            build_batch(queries, documents, n_parts=1)
+
     def test_build_batch_partition_too_fine(self):
         # a 2-d mask has at most 2 nonzero coordinates to split
         with pytest.raises(PartitionTooFineError):
