@@ -4,6 +4,12 @@ Subcommands: ingest a corpus into a snapshot, retrieve against snapshots,
 answer a query through the agent pipeline, evaluate a dataset, and run the
 loss/gradient self-checks.  Exit codes: 0 success, 1 usage, user or data
 error, 2 backend error.
+
+The snapshot commands (retrieve, answer, eval) share one set-up, `_set_up`: it
+builds the config, then the backend, then the snapshot pools, and eval reads its
+dataset after it.  `main` prints every error as one ``error: `` line, except a
+failed answer trace, which `cmd_answer` prints, and a usage error, which the
+parser prints.
 """
 
 import argparse
@@ -11,7 +17,7 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .backends.http import HttpBackend
 from .backends.mock import MockBackend
@@ -28,8 +34,8 @@ EXIT_USER_ERROR = 1
 EXIT_BACKEND_ERROR = 2
 
 
-def _exit_code(exc: HoloRagError) -> int:
-    """Backend errors (the RuntimeError family) exit 2, data and usage errors 1."""
+def _exit_code(exc: Exception) -> int:
+    """Backend errors (the RuntimeError family) exit 2, data, usage and OS errors 1."""
     return EXIT_BACKEND_ERROR if isinstance(exc, RuntimeError) else EXIT_USER_ERROR
 
 
@@ -50,31 +56,6 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per non-bool RunConfig field, plus --no-skip-on-error."""
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    for f in fields(RunConfig):
-        if f.type is bool:
-            continue
-        flag = "--" + f.name.replace("_", "-")
-        if f.name in CHOICES:
-            parser.add_argument(flag, choices=CHOICES[f.name], dest=f.name)
-        else:
-            parser.add_argument(flag, type=field_type(f), dest=f.name)
-    parser.add_argument(
-        "--no-skip-on-error",
-        action="store_const",
-        const=False,
-        dest="skip_on_error",
-        help="abort an evaluation on the first failing example",
-    )
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    return RunConfig.from_sources(getattr(args, "config", None), overrides)
-
-
 def _build_backend(config: RunConfig):
     if config.backend == "mock":
         if not config.fixtures:
@@ -91,8 +72,11 @@ def _build_backend(config: RunConfig):
     )
 
 
-def _load_pools(paths: Sequence[str]) -> List:
-    return [load_snapshot(path) for path in paths]
+def _set_up(args: argparse.Namespace) -> tuple:
+    """(config, backend, pools) of a snapshot command, built in that order."""
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    config = RunConfig.from_sources(args.config, overrides)
+    return config, _build_backend(config), [load_snapshot(path) for path in args.snapshots]
 
 
 def _select_pool(pools, pool_mode: str, pool_name: Optional[str]):
@@ -110,11 +94,17 @@ def _select_pool(pools, pool_mode: str, pool_name: Optional[str]):
     return pools[0]
 
 
+def _write_json(path: Optional[str], record) -> None:
+    """Write ``record.to_json()`` and a newline to ``path``, if given, by one rename."""
+    if path:
+        with atomic_write(path) as handle:
+            handle.write((record.to_json() + "\n").encode("utf-8"))
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
-        print(f"error: {out} exists; pass --force to overwrite", file=sys.stderr)
-        return EXIT_USER_ERROR
+        raise ConfigError(f"{out} exists; pass --force to overwrite")
     pool = ingest_corpus(args.corpus)
     save_snapshot(pool, out)
     print(f"{len(pool)} records, dim={pool.dimension} -> {out}")
@@ -122,12 +112,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    backend = _build_backend(config)
-    pools = _load_pools(args.snapshots)
-    pool = _select_pool(pools, config.pool_mode, args.pool)
+    config, backend, pools = _set_up(args)
     ranked = top_k(
-        pool,
+        _select_pool(pools, config.pool_mode, args.pool),
         backend.embed_query(args.query),
         config.k,
         scoring=config.scoring_mode,
@@ -143,14 +130,10 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_answer(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    backend = _build_backend(config)
-    pools = _load_pools(args.snapshots)
+    config, backend, pools = _set_up(args)
     pool = _select_pool(pools, config.pool_mode, args.pool)
     trace = run_pipeline(args.query, pool, config, backend)
-    if args.trace:
-        with atomic_write(args.trace) as handle:
-            handle.write((trace.to_json() + "\n").encode("utf-8"))
+    _write_json(args.trace, trace)
     if trace.failed:
         print(f"error: {trace.error}", file=sys.stderr)
         return _exit_code(trace.exception)
@@ -159,18 +142,14 @@ def cmd_answer(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config, backend, pools = _set_up(args)
     dataset = load_dataset(args.dataset)
-    pools = _load_pools(args.snapshots)
-    backend = _build_backend(config)
     if args.mode == "retrieval":
         report = evaluate_retrieval(dataset, config.pool_mode, pools, backend, config)
     else:
         # the same endpoint serves the judging fixtures
         report = evaluate_e2e(dataset, pools, config, backend, backend)
-    if args.report:
-        with atomic_write(args.report) as handle:
-            handle.write((report.to_json() + "\n").encode("utf-8"))
+    _write_json(args.report, report)
     print(report.render_table())
     if report.mean_ndcg5 is not None:
         print(f"mean nDCG@5 = {report.mean_ndcg5:.4f}")
@@ -189,16 +168,13 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report, ensure_ascii=False))
     else:
-        print(
-            f"oracle:   {oracle['batches']} batches, "
-            f"max |err| = {oracle['max_abs_error']:.3e} "
-            f"(tol {oracle['tolerance']:.0e}) -> {'ok' if oracle['passed'] else 'FAIL'}"
-        )
-        print(
-            f"gradient: {gradient['batches']} batches, "
-            f"max rel err = {gradient['max_relative_error']:.3e} "
-            f"(tol {gradient['tolerance']:.0e}) -> {'ok' if gradient['passed'] else 'FAIL'}"
-        )
+        for name, error, key in (("oracle", "max |err|", "max_abs_error"),
+                                 ("gradient", "max rel err", "max_relative_error")):
+            suite = report[name]
+            print(
+                f"{name + ':':<10}{suite['batches']} batches, {error} = {suite[key]:.3e} "
+                f"(tol {suite['tolerance']:.0e}) -> {'ok' if suite['passed'] else 'FAIL'}"
+            )
     return EXIT_OK if report["passed"] else EXIT_USER_ERROR
 
 
@@ -208,6 +184,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Holistic retrieval and uncertainty-routed generation engine",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments of every snapshot command, then those of retrieve and answer
+    snapshot_args = _Parser(add_help=False)
+    snapshot_args.add_argument("snapshots", nargs="+", help="pool snapshot file(s)")
+    snapshot_args.add_argument("--config", help="JSON config file; flags override its values")
+    for f in fields(RunConfig):  # one flag per non-bool field, plus --no-skip-on-error
+        flag = "--" + f.name.replace("_", "-")
+        if f.name in CHOICES:
+            snapshot_args.add_argument(flag, choices=CHOICES[f.name], dest=f.name)
+        elif f.type is not bool:
+            snapshot_args.add_argument(flag, type=field_type(f), dest=f.name)
+    snapshot_args.add_argument(
+        "--no-skip-on-error",
+        action="store_const",
+        const=False,
+        dest="skip_on_error",
+        help="abort an evaluation on the first failing example",
+    )
+    query_args = _Parser(add_help=False, parents=[snapshot_args])
+    query_args.add_argument("--query", required=True)
+    query_args.add_argument("--pool", help="pool name for single-pool mode")
 
     p_ingest = sub.add_parser(
         "ingest",
@@ -219,28 +215,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--force", action="store_true", help="overwrite an existing snapshot")
     p_ingest.set_defaults(func=cmd_ingest)
 
-    p_retrieve = sub.add_parser("retrieve", help="rank documents for a query")
-    p_retrieve.add_argument("snapshots", nargs="+", help="pool snapshot file(s)")
-    p_retrieve.add_argument("--query", required=True)
-    p_retrieve.add_argument("--pool", help="pool name for single-pool mode")
+    p_retrieve = sub.add_parser("retrieve", parents=[query_args], help="rank documents for a query")
     p_retrieve.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-    _add_config_flags(p_retrieve)
     p_retrieve.set_defaults(func=cmd_retrieve)
 
-    p_answer = sub.add_parser("answer", help="answer a query through the agent pipeline")
-    p_answer.add_argument("snapshots", nargs="+")
-    p_answer.add_argument("--query", required=True)
-    p_answer.add_argument("--pool", help="pool name for single-pool mode")
+    p_answer = sub.add_parser(
+        "answer", parents=[query_args], help="answer a query through the agent pipeline"
+    )
     p_answer.add_argument("--trace", help="write the full answer trace JSON here")
-    _add_config_flags(p_answer)
     p_answer.set_defaults(func=cmd_answer)
 
-    p_eval = sub.add_parser("eval", help="evaluate retrieval or end-to-end answering")
-    p_eval.add_argument("snapshots", nargs="+")
+    p_eval = sub.add_parser(
+        "eval", parents=[snapshot_args], help="evaluate retrieval or end-to-end answering"
+    )
     p_eval.add_argument("--dataset", required=True, help="JSON-lines QA dataset")
     p_eval.add_argument("--mode", choices=("retrieval", "e2e"), required=True)
     p_eval.add_argument("--report", help="write the JSON report here")
-    _add_config_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser(
@@ -260,12 +250,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HoloRagError as exc:
+    except (HoloRagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
 
 
 def entrypoint() -> None:

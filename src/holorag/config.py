@@ -63,13 +63,12 @@ class RunConfig:
             raise ConfigError("alpha must be > 0")
         if not (0.0 < self.h < 1.0):
             raise ConfigError("h must be in (0, 1)")
-        if self.k < 1 or self.max_iters < 1:
-            raise ConfigError("k and max_iters must be >= 1")
+        for name in ("k", "max_iters", "parallelism"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
         if self.timeout <= 0:
             raise ConfigError("timeout must be > 0")
         if self.max_retries < 0:

@@ -132,12 +132,15 @@ def build_batch(
         ZeroVectorError: if any query or document has zero norm.
         PartitionTooFineError: if ``n_parts`` exceeds a pair's mask support.
         ValueError: if alpha is not finite and > 0, the lists are empty or
-            misalign, or a row or its squared norm is not finite.
+            misalign, an array is not 2-D, or a row or its squared norm is
+            not finite.
     """
     if len(queries) != len(documents) or len(queries) == 0:
         raise ValueError("queries and documents must be nonempty and align")
     qs, ds = np.array(queries, dtype=np.float64), np.array(documents, dtype=np.float64)
     for name, rows in (("queries", qs), ("documents", ds)):
+        if rows.ndim != 2:
+            raise ValueError(f"{name} must be a (B, d) array with B >= 1")
         # the squared-norm test of `index.Pool`
         with np.errstate(over="ignore"):
             bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", rows, rows)))

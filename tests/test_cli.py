@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import EDGE_ROW, demo_pool
+from helpers import EDGE_ROW, demo_pool, make_pool
 from loopback import ClosedPort, LoopbackServer, Reply
 from holorag import checks, cli, index, jsonl, losses
+from holorag.backends import MockBackend
 from holorag.cli import EXIT_BACKEND_ERROR, EXIT_OK, EXIT_USER_ERROR, main
 from holorag.config import CHOICES, RunConfig
 from holorag.errors import ConfigError
+from holorag.evaluation import evaluate_retrieval, load_dataset
 from holorag.index import save_snapshot
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "holorag"
@@ -126,6 +128,54 @@ def test_pool_name_in_all_pool_mode_exits_user_error(name, retrieve_args, capsys
     assert main(retrieve_args + ["--pool-mode", "all"]) == EXIT_OK
 
 
+def test_retrieve_prints_a_table_without_json(retrieve_args, capsys):
+    """Without --json, `retrieve` prints one fixed-width row per ranked document."""
+    assert main(retrieve_args) == EXIT_OK
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert main(retrieve_args[:-1]) == EXIT_OK
+    rows = [
+        f"{rank:<5} {'charts':<12} {e['doc_id']:<20} {e['score']:.6f}"
+        for rank, e in enumerate(entries, start=1)
+    ]
+    assert [e["doc_id"] for e in entries] == ["d1", "d2", "d3"]
+    assert capsys.readouterr().out == "\n".join(
+        [f"{'rank':<5} {'pool':<12} {'doc_id':<20} score"] + rows
+    ) + "\n"
+
+
+@pytest.fixture
+def two_snapshots(tmp_path):
+    """The demo pool "charts" and a pool "other" whose d9 lies along the query."""
+    charts, other = tmp_path / "charts.snap", tmp_path / "other.snap"
+    save_snapshot(demo_pool(), charts)
+    save_snapshot(make_pool("other", [("d9", [0.0, 1.0, 0.0, 0.0])]), other)
+    return str(charts), str(other)
+
+
+def test_pool_name_picks_one_of_several_snapshots(two_snapshots, retrieve_args, capsys):
+    args = retrieve_args[:1] + list(two_snapshots) + retrieve_args[2:]
+    assert main(args + ["--pool", "other"]) == EXIT_OK
+    ranked = json.loads(capsys.readouterr().out)
+    assert [(e["pool"], e["doc_id"]) for e in ranked["entries"]] == [("other", "d9")]
+
+
+@pytest.mark.parametrize(
+    "snapshots, pool, message",
+    [
+        ((0, 1), [], "single-pool mode over several snapshots needs --pool NAME"),
+        ((0, 1), ["--pool", "nosuch"], "no snapshot holds pool 'nosuch'"),
+        ((0, 0), ["--pool", "charts"], "two pools named 'charts'"),
+    ],
+    ids=["no-name", "unknown-name", "repeated-name"],
+)
+def test_pool_choice_over_several_snapshots_exits_user_error(
+    snapshots, pool, message, two_snapshots, retrieve_args, capsys
+):
+    args = retrieve_args[:1] + [two_snapshots[i] for i in snapshots] + retrieve_args[2:]
+    assert main(args + pool) == EXIT_USER_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_malformed_fixture_line_exits_user_error(retrieve_args, tmp_path, capsys):
     fixtures = tmp_path / "fixtures.jsonl"
     with fixtures.open("a", encoding="utf-8") as handle:
@@ -217,6 +267,46 @@ def test_wrong_dimension_query_exits_user_error(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "query dimension (3,) does not match pool dimension 4" in err
     assert "failed:" not in err
+
+
+@pytest.mark.parametrize("command", ["retrieve", "answer", "eval"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([], "mock backend needs --fixtures pointing at a fixture file"),
+        (["--backend", "http", "--model", "m"], "http backend needs --base-url and --model"),
+        (["--backend", "http", "--base-url", "http://127.0.0.1:9/v1"],
+         "http backend needs --base-url and --model"),
+    ],
+    ids=["mock-no-fixtures", "http-no-base-url", "http-no-model"],
+)
+def test_backend_without_its_settings_exits_user_error(command, flags, message, tmp_path, capsys):
+    """A backend missing a setting it needs is a ConfigError (exit 1), before any call."""
+    args = pipeline_args(tmp_path, "eval" if command == "eval" else "answer", [])
+    at = args.index("--fixtures")
+    args = [command] + args[1:at] + args[at + 2 :] + flags
+    assert main(args) == EXIT_USER_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_eval_retrieval_prints_the_table_and_writes_the_report(tmp_path, capsys):
+    """`eval --mode retrieval` prints the table and the mean nDCG@5, and --report holds
+    the report's JSON and a newline."""
+    args = pipeline_args(tmp_path, "eval", [QUERY_EMBEDDING])
+    args[args.index("e2e")] = "retrieval"
+    report_path = tmp_path / "report.json"
+    assert main(args + ["--report", str(report_path)]) == EXIT_OK
+    fixtures = args[args.index("--fixtures") + 1]
+    config = RunConfig(fixtures=fixtures, skip_on_error=False)
+    report = evaluate_retrieval(
+        load_dataset(tmp_path / "dataset.jsonl"),
+        "single",
+        [index.load_snapshot(tmp_path / "charts.snap")],
+        MockBackend.from_file(fixtures),
+        config,
+    )
+    assert capsys.readouterr().out == report.render_table() + "\nmean nDCG@5 = 1.0000\n"
+    assert report_path.read_text(encoding="utf-8") == report.to_json() + "\n"
 
 
 # -- answer over the real HTTP transport, against a loopback server ----------
@@ -395,6 +485,18 @@ def test_ingest_of_a_row_only_the_pool_refuses_exits_user_error(tmp_path):
     assert not (tmp_path / "out.snap").exists()
 
 
+def test_ingest_refuses_an_existing_output_without_force(tmp_path, capsys):
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out.snap"
+    corpus.write_text(json.dumps(CORPUS_LINE) + "\n", encoding="utf-8")
+    out.write_bytes(b"old")
+    assert main(["ingest", str(corpus), "-o", str(out)]) == EXIT_USER_ERROR
+    assert capsys.readouterr().err == f"error: {out} exists; pass --force to overwrite\n"
+    assert out.read_bytes() == b"old"
+    assert main(["ingest", str(corpus), "-o", str(out), "--force"]) == EXIT_OK
+    assert capsys.readouterr().out == f"1 records, dim=2 -> {out}\n"
+    assert index.load_snapshot(out).keys == (("charts", "d1"),)
+
+
 @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=BAD_LINES.keys())
 @pytest.mark.parametrize("kind", ["corpus", "snapshot", "dataset", "fixtures", "config"])
 def test_bad_input_line_exits_user_error(kind, bad, retrieve_args, tmp_path, capsys):
@@ -453,12 +555,16 @@ OUT_OF_RANGE_CONFIGS = {
     "timeout-negative": {"timeout": -1.0},
     "timeout-nan": {"timeout": float("nan")},
     "max-retries-negative": {"max_retries": -1},
+    "k-zero": {"k": 0},
+    "max-iters-zero": {"max_iters": 0},
+    "parallelism-zero": {"parallelism": 0},
 }
 
 
 @pytest.mark.parametrize("values", OUT_OF_RANGE_CONFIGS.values(), ids=OUT_OF_RANGE_CONFIGS.keys())
 def test_out_of_range_config_value_exits_user_error(values, retrieve_args, tmp_path, capsys):
-    """A non-finite float, a timeout <= 0 or a negative retry count is a ConfigError (exit 1)."""
+    """A non-finite float, a timeout <= 0, a negative retry count, or a k, max_iters or
+    parallelism below 1 is a ConfigError (exit 1) that names its field alone."""
     ((name, value),) = values.items()
     with pytest.raises(ConfigError, match=f"^{name} must be"):
         RunConfig(**values)

@@ -103,6 +103,11 @@ class TestJudgeAccuracy:
         with pytest.raises(UnparseableScoreError):
             judge_accuracy("a", "b", judge, query="q")
 
+    @pytest.mark.parametrize("text", ["", " \n\t\n"])
+    def test_empty_reply_rejected(self, text):
+        with pytest.raises(UnparseableScoreError, match="^judge response was empty$"):
+            evaluation._parse_judge_score(text)
+
 
 def angle_pool(name, spec):
     rad = {doc_id: math.radians(a) for doc_id, a in spec}

@@ -201,3 +201,18 @@ def test_nothing_revalidates_a_config():
         if name == "validate"
     ]
     assert (defined, called) == ([], [])
+
+
+def test_cli_sets_up_and_writes_in_one_place_each():
+    """In cli.py, `_set_up` alone builds the backend and loads snapshots, for every
+    snapshot command, and `_write_json` alone writes a file, for --trace and --report."""
+    found = sorted(
+        (function, name)
+        for function, name, _ in calls_by_function(REPO / "src" / "holorag" / "cli.py")
+        if name in ("_build_backend", "load_snapshot", "atomic_write")
+    )
+    assert found == [
+        ("_set_up", "_build_backend"),
+        ("_set_up", "load_snapshot"),
+        ("_write_json", "atomic_write"),
+    ]

@@ -37,6 +37,7 @@ from holorag.index import (
     ingest_corpus,
     load_snapshot,
     merge_pools,
+    pools_by_name,
     save_snapshot,
     top_k,
 )
@@ -210,6 +211,12 @@ class TestTopK:
         pool = make_pool("p", [("a", [1.0, 0.0])])
         with pytest.raises(DimensionMismatchError):
             top_k(pool, Embedding([1.0, 0.0, 0.0]), k=1)
+
+    @pytest.mark.parametrize("scoring", ["cosine", "masked"])
+    def test_empty_pool_returns_no_entries(self, scoring):
+        pool = Pool(name="p", matrix=np.zeros((0, 2)), keys=(), metadata=())
+        ranked = top_k(pool, Embedding([1.0, 0.0]), k=3, scoring=scoring)
+        assert (ranked.entries, ranked.k) == ((), 3)
 
     def test_zero_query(self):
         pool = make_pool("p", [("a", [1.0, 0.0])])
@@ -754,6 +761,15 @@ class TestMergePools:
         with pytest.raises(DimensionMismatchError):
             merge_pools([p1, p2])
 
+    def test_merge_of_no_pools_rejected(self):
+        with pytest.raises(ValueError, match="^merge_pools needs at least one pool$"):
+            merge_pools([])
+
+    def test_pools_by_name_rejects_a_repeated_name(self):
+        p1 = make_pool("p1", [("a", [1.0])])
+        with pytest.raises(DuplicateIdError, match="^two pools named 'p1'$"):
+            pools_by_name([p1, make_pool("p2", [("a", [1.0])]), p1])
+
     def test_pool_isolation(self):
         p1 = make_pool("p1", [("a", [1.0, 0.0])])
         result = top_k(p1, Embedding([1.0, 0.0]), k=5)
@@ -816,6 +832,12 @@ class TestMatrixOwnership:
         arr[:] = 1.0
         np.testing.assert_array_equal(pool.matrix, want)
         assert top_k(pool, Embedding(want[0]), k=4).to_dict() == before
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4,), (4, 2, 1)])
+    def test_matrix_that_does_not_fit_the_keys_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError, match=rf"^matrix of shape \({shape[0]},"):
+            Pool(name="p", matrix=np.ones(shape), keys=tuple(("p", f"d{i}") for i in range(4)),
+                 metadata=({},) * 4)
 
     @pytest.mark.parametrize("build", sorted(BUILDS))
     def test_built_pool_is_read_only_and_equal(self, build, built_from_files):
@@ -886,6 +908,14 @@ class TestSnapshots:
             path.write_text(json.dumps({**header, field: value}) + "\n", encoding="utf-8")
             with pytest.raises(CorpusParseError, match="snapshot header malformed"):
                 load_snapshot(path)
+
+    @pytest.mark.parametrize("header", [{"count": 0, "dimension": 2, "name": "x"}, [2]])
+    def test_header_without_format_version(self, tmp_path, header):
+        path = tmp_path / "bad.snap"
+        path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        missing = "^snapshot header missing format_version$"
+        with pytest.raises(FormatVersionMismatchError, match=missing):
+            load_snapshot(path)
 
     def test_missing_header_field(self, tmp_path):
         path = tmp_path / "bad.snap"

@@ -577,6 +577,25 @@ class TestBatchConstruction:
                 submasks=np.ones((2, 1, 3)),
             )
 
+    def test_queries_that_are_not_2d(self):
+        with pytest.raises(ValueError, match=r"^queries must be a \(B, d\) array with B >= 1$"):
+            Batch(
+                queries=np.ones(2),
+                positives=np.ones(2),
+                masks=np.ones(2),
+                submasks=np.ones((1, 1, 2)),
+            )
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1, 3), (2, 1, 4), (2, 0, 3)])
+    def test_misshapen_submasks(self, shape):
+        with pytest.raises(DimensionMismatchError, match=r"^submasks must be \(B, N, d\)"):
+            Batch(
+                queries=np.ones((2, 3)),
+                positives=np.ones((2, 3)),
+                masks=np.ones((2, 3)),
+                submasks=np.ones(shape),
+            )
+
     def test_bad_mask_values(self):
         with pytest.raises(ValueError):
             Batch(
@@ -615,6 +634,21 @@ class TestBatchConstruction:
         documents = [[3.0, 1.0, 2.0], [1.0, 2.0, 3.0]]
         (queries if side == "queries" else documents)[1] = row
         with pytest.raises(ValueError, match=f"^{side} row 1 must be finite with a finite norm$"):
+            build_batch(queries, documents, n_parts=1)
+
+    @pytest.mark.parametrize(
+        "queries, documents, name",
+        [
+            ([1.0, 2.0], [3.0, 4.0], "queries"),
+            (np.ones((2, 2, 2)), np.ones((2, 2, 2)), "queries"),
+            ([[1.0, 2.0], [2.0, 1.0]], np.ones((2, 2, 1)), "documents"),
+        ],
+        ids=["1d", "3d", "3d-documents"],
+    )
+    def test_build_batch_refuses_input_that_is_not_2d(self, queries, documents, name):
+        """An array that is not (B, d) gets `Batch`'s shape error, naming the array,
+        not numpy's einsum error."""
+        with pytest.raises(ValueError, match=rf"^{name} must be a \(B, d\) array with B >= 1$"):
             build_batch(queries, documents, n_parts=1)
 
     def test_build_batch_partition_too_fine(self):
