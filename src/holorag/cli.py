@@ -48,12 +48,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USER_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _seed(text: str) -> int:
-    """A --seed value; numpy's generators take non-negative integers only."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+def _non_negative(text: str) -> int:
+    """A seed or a batch count; numpy's generators take non-negative seeds only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_backend(config: RunConfig):
@@ -236,9 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "loss-check", help="check loss values and gradients on random batches; exit 1 on a failure"
     )
-    p_check.add_argument("--seed", type=_seed, default=0, help="seed of the random batches")
-    p_check.add_argument("--oracle-batches", type=int, default=50, help="batches of loss values")
-    p_check.add_argument("--gradient-batches", type=int, default=9, help="batches of gradients")
+    for flag, default, text in (
+        ("--seed", 0, "seed of the random batches"),
+        ("--oracle-batches", 50, "batches of loss values"),
+        ("--gradient-batches", 9, "batches of gradients"),
+    ):
+        p_check.add_argument(flag, type=_non_negative, default=default, help=text)
     p_check.add_argument("--json", action="store_true", help="emit the report as JSON")
     p_check.set_defaults(func=cmd_loss_check)
 

@@ -11,14 +11,14 @@ growing buffer, and the format 2 reader reads the whole matrix into one array.
 Retrieval is an exact full scan (corpora here are desk scale): both
 scoring modes share one row-wise cosine formula, so equal rows score
 equal, and one tie-safe cut ranks both modes: it sorts only the rows it
-keeps, by score, then doc_id, then pool name.  Masked scoring cuts the
-live rows into fixed blocks and hands them to `workers.share`, which scores
-them on the calling thread and the threads of the pool that `workers` owns,
-which the losses use too, and returns each block's dots and masked norms in
-block order.  A block is gathered, masked and scored on its own, so no query
-allocates an (n, d) temporary.  Every row is scored by the same arithmetic
-whichever thread scans it, so scores do not depend on the worker count.
-A snapshot (format 2) holds the records' keys and
+keeps, by score, then doc_id, then pool name.  Masked scoring hands the
+matrix's fixed blocks of rows to `workers.share`, which scores them on the
+calling thread and the threads of the pool that `workers` owns, which the
+losses use too, and returns each block's dots and masked norms in block
+order.  A block is a view of the matrix, masked and scored on its own, so no
+query copies a row or allocates an (n, d) temporary.  Every row is scored
+by the same arithmetic whichever thread scans it, so scores do not depend
+on the worker count.  A snapshot (format 2) holds the records' keys and
 metadata as JSON lines and the matrix after them as raw little-endian
 float64, so saving and loading never format or parse a float; format 1
 snapshots, all JSON lines, still load.  Every JSON line, of a corpus or a
@@ -108,10 +108,9 @@ class Pool:
     `ingest_corpus`, `load_snapshot` and `merge_pools` hand over the fresh
     float64 matrix they just built, which nothing else holds, uncopied, so
     building a pool never holds two matrices.  Every row must be finite with
-    a finite norm, or the error names the first row's key.
-    The row norms are computed once here and stored, so cosine scoring
-    computes only the dots; a row is live, and can be masked, if its norm
-    is nonzero.  No tie order is stored: `top_k` orders the rows at its cut.
+    a finite norm, or the error names the first row's key.  The row norms are
+    computed once here and stored, so cosine scoring computes only the dots.
+    No tie order is stored: `top_k` orders the rows at its cut.
     """
 
     name: str
@@ -296,15 +295,12 @@ def ingest_corpus(path: Union[str, Path]) -> Pool:
 
 
 def _score_block(
-    pool: Pool, q: np.ndarray, alpha: float, picked: np.ndarray
+    pool: Pool, q: np.ndarray, alpha: float, start: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The dots with ``q`` and the masked norms of the live rows ``picked``.
-
-    The rows are gathered into one (block, d) array, masked by `mask_pipeline`,
-    looked up as this module's global once per block, and multiplied into the
-    weights it returns.
-    """
-    docs = np.take(pool.matrix, picked, axis=0)
+    """The dots with ``q`` and the masked norms of the block of rows from ``start``,
+    a view of the matrix masked by `mask_pipeline`, looked up as this module's
+    global once per block, and multiplied into the weights it returns."""
+    docs = pool.matrix[start : start + _BLOCK_ROWS]
     masked = mask_pipeline(q, docs, alpha)
     np.multiply(masked, docs, out=masked)
     return np.einsum("ij,j->i", masked, q), np.sqrt(np.einsum("ij,ij->i", masked, masked))
@@ -319,25 +315,27 @@ def top_k(
 ) -> RankedResult:
     """Exact top-k retrieval by cosine similarity.
 
-    A plain-sequence query gets `Embedding`'s checks, so a NaN raises ValueError.
+    A plain-sequence query gets `Embedding`'s checks, so a NaN raises
+    ValueError.  The query must be nonzero and as long as the pool's rows,
+    in an empty pool too; only a (0, 0) pool, as an empty corpus file or a
+    merge of empty pools gives, has no dimension to match.
     ``scoring="masked"`` first multiplies every document by its hybrid mask
     against the query, whose band width is ``alpha``; its numerical guard eps
-    is a constant, and ``alpha`` is checked whatever the pool holds.  The
-    live rows are cut into blocks of ``_BLOCK_ROWS``, which `workers.share`
-    scores by `_score_block` on the calling thread and on up to one pool
-    thread per further CPU in this process's affinity mask, and returns in
-    block order.  A one-block or empty scan, or a one-CPU process, runs in
-    the caller alone.  Each row is scored by the same arithmetic in any block
-    on any thread, so the scores do not depend on the worker count.
-    Both modes then score each row with the same row-wise formula,
-    dot(q, x) / (|q| |x|), so exact duplicate rows score bit-identically,
-    in one block or in two.  Cosine mode divides by the norms the pool
-    stored, which are the same row-wise sums.  A record whose embedding
-    norm is 0, all-zero or underflowed, scores 0, as does a document its
-    mask zeroes.  The cut keeps every row scoring at least the k-th largest
-    score, k rows plus any tied with the k-th, and sorts only those by
-    (-score, doc_id, pool_name), a total order since keys are unique: the
-    same doc_id in two pools of a merged pool falls back to the pool name.
+    is a constant, and ``alpha`` is checked whatever the pool holds.
+    `workers.share` scores the matrix's blocks of ``_BLOCK_ROWS`` rows by
+    `_score_block` on the calling thread and on up to one pool thread per
+    further CPU in this process's affinity mask, and returns them in block
+    order; a one-block scan, or a one-CPU process, runs in the caller alone.
+    Both modes then score each row by one row-wise formula, dot(q, x) /
+    (|q| |x|), the same in any block on any thread, so the scores do not
+    depend on the worker count and exact duplicate rows score bit-identically.
+    Cosine mode divides by the norms the pool stored, which are the same
+    row-wise sums.  A row of norm 0, all-zero or underflowed, scores 0 in
+    both modes, as does a document its mask zeroes.  The cut keeps every row
+    scoring at least the k-th largest score, k rows plus any tied with the
+    k-th, and sorts only those by (-score, doc_id, pool_name), a total order
+    since keys are unique: the same doc_id in two pools of a merged pool
+    falls back to the pool name.
 
     Known limitation: masked scoring pays off when a query matches its gold
     document on a few informative dimensions among many it leaves out.  On
@@ -353,29 +351,24 @@ def top_k(
     if scoring == "masked":
         check_alpha(alpha)
     q = (query if isinstance(query, Embedding) else Embedding(query)).values
-    if len(pool) == 0:
-        return RankedResult(entries=(), k=k)
-    if q.shape != (pool.dimension,):
+    if q.shape != (pool.dimension,) and pool.matrix.shape != (0, 0):
         raise DimensionMismatchError(
             f"query dimension {q.shape} does not match pool dimension {pool.dimension}"
         )
     qn = float(np.linalg.norm(q))
     if qn == 0.0:
         raise ZeroVectorError("query embedding is all zero")
+    if len(pool) == 0:
+        return RankedResult(entries=(), k=k)
 
     # per-row sums of products, not a BLAS product, so equal rows score equal
     if scoring == "masked":
-        # the mask needs a direction: rows of norm 0 (all-zero or underflowed)
-        # are left out and score 0, as the `where` below scores them in cosine
-        rows = np.flatnonzero(pool._norms)
-        blocks = [rows[start : start + _BLOCK_ROWS] for start in range(0, len(rows), _BLOCK_ROWS)]
-        scored = workers.share(functools.partial(_score_block, pool, q, alpha), blocks)
-        dots, norms = map(np.concatenate, zip(*scored or [(np.empty(0), np.empty(0))]))
+        starts = range(0, len(pool), _BLOCK_ROWS)
+        scored = workers.share(functools.partial(_score_block, pool, q, alpha), starts)
+        dots, norms = map(np.concatenate, zip(*scored))
     else:
-        rows, norms = slice(None), pool._norms
-        dots = np.einsum("ij,j->i", pool.matrix, q)
-    scores = np.zeros(len(pool))
-    scores[rows] = np.divide(dots, qn * norms, out=np.zeros_like(norms), where=norms > 0.0)
+        dots, norms = np.einsum("ij,j->i", pool.matrix, q), pool._norms
+    scores = np.divide(dots, qn * norms, out=np.zeros_like(norms), where=norms > 0.0)
 
     # every row tied with the k-th largest score is kept, so the sort, not
     # the partition, decides which tied rows make the cut

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import workers
-from .errors import DimensionMismatchError, TemperatureNonPositiveError
+from .errors import DimensionMismatchError, TemperatureNonPositiveError, ZeroVectorError
 from .masking import (
     DEFAULT_ALPHA,
     MASK_LEVELS,
@@ -129,7 +129,7 @@ def build_batch(
     independently while the whole batch stays reproducible.
 
     Raises:
-        ZeroVectorError: if any query or document has zero norm.
+        ZeroVectorError: if a query or document has norm 0, all-zero or underflowed.
         PartitionTooFineError: if ``n_parts`` exceeds a pair's mask support.
         ValueError: if alpha is not finite and > 0, the lists are empty or
             misalign, an array is not 2-D, or a row or its squared norm is
@@ -138,14 +138,19 @@ def build_batch(
     if len(queries) != len(documents) or len(queries) == 0:
         raise ValueError("queries and documents must be nonempty and align")
     qs, ds = np.array(queries, dtype=np.float64), np.array(documents, dtype=np.float64)
+    squared_norms = []
     for name, rows in (("queries", qs), ("documents", ds)):
         if rows.ndim != 2:
             raise ValueError(f"{name} must be a (B, d) array with B >= 1")
         # the squared-norm test of `index.Pool`
         with np.errstate(over="ignore"):
-            bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", rows, rows)))
+            squared_norms.append(np.einsum("ij,ij->i", rows, rows))
+        bad = np.flatnonzero(~np.isfinite(squared_norms[-1]))
         if bad.size:
             raise ValueError(f"{name} row {bad[0]} must be finite with a finite norm")
+    # a sum of squares is 0 exactly when every square is, however it is summed
+    if not all(map(np.all, squared_norms)):
+        raise ZeroVectorError("cannot normalize a vector with zero norm")
     masks = mask_pipeline(qs, ds, alpha)
     return Batch(qs, ds, masks, partition_mask(masks, n_parts, seed), _owned=True)
 

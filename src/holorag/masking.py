@@ -7,7 +7,8 @@ two-threshold test at mu +/- alpha * sigma of that squashed row: 1 above the
 upper band (salient), 0.5 inside it (detail at half strength), 0 below it.
 The band width alpha is the method's one setting.  ``DEFAULT_EPS``, fixed at
 1e-8, is a numerical guard with two jobs: it keeps the z-score's divisor
-nonzero, and a squashed row whose spread falls below it counts as degenerate.
+nonzero, and a squashed row whose spread falls below it counts as degenerate
+and gets all ones, as does every pair with a query or document of norm 0.
 One call masks a whole document matrix against a query, or a whole batch of
 pairs, so retrieval and batch construction share the same arithmetic.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PartitionTooFineError, ZeroVectorError
+from .errors import DimensionMismatchError, PartitionTooFineError
 
 # a constant, not a setting; perfbench/retrieve.py and tests/mask_oracle.py import it
 DEFAULT_EPS = 1e-8
@@ -76,12 +77,10 @@ def check_alpha(alpha: float) -> None:
 
 
 def _unit_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``rows`` scaled to unit length into ``out``; each norm is one BLAS dot
-    per row, as ``np.linalg.norm`` takes the norm of a single vector."""
+    """``rows`` scaled to unit length into ``out``, rows of norm 0 left as they are;
+    each norm is one BLAS dot per row, as ``np.linalg.norm`` takes it of one vector."""
     norms = np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0])
-    if not np.all(norms > 0.0):
-        raise ZeroVectorError("cannot normalize a vector with zero norm")
-    return np.divide(rows, norms, out=out)
+    return np.divide(rows, np.where(norms > 0.0, norms, 1.0), out=out)
 
 
 def _row_mean_std(rows: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,12 +111,12 @@ def mask_pipeline(
     and eps is the fixed ``DEFAULT_EPS``.  Both inequalities are strict, so
     threshold ties fall to the lower level.  A row with sigma < eps carries
     no correlation signal; strict thresholds would zero it and annihilate the
-    document, so it gets all ones instead.
+    document, so it gets all ones instead.  So does a pair whose query or
+    document has norm 0, all-zero or underflowed: c is so small that s is 0.5.
 
     Raises:
         ValueError: if alpha is not finite and > 0 (NaN fails).
         DimensionMismatchError: if the shapes do not pair up.
-        ZeroVectorError: if any query or document row has zero norm.
     """
     check_alpha(alpha)
     # contiguous rows, so every row is reduced in the same order as a 1-D vector

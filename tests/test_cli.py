@@ -586,10 +586,19 @@ def test_loss_check_negative_seed_exits_user_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["loss-check", "--seed", "-1"])
     assert exit_info.value.code == EXIT_USER_ERROR
-    assert "error: argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert "error: argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("suite", ["oracle", "gradient"])
+def test_loss_check_negative_batches_exits_user_error(suite, capsys):
+    """A negative batch count is refused by the parser, before any check runs."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["loss-check", f"--{suite}-batches", "-1"])
+    assert exit_info.value.code == EXIT_USER_ERROR
+    assert f"error: argument --{suite}-batches: must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [0])
 @pytest.mark.parametrize("suite", ["oracle", "gradient"])
 def test_loss_check_of_no_batches_fails(suite, count, capsys):
     """A suite that ran no batch checked nothing, so it does not pass."""

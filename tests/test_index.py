@@ -213,10 +213,34 @@ class TestTopK:
             top_k(pool, Embedding([1.0, 0.0, 0.0]), k=1)
 
     @pytest.mark.parametrize("scoring", ["cosine", "masked"])
-    def test_empty_pool_returns_no_entries(self, scoring):
-        pool = Pool(name="p", matrix=np.zeros((0, 2)), keys=(), metadata=())
-        ranked = top_k(pool, Embedding([1.0, 0.0]), k=3, scoring=scoring)
-        assert (ranked.entries, ranked.k) == ((), 3)
+    def test_empty_pool_returns_no_entries(self, scoring, tmp_path):
+        """An empty (0, 2) pool, and the (0, 0) pools of an empty corpus file and of a
+        merge of empty pools, which have no dimension and take any nonzero query."""
+        (tmp_path / "empty.jsonl").write_bytes(b"")
+        with pytest.warns(UserWarning, match="contained no records"):
+            ingested = ingest_corpus(tmp_path / "empty.jsonl")
+        merged = merge_pools([ingested, Pool("q", np.zeros((0, 4)), (), ())])
+        assert ingested.matrix.shape == merged.matrix.shape == (0, 0)
+        empty = Pool(name="p", matrix=np.zeros((0, 2)), keys=(), metadata=())
+        for pool, query in [(empty, [1.0, 0.0]), (ingested, [1.0]), (merged, [0.0, 2.0, 0.0])]:
+            ranked = top_k(pool, Embedding(query), k=3, scoring=scoring)
+            assert (ranked.entries, ranked.k) == ((), 3)
+
+    @pytest.mark.parametrize("scoring", ["cosine", "masked"])
+    @pytest.mark.parametrize(
+        "shape, query, error",
+        [
+            ((0, 2), [0.0, 0.0], ZeroVectorError),
+            ((0, 0), [0.0, 0.0], ZeroVectorError),
+            ((0, 2), [1.0, 0.0, 0.0], DimensionMismatchError),
+        ],
+        ids=["zero-query", "zero-query-no-dimension", "dimension-mismatch"],
+    )
+    def test_empty_pool_checks_the_query(self, shape, query, error, scoring):
+        """An empty pool refuses the queries a pool of its dimension refuses."""
+        pool = Pool(name="p", matrix=np.zeros(shape), keys=(), metadata=())
+        with pytest.raises(error):
+            top_k(pool, Embedding(query), k=3, scoring=scoring)
 
     def test_zero_query(self):
         pool = make_pool("p", [("a", [1.0, 0.0])])
@@ -377,7 +401,7 @@ WHOLE_POOL = {"cosine": mask_oracle.whole_top_k_cosine, "masked": mask_oracle.wh
 
 
 class TestBlockedScoring:
-    """Masked scoring walks the live rows in blocks of `index._BLOCK_ROWS`; every
+    """Masked scoring walks the pool's rows in blocks of `index._BLOCK_ROWS`; every
     score must equal, bit for bit, the one pass over the whole pool it replaced."""
 
     B = index._BLOCK_ROWS
@@ -453,8 +477,8 @@ class TestBlockedScoring:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_masked_gather_matches_whole_pool_oracle(self, data, block, edges, d, seed):
-        # the live rows cross 1 to 3 block edges, usually ending in a partial
-        # block, and the gather skips dead rows wherever they fall
+        # the rows of nonzero norm alone cross 1 to 3 block edges, usually
+        # ending in a partial block, and rows of norm 0 fall anywhere among them
         live = data.draw(st.integers(edges * block + 1, (edges + 1) * block), label="live")
         n_dead = data.draw(st.integers(0, 6), label="n_dead")
         n = live + n_dead
@@ -484,7 +508,8 @@ class TestBlockedScoring:
     def test_mask_pipeline_called_once_per_block_through_module_global(
         self, monkeypatch, n, dead
     ):
-        """The benchmark wraps `index.mask_pipeline` to count and time it per query."""
+        """The benchmark wraps `index.mask_pipeline` to count and time it per query.
+        Rows of norm 0 are masked with the rest, so the blocks cover all n rows."""
         sizes = []
         original = index.mask_pipeline
 
@@ -495,13 +520,12 @@ class TestBlockedScoring:
         monkeypatch.setattr(index, "mask_pipeline", spy)
         rng = np.random.default_rng(25)
         pool = gaussian_pool(rng, n, 8, {i: np.full(8, v) for i, v in dead.items()})
-        live = n - len(dead)
         top_k(pool, Embedding(rng.normal(size=8)), k=5, scoring="masked")
-        assert len(sizes) == math.ceil(live / self.B)
+        assert len(sizes) == math.ceil(n / self.B)
         # the blocks may run on several threads, so only the smallest may be partial
-        assert sum(sizes) == live and set(sorted(sizes)[1:]) <= {self.B}
+        assert sum(sizes) == n and set(sorted(sizes)[1:]) <= {self.B}
         top_k(pool, Embedding(rng.normal(size=8)), k=5, scoring="cosine")
-        assert len(sizes) == math.ceil(live / self.B)
+        assert len(sizes) == math.ceil(n / self.B)
 
     def test_masked_top_k_allocates_no_pool_sized_temporary(self):
         rng = np.random.default_rng(24)
@@ -519,7 +543,7 @@ class TestBlockedScoring:
 
 @contextlib.contextmanager
 def scan_workers(count, block):
-    """Masked scans split the live rows into blocks of ``block`` rows for ``count``
+    """Masked scans split the pool's rows into blocks of ``block`` rows for ``count``
     workers (see `pool_workers`).  Yields the set of threads that masked a block.
 
     Each block takes a millisecond longer, so the pool threads, which take the next
@@ -549,12 +573,12 @@ class TestParallelScan:
         rng = np.random.default_rng(block)
         zero, tiny = np.zeros(8), np.full(8, 1e-200)
         copy = rng.normal(size=8)
-        if case == "no-live-rows":
+        if case == "no-live-rows":  # every row has norm 0
             pool = gaussian_pool(rng, 4, 8, {0: zero, 1: tiny, 2: zero, 3: tiny})
-        elif case == "one-block":
+        elif case == "one-block":  # one block of rows of nonzero norm
             pool = gaussian_pool(rng, block + 2, 8, {0: zero, block + 1: tiny})
         else:
-            # ten blocks of live rows; a dead row at each of the first edges, and
+            # ten blocks of rows; a row of norm 0 at each of the first edges, and
             # copies on both sides of the others, which threads may scan apart
             edges = [block * i for i in range(1, 10)]
             dead = {edge: (zero if i % 2 else tiny) for i, edge in enumerate(edges[:4])}
@@ -568,13 +592,35 @@ class TestParallelScan:
             used |= threads
             assert_same_ranking(got, mask_oracle.whole_top_k_masked(pool, query, len(pool)))
             assert_same_ranking(cut, mask_oracle.whole_top_k_masked(pool, query, 2))
-        # a scan of no rows or of one block runs in the caller alone
-        caller = {threading.get_ident()}
-        assert {"no-live-rows": not used, "one-block": used == caller}.get(case, len(used) > 1)
+        # rows of norm 0 are scanned too, so every case here has two blocks or more
+        assert len(used) > 1
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_blocks_are_views_that_tile_the_matrix(self, count):
+        """Each block handed to `mask_pipeline` is a slice of the pool's matrix, not a
+        copy, and the blocks cover every row once, rows of norm 0 included."""
+        rng = np.random.default_rng(29)
+        dead = {0: np.zeros(8), 5: np.full(8, 1e-200), 6: np.zeros(8), 22: np.full(8, 1e-200)}
+        pool = gaussian_pool(rng, 23, 8, dead)
+        base = pool.matrix.__array_interface__["data"][0]
+        with scan_workers(count, 4):
+            original, blocks = index.mask_pipeline, []
+
+            def spy(queries, documents, *args, **kwargs):
+                assert np.shares_memory(documents, pool.matrix)
+                start = (documents.__array_interface__["data"][0] - base) // pool.matrix.strides[0]
+                blocks.append((start, len(documents)))
+                return original(queries, documents, *args, **kwargs)
+
+            with mock.patch.object(index, "mask_pipeline", spy):
+                got = top_k(pool, Embedding(rng.normal(size=8)), k=len(pool), scoring="masked")
+        assert len(got.entries) == len(pool)
+        covered = [row for start, size in sorted(blocks) for row in range(start, start + size)]
+        assert covered == list(range(len(pool)))
 
     @pytest.mark.parametrize("alpha", [0.0, float("nan")])
     def test_bad_alpha_raises_the_one_block_error(self, alpha):
-        """Whatever the pool holds: live rows, no live rows (nothing to mask), or none."""
+        """Whatever the pool holds: rows of nonzero norm, rows of norm 0 only, or none."""
         rng = np.random.default_rng(26)
         query = Embedding(rng.normal(size=4))
         dead = {i: np.zeros(4) for i in range(3)}

@@ -441,17 +441,30 @@ class TestMaskPipeline:
         weights = mask_pipeline([1.0, -2.0, 0.5], [[2.0, 1.0, 4.0], [-1.0, 0.5, -2.0]])
         np.testing.assert_array_equal(weights, np.ones((2, 3)))
 
-    @pytest.mark.parametrize("zero", ["query", "document"])
-    def test_any_zero_row_raises(self, zero):
-        queries = np.ones((3, 2))
-        documents = np.ones((3, 2))
-        (queries if zero == "query" else documents)[1] = 0.0
-        with pytest.raises(ZeroVectorError):
-            mask_pipeline(queries, documents)
-
-    def test_underflowing_row_raises(self):
-        with pytest.raises(ZeroVectorError):
-            mask_pipeline([1.0, 1.0, 1.0], [[1.0, 0.0, 0.0], [1e-200, 1e-200, 2e-200]])
+    @pytest.mark.parametrize("side", ["query", "document"])
+    @pytest.mark.parametrize("d", [3, 33, 129])
+    def test_rows_of_norm_zero_get_all_ones(self, side, d):
+        """A block mixing ordinary, all-zero and underflowed rows: the rows of norm 0
+        get all ones, and every other row the weights it gets masked alone."""
+        rng = np.random.default_rng(d)
+        ordinary = rng.normal(size=(6, d))
+        dead = ordinary.copy()
+        dead[1] = 0.0
+        dead[3] = 1e-200
+        dead[3, 2::3] = 2e-200  # [1e-200, 1e-200, 2e-200] at d = 3
+        dead[4] = 1e-170 * rng.normal(size=d)  # its largest square underflows too
+        if side == "query":
+            weights = mask_pipeline(dead, ordinary)
+            alone = [mask_pipeline(dead[i : i + 1], ordinary[i : i + 1]) for i in range(6)]
+        else:
+            query = rng.normal(size=d)
+            weights = mask_pipeline(query, dead)
+            alone = [mask_pipeline(query, dead[i : i + 1]) for i in range(6)]
+        assert not np.any(np.einsum("ij,ij->i", dead, dead)[[1, 3, 4]])
+        for i in range(6):
+            want = np.ones((1, d)) if i in (1, 3, 4) else alone[i]
+            np.testing.assert_array_equal(weights[i : i + 1], want)
+            np.testing.assert_array_equal(alone[i], want)
 
     @pytest.mark.parametrize(
         "alpha",
