@@ -466,6 +466,13 @@ class TestMaskPipeline:
             np.testing.assert_array_equal(weights[i : i + 1], want)
             np.testing.assert_array_equal(alone[i], want)
 
+    def test_underflowing_row_gets_all_ones(self):
+        # every square of the second row underflows, so its norm is 0
+        documents = [[1.0, 0.0, 0.0], [1e-200, 1e-200, 2e-200]]
+        weights = mask_pipeline([1.0, 1.0, 1.0], documents)
+        np.testing.assert_array_equal(weights[1], np.ones(3))
+        np.testing.assert_array_equal(weights[:1], mask_pipeline([1.0, 1.0, 1.0], documents[:1]))
+
     @pytest.mark.parametrize(
         "alpha",
         # NaN would score every document 0, and an infinity would switch masking off
